@@ -136,7 +136,7 @@ const FLAGS: u64 = VALID | DIRTY;
 /// c.fill(0, false);
 /// assert!(c.probe(0));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SetAssocCache {
     config: CacheConfig,
     /// All ways of all sets in one flat allocation, `associativity`
@@ -222,6 +222,24 @@ impl SetAssocCache {
     fn index_and_tag(&self, addr: Addr) -> (usize, u64) {
         let block = addr >> self.line_shift;
         ((block & self.set_mask) as usize, block >> self.set_bits)
+    }
+
+    /// The index of the set `addr` maps to.
+    #[inline]
+    pub(crate) fn set_of(&self, addr: Addr) -> usize {
+        self.index_and_tag(addr).0
+    }
+
+    /// Copies the ways (tags, flags and LRU stamps) of every set in `sets`,
+    /// and the LRU clock, from `src`, which must have the same geometry.
+    /// Statistics are left alone.
+    pub(crate) fn copy_sets_from(&mut self, src: &SetAssocCache, sets: &[usize]) {
+        for &set_idx in sets {
+            let range = self.set_range(set_idx);
+            self.tags[range.clone()].copy_from_slice(&src.tags[range.clone()]);
+            self.last_use[range.clone()].copy_from_slice(&src.last_use[range]);
+        }
+        self.clock = src.clock;
     }
 
     /// Looks up `addr`; on a hit, refreshes LRU state and returns `true`.

@@ -1,7 +1,7 @@
 //! The three-level cache hierarchy plus DRAM.
 
 use crate::cache::{CacheConfig, CacheStats, SetAssocCache};
-use crate::shared::L3Access;
+use crate::shared::{L3Access, SharedL3};
 use crate::tlb::{Tlb, TlbConfig, TlbStats};
 use crate::Addr;
 
@@ -103,7 +103,7 @@ impl Default for HierarchyConfig {
 
 /// A three-level cache hierarchy with LRU replacement, write-allocate fills
 /// and a non-inclusive (fill-all-levels) policy.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Hierarchy {
     config: HierarchyConfig,
     l1: SetAssocCache,
@@ -284,6 +284,37 @@ impl Hierarchy {
         );
         snapshot.add_stats(self.l3.stats());
         self.l3 = snapshot;
+    }
+
+    /// Brings the private L3 replica up to date with `shared`'s master in
+    /// place: copies the sets [`SharedL3::commit`] touched since the record
+    /// was last cleared, plus the master's LRU clock. Statistics carry over
+    /// as in [`Hierarchy::install_l3`], and the result equals
+    /// `install_l3(shared.snapshot())`.
+    ///
+    /// That equality holds only while every change to this replica's L3
+    /// since its last refresh (or since it was built, empty, beside an
+    /// empty master) went through a logged access whose log has since been
+    /// committed to `shared`, and the record has not been cleared since
+    /// that refresh. L3 logging must therefore be on; a
+    /// [`Hierarchy::flush`], or an [`Hierarchy::install_l3`] of anything
+    /// but a master snapshot, breaks the precondition.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the master's geometry differs from this hierarchy's L3.
+    pub fn refresh_l3(&mut self, shared: &SharedL3) {
+        debug_assert!(
+            self.l3_log.is_some(),
+            "refresh_l3 is exact only for a replica with L3 logging on"
+        );
+        assert_eq!(
+            *shared.config(),
+            self.config.l3,
+            "shared-L3 master geometry must match the hierarchy's L3"
+        );
+        self.l3
+            .copy_sets_from(shared.master(), shared.touched_sets());
     }
 }
 

@@ -5,9 +5,17 @@
 //! threads without locking. Sharing of the L3 is modelled with an epoch
 //! protocol built from the primitives here:
 //!
-//! 1. At the start of an epoch, each core's hierarchy receives a
-//!    [`SharedL3::snapshot`] of the master L3 via
-//!    [`Hierarchy::install_l3`](crate::Hierarchy::install_l3).
+//! 1. At the start of an epoch, each core's replica is brought up to date
+//!    with the master in place by
+//!    [`Hierarchy::refresh_l3`](crate::Hierarchy::refresh_l3), which copies
+//!    only the sets [`SharedL3::commit`] touched since the last refresh,
+//!    plus the master's LRU clock. Every other set already equals the
+//!    master: a replica changes only at its own logged accesses, and the
+//!    master only at the union of all cores' logs. Once every core has
+//!    been refreshed, [`SharedL3::clear_touched_sets`] starts the next
+//!    record. The result is exactly what installing a whole
+//!    [`SharedL3::snapshot`] via
+//!    [`Hierarchy::install_l3`](crate::Hierarchy::install_l3) gives.
 //! 2. During the epoch each core runs privately, recording every access
 //!    that misses its L1 and L2 (and therefore reaches the L3 level) via
 //!    [`Hierarchy::set_l3_logging`](crate::Hierarchy::set_l3_logging).
@@ -37,6 +45,9 @@ pub struct L3Access {
 #[derive(Debug, Clone)]
 pub struct SharedL3 {
     master: SetAssocCache,
+    /// The set of every access [`SharedL3::commit`] has merged since the
+    /// record was last cleared (a set may repeat).
+    touched: Vec<usize>,
     committed_accesses: u64,
     commits: u64,
 }
@@ -51,6 +62,7 @@ impl SharedL3 {
     pub fn new(config: CacheConfig) -> Self {
         Self {
             master: SetAssocCache::new(config),
+            touched: Vec::new(),
             committed_accesses: 0,
             commits: 0,
         }
@@ -73,9 +85,11 @@ impl SharedL3 {
     /// Replays one core's epoch log into the master: hits refresh LRU
     /// state, misses fill (displacing LRU lines). Call once per core per
     /// epoch, always in the same core order, so the merged contents are
-    /// deterministic.
+    /// deterministic. The set of every merged access is recorded for
+    /// [`Hierarchy::refresh_l3`](crate::Hierarchy::refresh_l3).
     pub fn commit(&mut self, log: &[L3Access]) {
         for a in log {
+            self.touched.push(self.master.set_of(a.addr));
             if !self.master.access(a.addr, a.write) {
                 self.master.fill(a.addr, a.write);
             }
@@ -89,10 +103,18 @@ impl SharedL3 {
         &self.master
     }
 
-    /// Mutable access to the master cache, e.g. to pre-warm shared
-    /// allocator metadata before the first epoch.
-    pub fn master_mut(&mut self) -> &mut SetAssocCache {
-        &mut self.master
+    /// The sets [`SharedL3::commit`] has changed since the record was last
+    /// cleared, with repeats.
+    pub(crate) fn touched_sets(&self) -> &[usize] {
+        &self.touched
+    }
+
+    /// Empties the touched-set record. Call it only once every replica has
+    /// been refreshed with
+    /// [`Hierarchy::refresh_l3`](crate::Hierarchy::refresh_l3) since the
+    /// last commit: a replica refreshed later would miss the cleared sets.
+    pub fn clear_touched_sets(&mut self) {
+        self.touched.clear();
     }
 
     /// Master-side statistics accumulated by [`SharedL3::commit`] replays.
@@ -128,10 +150,30 @@ mod tests {
     #[test]
     fn snapshot_reflects_master_contents_with_clean_stats() {
         let mut shared = SharedL3::new(tiny_l3());
-        shared.master_mut().fill(0x1000, false);
+        shared.commit(&[L3Access {
+            addr: 0x1000,
+            write: false,
+        }]);
         let snap = shared.snapshot();
         assert!(snap.probe(0x1000));
+        assert_eq!(shared.stats().misses, 1);
         assert_eq!(snap.stats().hits + snap.stats().misses, 0);
+    }
+
+    #[test]
+    fn commit_records_touched_sets_until_cleared() {
+        // 16 sets of 64-byte lines: 0x0 and 0x400 share set 0, 0x40 is set 1.
+        let mut shared = SharedL3::new(tiny_l3());
+        let log: Vec<L3Access> = [0x0, 0x40, 0x400, 0x0]
+            .into_iter()
+            .map(|addr| L3Access { addr, write: false })
+            .collect();
+        shared.commit(&log);
+        assert_eq!(shared.touched_sets(), &[0, 1, 0, 0]);
+        shared.clear_touched_sets();
+        assert!(shared.touched_sets().is_empty());
+        shared.commit(&log[1..2]);
+        assert_eq!(shared.touched_sets(), &[1]);
     }
 
     #[test]
@@ -218,14 +260,14 @@ mod tests {
         let mut core1 = Hierarchy::new(HierarchyConfig::haswell());
         for c in [&mut core0, &mut core1] {
             c.set_l3_logging(true);
-            c.install_l3(shared.snapshot());
         }
         core0.access(0xA000, AccessKind::Read);
-        // Barrier: commit in fixed core order.
+        // Barrier: commit in fixed core order, then refresh every replica.
         shared.commit(&core0.take_l3_log());
         shared.commit(&core1.take_l3_log());
-        core0.install_l3(shared.snapshot());
-        core1.install_l3(shared.snapshot());
+        core0.refresh_l3(&shared);
+        core1.refresh_l3(&shared);
+        shared.clear_touched_sets();
         // TLB is private and cold in core 1; the data itself is an L3 hit.
         let r = core1.access(0xA000, AccessKind::Read);
         assert_eq!(r.latency, 34 + 30);

@@ -76,7 +76,7 @@ pub struct TlbStats {
 /// assert_eq!(cold, 30);
 /// assert_eq!(warm, 0);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Tlb {
     config: TlbConfig,
     l1: SetAssocCache,

@@ -5,10 +5,14 @@
 //! event stream. The cores share one L3 through the epoch protocol of
 //! [`SharedL3`]:
 //!
-//! 1. *(serial)* every core installs a snapshot of the L3 master;
+//! 1. *(serial)* every core refreshes its L3 replica from the master in
+//!    place, copying only the sets the previous barrier's commits touched
+//!    (every other set already matches the master);
 //! 2. *(parallel, `std::thread::scope`)* every core replays up to
 //!    `epoch_events` events against its private replica, logging the
-//!    accesses that reached the L3 level;
+//!    accesses that reached the L3 level; `cores − 1` spawned workers take
+//!    the first cores and the calling thread replays the last one, so a
+//!    1-core run spawns nothing;
 //! 3. *(serial, fixed core order)* the logs are committed to the master.
 //!
 //! Cross-core L3 interference is therefore visible with one epoch of
@@ -324,17 +328,22 @@ impl MulticoreSim {
         let mut epochs = 0u64;
 
         while replays.iter().any(|r| !r.done()) {
-            // (1) Refresh every replica from the master, serially.
+            // (1) Refresh every replica from the master, serially and in
+            // place: only the sets the last commits touched can differ.
             for r in replays.iter_mut() {
-                r.sim.memory_mut().install_l3(shared.snapshot());
+                r.sim.memory_mut().refresh_l3(&shared);
             }
-            // (2) Replay one epoch per core, in parallel. Each core only
-            // touches its own state, so scheduling cannot change results.
+            shared.clear_touched_sets();
+            // (2) Replay one epoch per core, in parallel, the last core on
+            // this thread. Each core only touches its own state, so
+            // scheduling cannot change results.
             let budget = self.epoch_events;
+            let (last, rest) = replays.split_last_mut().expect("at least one core");
             std::thread::scope(|s| {
-                for r in replays.iter_mut() {
+                for r in rest {
                     s.spawn(move || r.run_epoch(budget));
                 }
+                last.run_epoch(budget);
             });
             // (3) Merge the epoch's L3 traffic in fixed core order.
             for r in replays.iter_mut() {

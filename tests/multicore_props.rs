@@ -13,18 +13,49 @@
 //!    flow never creates or loses blocks: for every size class, the
 //!    objects carved out of spans equal the live blocks plus the free
 //!    blocks across all tiers.
+//!
+//! The timing replay's shared L3 leans on a third: refreshing a replica in
+//! place from the master's touched sets gives exactly the replica a whole
+//! master snapshot would.
 
 use std::collections::{HashMap, HashSet};
 
 use proptest::prelude::*;
 
 use mallacc::Mode;
+use mallacc_cache::{AccessKind, CacheConfig, Hierarchy, HierarchyConfig, SharedL3};
 use mallacc_multicore::{MtRunResult, MulticoreSim};
 use mallacc_tcmalloc::{ClassId, TcMalloc};
 use mallacc_test_support::arb_cross_thread_ops;
 use mallacc_workloads::{MtOp, MtTrace};
 
 const THREADS: usize = 4;
+
+/// A hierarchy small enough that most accesses reach an L3 whose sets
+/// conflict and evict: 4 KiB, 4-way L3 (16 sets) behind 512 B L1/L2.
+fn tiny_hierarchy() -> HierarchyConfig {
+    let level = |size_bytes, associativity, hit_latency| CacheConfig {
+        size_bytes,
+        line_bytes: 64,
+        associativity,
+        hit_latency,
+    };
+    HierarchyConfig {
+        l1: level(512, 2, 4),
+        l2: level(512, 2, 12),
+        l3: level(4096, 4, 34),
+        ..HierarchyConfig::haswell()
+    }
+}
+
+/// One core's accesses in one epoch, as `(line, write)` pairs over twice
+/// the L3's capacity; a quarter of the draws are empty.
+fn arb_core_epoch() -> impl Strategy<Value = Vec<(u64, bool)>> {
+    prop_oneof![
+        1 => Just(Vec::new()),
+        3 => prop::collection::vec((0u64..128, any::<bool>()), 1..24),
+    ]
+}
 
 /// Checks both cross-thread invariants for every class seen so far.
 fn check_cross_thread_invariants(
@@ -170,5 +201,50 @@ proptest! {
             )
         };
         prop_assert_eq!(sig(&sim.run(&trace)), sig(&sim.run(&trace)));
+    }
+
+    /// Refreshing a replica in place from the master's touched sets
+    /// (`refresh_l3`) leaves it equal — tags, dirty bits, LRU stamps,
+    /// clock and statistics — to a twin that installs a whole snapshot
+    /// (`install_l3(shared.snapshot())`), after every epoch, including
+    /// epochs where a core logs nothing while others do.
+    #[test]
+    fn incremental_l3_refresh_matches_a_full_snapshot(
+        cores in 1..=THREADS,
+        epochs in prop::collection::vec(
+            prop::collection::vec(arb_core_epoch(), THREADS..THREADS + 1),
+            1..8,
+        ),
+    ) {
+        let replica = || {
+            let mut h = Hierarchy::new(tiny_hierarchy());
+            h.set_l3_logging(true);
+            h
+        };
+        let mut refreshed: Vec<Hierarchy> = (0..cores).map(|_| replica()).collect();
+        let mut installed = refreshed.clone();
+        let mut shared = SharedL3::new(tiny_hierarchy().l3);
+        for epoch in &epochs {
+            for (core, accesses) in epoch.iter().take(cores).enumerate() {
+                for &(line, write) in accesses {
+                    let kind = if write { AccessKind::Write } else { AccessKind::Read };
+                    refreshed[core].access(line * 64, kind);
+                    installed[core].access(line * 64, kind);
+                }
+            }
+            for (a, b) in refreshed.iter_mut().zip(&mut installed) {
+                let log = a.take_l3_log();
+                prop_assert_eq!(&log, &b.take_l3_log());
+                shared.commit(&log);
+            }
+            for (a, b) in refreshed.iter_mut().zip(&mut installed) {
+                a.refresh_l3(&shared);
+                b.install_l3(shared.snapshot());
+            }
+            shared.clear_touched_sets();
+            for (a, b) in refreshed.iter().zip(&installed) {
+                prop_assert_eq!(a, b);
+            }
+        }
     }
 }
