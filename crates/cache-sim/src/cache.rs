@@ -1,4 +1,8 @@
 //! A single set-associative cache with true-LRU replacement.
+//!
+//! Each set stores its valid lines packed at the front of its ways, in
+//! order from most to least recently used, with the empty ways after them.
+//! That order is the whole LRU state, so each way is one word.
 
 use crate::Addr;
 
@@ -115,11 +119,20 @@ impl CacheStats {
 /// addresses shifted right by the set bits, so they never reach bit 62),
 /// validity and dirtiness in the top two. A whole-word compare against
 /// `tag | VALID` (masking `DIRTY` off) decides a hit in one instruction.
+/// An empty way holds the word 0.
 const VALID: u64 = 1 << 63;
 const DIRTY: u64 = 1 << 62;
 const FLAGS: u64 = VALID | DIRTY;
 
 /// One set-associative, true-LRU cache level.
+///
+/// Every set keeps its recency order in the positions of its ways: way 0
+/// holds the most recently used line, the valid lines are packed at the
+/// front, and empty ways follow them. A hit moves its line to way 0; a
+/// fill inserts at way 0 and, in a full set, evicts the last way; an
+/// invalidation closes the gap it leaves. A lookup therefore stops at the
+/// first empty way, and the least recently used lines of a set are the
+/// tail of its valid prefix.
 ///
 /// # Example
 ///
@@ -139,23 +152,15 @@ const FLAGS: u64 = VALID | DIRTY;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SetAssocCache {
     config: CacheConfig,
-    /// All ways of all sets in one flat allocation, `associativity`
-    /// entries per set, split structure-of-arrays style: `tags` holds the
-    /// packed tag+flag words the lookup scan reads, `last_use` the LRU
-    /// timestamps only hits and fills touch. `Hierarchy::access` runs on
-    /// every simulated memory µop (and every fast-forwarded one), and the
-    /// allocator workloads miss far more than they hit, so the scan is the
-    /// hot loop of the whole simulator: keeping it to one or two host
-    /// cache lines per set (8 bytes per way instead of a padded
-    /// four-field struct) is the difference between the hierarchy walk
-    /// being a few nanoseconds and dominating the engine.
+    /// All ways of all sets in one flat allocation: `associativity`
+    /// packed tag+flag words per set, each set in recency order.
+    /// `Hierarchy::access` runs on every simulated memory µop, fast-forwarded
+    /// ones included, so this scan is the hot loop of the whole simulator;
+    /// at one word per way a 16-way set spans two host cache lines.
     tags: Vec<u64>,
-    /// Monotonic timestamp of last touch per way; smaller = older.
-    last_use: Vec<u64>,
     set_mask: u64,
     set_bits: u32,
     line_shift: u32,
-    clock: u64,
     stats: CacheStats,
 }
 
@@ -177,11 +182,9 @@ impl SetAssocCache {
         Ok(Self {
             config,
             tags: vec![0; (sets * config.associativity as u64) as usize],
-            last_use: vec![0; (sets * config.associativity as u64) as usize],
             set_mask: sets - 1,
             set_bits: (sets - 1).count_ones(),
             line_shift: config.line_bytes.trailing_zeros(),
-            clock: 0,
             stats: CacheStats::default(),
         })
     }
@@ -230,41 +233,42 @@ impl SetAssocCache {
         self.index_and_tag(addr).0
     }
 
-    /// Copies the ways (tags, flags and LRU stamps) of every set in `sets`,
-    /// and the LRU clock, from `src`, which must have the same geometry.
-    /// Statistics are left alone.
+    /// Copies the ways (tags, flags and recency order) of every set in
+    /// `sets` from `src`, which must have the same geometry. Statistics are
+    /// left alone.
     pub(crate) fn copy_sets_from(&mut self, src: &SetAssocCache, sets: &[usize]) {
         for &set_idx in sets {
             let range = self.set_range(set_idx);
-            self.tags[range.clone()].copy_from_slice(&src.tags[range.clone()]);
-            self.last_use[range.clone()].copy_from_slice(&src.last_use[range]);
+            self.tags[range.clone()].copy_from_slice(&src.tags[range]);
         }
-        self.clock = src.clock;
     }
 
-    /// Looks up `addr`; on a hit, refreshes LRU state and returns `true`.
-    /// Counts a hit or a miss.
+    /// Looks up `addr`; on a hit, makes its line the most recently used of
+    /// its set and returns `true`. Counts a hit or a miss.
     #[inline]
     pub fn access(&mut self, addr: Addr, write: bool) -> bool {
-        self.clock += 1;
         let (set_idx, tag) = self.index_and_tag(addr);
         let want = tag | VALID;
         let range = self.set_range(set_idx);
-        for i in range {
-            if self.tags[i] & !DIRTY == want {
-                self.last_use[i] = self.clock;
+        let set = &mut self.tags[range];
+        for i in 0..set.len() {
+            if set[i] & !DIRTY == want {
+                set[..=i].rotate_right(1);
                 if write {
-                    self.tags[i] |= DIRTY;
+                    set[0] |= DIRTY;
                 }
                 self.stats.hits += 1;
                 return true;
+            }
+            if set[i] == 0 {
+                break;
             }
         }
         self.stats.misses += 1;
         false
     }
 
-    /// Checks residency without perturbing LRU state or statistics.
+    /// Checks residency without perturbing the recency order or statistics.
     pub fn probe(&self, addr: Addr) -> bool {
         let (set_idx, tag) = self.index_and_tag(addr);
         let want = tag | VALID;
@@ -273,48 +277,53 @@ impl SetAssocCache {
             .any(|&t| t & !DIRTY == want)
     }
 
-    /// Installs the line containing `addr`, evicting the LRU way if the set
-    /// is full. Returns the evicted line's base address, if any.
+    /// Installs the line containing `addr` as the most recently used of its
+    /// set, evicting the least recently used line if the set is full.
+    /// Returns the evicted line's base address, if any.
+    ///
+    /// The line must not be resident: a second copy would break both the
+    /// recency order and the one-way-per-line lookup. Every caller fills
+    /// only right after an [`SetAssocCache::access`] to the same line
+    /// missed. Debug builds check it.
     pub fn fill(&mut self, addr: Addr, write: bool) -> Option<Addr> {
-        self.clock += 1;
+        debug_assert!(!self.probe(addr), "fill of resident line {addr:#x}");
         let (set_idx, tag) = self.index_and_tag(addr);
         let range = self.set_range(set_idx);
-        let set_tags = &self.tags[range.clone()];
-        // Prefer an invalid way; otherwise evict LRU.
-        let victim = range.start
-            + set_tags
-                .iter()
-                .position(|&t| t & VALID == 0)
-                .unwrap_or_else(|| {
-                    let lru = &self.last_use[range.clone()];
-                    (0..lru.len())
-                        .min_by_key(|&i| lru[i])
-                        .expect("associativity > 0")
-                });
-        let old = self.tags[victim];
-        self.tags[victim] = tag | VALID | if write { DIRTY } else { 0 };
-        self.last_use[victim] = self.clock;
-        if old & VALID != 0 {
-            self.stats.evictions += 1;
-            let old_block = ((old & !FLAGS) << self.set_bits) | set_idx as u64;
-            Some(old_block << self.line_shift)
+        let set = &mut self.tags[range];
+        // A full set evicts its last (LRU) way; any other fills its first
+        // empty way.
+        let last = set.len() - 1;
+        let victim = if set[last] != 0 {
+            last
         } else {
-            None
+            set.iter().position(|&t| t == 0).unwrap_or(last)
+        };
+        let old = set[victim];
+        set[..=victim].rotate_right(1);
+        set[0] = tag | VALID | if write { DIRTY } else { 0 };
+        if old == 0 {
+            return None;
         }
+        self.stats.evictions += 1;
+        let old_block = ((old & !FLAGS) << self.set_bits) | set_idx as u64;
+        Some(old_block << self.line_shift)
     }
 
     /// Invalidates `addr`'s line if resident. Returns whether it was.
     pub fn invalidate(&mut self, addr: Addr) -> bool {
         let (set_idx, tag) = self.index_and_tag(addr);
         let want = tag | VALID;
-        for i in self.set_range(set_idx) {
-            if self.tags[i] & !DIRTY == want {
-                self.tags[i] = 0;
-                self.stats.invalidations += 1;
-                return true;
-            }
-        }
-        false
+        let range = self.set_range(set_idx);
+        let set = &mut self.tags[range];
+        let Some(i) = set.iter().position(|&t| t & !DIRTY == want) else {
+            return false;
+        };
+        // Close the gap: every less recently used line moves up one way.
+        let last = set.len() - 1;
+        set.copy_within(i + 1.., i);
+        set[last] = 0;
+        self.stats.invalidations += 1;
+        true
     }
 
     /// Invalidates the least-recently-used `fraction` of ways in every set.
@@ -337,20 +346,13 @@ impl SetAssocCache {
         // every line that was not touched very recently. We model that by
         // evicting the least-recently-used `fraction` of the *valid* lines
         // in each set (rounded down — a set holding a single hot line keeps
-        // it, just as a just-touched line ranks in the kept half).
-        for set_start in (0..self.tags.len()).step_by(ways) {
-            let mut order: Vec<usize> = (set_start..set_start + ways)
-                .filter(|&i| self.tags[i] & VALID != 0)
-                .collect();
-            let n_evict = ((order.len() as f64) * fraction).floor() as usize;
-            if n_evict == 0 {
-                continue;
-            }
-            order.sort_by_key(|&i| self.last_use[i]);
-            for &i in order.iter().take(n_evict) {
-                self.tags[i] = 0;
-                self.stats.invalidations += 1;
-            }
+        // it, just as a just-touched line ranks in the kept half): the tail
+        // of the set's valid prefix.
+        for set in self.tags.chunks_exact_mut(ways) {
+            let valid = set.iter().position(|&t| t == 0).unwrap_or(ways);
+            let n_evict = ((valid as f64) * fraction).floor() as usize;
+            set[valid - n_evict..valid].fill(0);
+            self.stats.invalidations += n_evict as u64;
         }
     }
 

@@ -194,19 +194,8 @@ impl Hierarchy {
         }
     }
 
-    /// Latency an access to `addr` *would* take right now, without
-    /// performing it.
-    pub fn peek_latency(&self, addr: Addr) -> u32 {
-        match self.probe(addr) {
-            Level::L1 => self.config.l1.hit_latency,
-            Level::L2 => self.config.l2.hit_latency,
-            Level::L3 => self.config.l3.hit_latency,
-            Level::Memory => self.config.memory_latency,
-        }
-    }
-
-    /// Warms `addr` into all levels without counting statistics noise
-    /// (it still counts as an access internally).
+    /// Warms `addr` into all levels. This is an ordinary prefetch access:
+    /// it counts in the cache, TLB and memory statistics like any other.
     pub fn warm(&mut self, addr: Addr) {
         let _ = self.access(addr, AccessKind::Prefetch);
     }
@@ -288,8 +277,8 @@ impl Hierarchy {
 
     /// Brings the private L3 replica up to date with `shared`'s master in
     /// place: copies the sets [`SharedL3::commit`] touched since the record
-    /// was last cleared, plus the master's LRU clock. Statistics carry over
-    /// as in [`Hierarchy::install_l3`], and the result equals
+    /// was last cleared. Statistics carry over as in
+    /// [`Hierarchy::install_l3`], and the result equals
     /// `install_l3(shared.snapshot())`.
     ///
     /// That equality holds only while every change to this replica's L3
@@ -377,16 +366,6 @@ mod tests {
         // A full-set eviction takes them out of L1/L2 (but not L3).
         h.evict_antagonist(1.0);
         assert_eq!(h.probe(0x0), Level::L3);
-    }
-
-    #[test]
-    fn peek_latency_matches_access() {
-        let mut h = Hierarchy::default();
-        assert_eq!(h.peek_latency(0x2000), 200);
-        h.warm(0x2000);
-        assert_eq!(h.peek_latency(0x2000), 4);
-        let r = h.access(0x2000, AccessKind::Read);
-        assert_eq!(r.latency, 4);
     }
 
     #[test]

@@ -8,12 +8,12 @@
 //! 1. At the start of an epoch, each core's replica is brought up to date
 //!    with the master in place by
 //!    [`Hierarchy::refresh_l3`](crate::Hierarchy::refresh_l3), which copies
-//!    only the sets [`SharedL3::commit`] touched since the last refresh,
-//!    plus the master's LRU clock. Every other set already equals the
-//!    master: a replica changes only at its own logged accesses, and the
-//!    master only at the union of all cores' logs. Once every core has
-//!    been refreshed, [`SharedL3::clear_touched_sets`] starts the next
-//!    record. The result is exactly what installing a whole
+//!    only the sets [`SharedL3::commit`] touched since the last refresh.
+//!    Every other set already equals the master: a replica changes only at
+//!    its own logged accesses, and the master only at the union of all
+//!    cores' logs. Once every core has been refreshed,
+//!    [`SharedL3::clear_touched_sets`] starts the next record. The result
+//!    is exactly what installing a whole
 //!    [`SharedL3::snapshot`] via
 //!    [`Hierarchy::install_l3`](crate::Hierarchy::install_l3) gives.
 //! 2. During the epoch each core runs privately, recording every access
@@ -136,7 +136,7 @@ impl SharedL3 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hierarchy::{AccessKind, Hierarchy, HierarchyConfig};
+    use crate::hierarchy::{AccessKind, Hierarchy, HierarchyConfig, Level};
 
     fn tiny_l3() -> CacheConfig {
         CacheConfig {
@@ -244,7 +244,7 @@ mod tests {
             write: false,
         }]);
         let mut h = Hierarchy::new(HierarchyConfig::haswell());
-        assert_eq!(h.peek_latency(0x9000), 200, "cold: would go to DRAM");
+        assert_eq!(h.probe(0x9000), Level::Memory, "cold: would go to DRAM");
         h.install_l3(shared.snapshot());
         // Now the line another "core" brought in hits in (replica) L3.
         let r = h.access(0x9000, AccessKind::Read);

@@ -204,8 +204,8 @@ proptest! {
     }
 
     /// Refreshing a replica in place from the master's touched sets
-    /// (`refresh_l3`) leaves it equal — tags, dirty bits, LRU stamps,
-    /// clock and statistics — to a twin that installs a whole snapshot
+    /// (`refresh_l3`) leaves it equal — tags, dirty bits, recency order
+    /// and statistics — to a twin that installs a whole snapshot
     /// (`install_l3(shared.snapshot())`), after every epoch, including
     /// epochs where a core logs nothing while others do.
     #[test]

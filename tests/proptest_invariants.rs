@@ -3,6 +3,7 @@
 use proptest::prelude::*;
 
 use mallacc::{AccelConfig, MallocSim, Mode};
+use mallacc_cache::{CacheConfig, CacheStats, SetAssocCache};
 use mallacc_tcmalloc::{SizeClasses, TcMalloc};
 use mallacc_workloads::{Op, Trace};
 
@@ -213,6 +214,206 @@ proptest! {
                 (sim.totals(), sim.malloc_cache().stats(), sim.cpi_stack())
             };
             prop_assert_eq!(run(false), run(true));
+        }
+    }
+}
+
+/// One step of a [`SetAssocCache`] differential run. Lines are reduced
+/// modulo the run's line universe.
+#[derive(Debug, Clone, Copy)]
+enum CacheOp {
+    /// An access, with a fill on a miss, as every caller does.
+    Access {
+        line: u64,
+        offset: u64,
+        write: bool,
+    },
+    Invalidate {
+        line: u64,
+    },
+    EvictLru {
+        per_mille: u16,
+    },
+    Flush,
+}
+
+fn arb_cache_ops() -> impl Strategy<Value = Vec<CacheOp>> {
+    let op = prop_oneof![
+        40 => (0u64..1 << 20, 0u64..64, any::<bool>())
+            .prop_map(|(line, offset, write)| CacheOp::Access { line, offset, write }),
+        6 => (0u64..1 << 20).prop_map(|line| CacheOp::Invalidate { line }),
+        3 => (0u16..=1000).prop_map(|per_mille| CacheOp::EvictLru { per_mille }),
+        1 => Just(CacheOp::Flush),
+    ];
+    prop::collection::vec(op, 1..300)
+}
+
+/// The timestamp-LRU cache that `SetAssocCache` replaced, kept as its
+/// oracle: every way holds a line number and the clock value of its last
+/// touch, a fill takes the first empty way or else the way with the oldest
+/// stamp, and the antagonist empties the valid ways with the oldest stamps.
+struct StampLru {
+    sets: u64,
+    ways: usize,
+    /// `(line, last use)` per way, `sets × ways` of them.
+    slots: Vec<Option<(u64, u64)>>,
+    clock: u64,
+    stats: CacheStats,
+}
+
+impl StampLru {
+    fn new(sets: u64, ways: usize) -> Self {
+        Self {
+            sets,
+            ways,
+            slots: vec![None; sets as usize * ways],
+            clock: 0,
+            stats: CacheStats::default(),
+        }
+    }
+
+    fn set(&self, line: u64) -> std::ops::Range<usize> {
+        let s = (line % self.sets) as usize;
+        s * self.ways..(s + 1) * self.ways
+    }
+
+    fn find(&self, line: u64) -> Option<usize> {
+        self.set(line)
+            .find(|&i| matches!(self.slots[i], Some((l, _)) if l == line))
+    }
+
+    fn access(&mut self, line: u64) -> bool {
+        self.clock += 1;
+        match self.find(line) {
+            Some(i) => {
+                self.slots[i] = Some((line, self.clock));
+                self.stats.hits += 1;
+                true
+            }
+            None => {
+                self.stats.misses += 1;
+                false
+            }
+        }
+    }
+
+    fn fill(&mut self, line: u64) -> Option<u64> {
+        self.clock += 1;
+        let ways = self.set(line);
+        let victim = ways
+            .clone()
+            .find(|&i| self.slots[i].is_none())
+            .or_else(|| ways.min_by_key(|&i| self.slots[i].map(|(_, t)| t)))
+            .expect("at least one way");
+        let old = self.slots[victim].replace((line, self.clock));
+        if old.is_some() {
+            self.stats.evictions += 1;
+        }
+        old.map(|(l, _)| l)
+    }
+
+    fn invalidate(&mut self, line: u64) -> bool {
+        let Some(i) = self.find(line) else {
+            return false;
+        };
+        self.slots[i] = None;
+        self.stats.invalidations += 1;
+        true
+    }
+
+    fn evict_lru_fraction(&mut self, fraction: f64) {
+        for set in self.slots.chunks_mut(self.ways) {
+            let mut valid: Vec<usize> = (0..set.len()).filter(|&i| set[i].is_some()).collect();
+            let n_evict = ((valid.len() as f64) * fraction).floor() as usize;
+            valid.sort_by_key(|&i| set[i].map(|(_, t)| t));
+            for &i in &valid[..n_evict] {
+                set[i] = None;
+                self.stats.invalidations += 1;
+            }
+        }
+    }
+
+    fn flush(&mut self) {
+        for slot in &mut self.slots {
+            if slot.take().is_some() {
+                self.stats.invalidations += 1;
+            }
+        }
+    }
+
+    fn resident_lines(&self) -> u64 {
+        self.slots.iter().filter(|s| s.is_some()).count() as u64
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `SetAssocCache`, which keeps each set in recency order, is
+    /// observably identical to the timestamp-LRU design it replaced: after
+    /// every access (with a fill on a miss), invalidation, antagonist
+    /// eviction and flush on 1–8-way, 1–8-set geometries, both report the
+    /// same hit, evicted line, invalidation result, statistics, resident
+    /// count and residency of every line.
+    #[test]
+    fn recency_ordered_cache_matches_timestamp_lru(
+        ways in 1usize..=8,
+        set_bits in 0u32..=3,
+        ops in arb_cache_ops(),
+    ) {
+        const LINE: u64 = 64;
+        let sets = 1u64 << set_bits;
+        // Two more lines per set than it has ways, so sets overflow.
+        let universe = sets * (ways as u64 + 2);
+        let mut cache = SetAssocCache::new(CacheConfig {
+            size_bytes: sets * ways as u64 * LINE,
+            line_bytes: LINE,
+            associativity: ways as u32,
+            hit_latency: 1,
+        });
+        let mut oracle = StampLru::new(sets, ways);
+        for op in ops {
+            match op {
+                CacheOp::Access { line, offset, write } => {
+                    let line = line % universe;
+                    let addr = line * LINE + offset;
+                    let hit = cache.access(addr, write);
+                    prop_assert_eq!(hit, oracle.access(line), "{:?}", op);
+                    if !hit {
+                        prop_assert_eq!(
+                            cache.fill(addr, write),
+                            oracle.fill(line).map(|l| l * LINE),
+                            "{:?}", op
+                        );
+                    }
+                }
+                CacheOp::Invalidate { line } => {
+                    let line = line % universe;
+                    prop_assert_eq!(
+                        cache.invalidate(line * LINE),
+                        oracle.invalidate(line),
+                        "{:?}", op
+                    );
+                }
+                CacheOp::EvictLru { per_mille } => {
+                    let fraction = f64::from(per_mille) / 1000.0;
+                    cache.evict_lru_fraction(fraction);
+                    oracle.evict_lru_fraction(fraction);
+                }
+                CacheOp::Flush => {
+                    cache.flush();
+                    oracle.flush();
+                }
+            }
+            prop_assert_eq!(cache.stats(), oracle.stats, "{:?}", op);
+            prop_assert_eq!(cache.resident_lines(), oracle.resident_lines());
+            for line in 0..universe {
+                prop_assert_eq!(
+                    cache.probe(line * LINE),
+                    oracle.find(line).is_some(),
+                    "line {} after {:?}", line, op
+                );
+            }
         }
     }
 }
