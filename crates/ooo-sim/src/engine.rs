@@ -4,7 +4,7 @@ use std::collections::VecDeque;
 
 use mallacc_cache::{AccessKind, AccessResult, Hierarchy};
 
-use crate::sample::{Phase, Sampler, SamplingPlan, SamplingReport, FF_SCALE};
+use crate::sample::{FfClock, Phase, Sampler, SamplingPlan, SamplingReport};
 use crate::trace::{Component, OpMeta, StallBreakdown, StallReason, TraceSink, UopEvent};
 use crate::uop::{OpKind, Reg, Uop};
 
@@ -314,6 +314,13 @@ pub struct Engine {
     sink: Option<Box<dyn TraceSink>>,
     /// Sampled-execution controller; `None` runs everything detailed.
     sampling: Option<Sampler>,
+    /// µops left in the current fast-forward stretch. While non-zero,
+    /// [`Engine::push`] fast-forwards without asking the sampler.
+    ff_left: u64,
+    /// The fast-forward clock. Its pending µops are not yet charged to
+    /// `last_commit`, `cpi` or `retired`; readers add them in closed form
+    /// and [`Engine::flush_ff`] charges them.
+    ff: FfClock,
 }
 
 /// Cache-line granularity used for memory dependence tracking.
@@ -344,6 +351,8 @@ impl Engine {
             retired: 0,
             sink: None,
             sampling: None,
+            ff_left: 0,
+            ff: FfClock::default(),
         }
     }
 
@@ -369,19 +378,10 @@ impl Engine {
         r
     }
 
-    /// Marks a register's value as becoming available at `cycle` without an
-    /// explicit producer µop (used to model live-in values).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `reg` was not allocated by this engine.
-    pub fn set_reg_available_at(&mut self, reg: Reg, cycle: u64) {
-        self.reg_complete[reg.0 as usize] = cycle;
-    }
-
     /// Commit time of the most recently pushed µop.
+    #[inline]
     pub fn now(&self) -> u64 {
-        self.last_commit
+        self.last_commit + self.ff.advance().iter().sum::<u64>()
     }
 
     /// Accumulated statistics.
@@ -394,7 +394,13 @@ impl Engine {
     /// measured window's rates), so `total() + skipped_cycles() == now()`
     /// holds in every mode.
     pub fn cpi_stack(&self) -> CpiStack {
-        self.cpi
+        let [base, memory, execute, frontend] = self.ff.advance();
+        CpiStack {
+            base: self.cpi.base + base,
+            memory: self.cpi.memory + memory,
+            execute: self.cpi.execute + execute,
+            frontend: self.cpi.frontend + frontend,
+        }
     }
 
     /// Cycles explicitly skipped via [`Engine::skip_to_cycle`].
@@ -408,6 +414,8 @@ impl Engine {
     pub fn set_sampling(&mut self, plan: Option<SamplingPlan>) {
         self.flush_ff();
         self.sampling = plan.map(Sampler::new);
+        self.ff_left = 0;
+        self.ff = FfClock::default();
     }
 
     /// The sampling plan in force, if any.
@@ -418,7 +426,12 @@ impl Engine {
     /// The sampled run's measurement report: closed windows, warmup and
     /// fast-forward totals. `None` unless sampling is enabled.
     pub fn sampling_report(&self) -> Option<SamplingReport> {
-        self.sampling.as_ref().map(|s| s.report())
+        self.sampling.as_ref().map(|s| {
+            let mut report = s.report();
+            report.ff_uops += self.ff.pending;
+            report.ff_cycles += self.ff.advance().iter().sum::<u64>();
+            report
+        })
     }
 
     /// Installs an observability sink. Replaces any existing sink.
@@ -467,17 +480,31 @@ impl Engine {
         }
     }
 
-    /// Closes a pending fast-forward region: re-syncs the pipeline
-    /// bookkeeping to the fast-forwarded time (exactly as an explicit time
-    /// skip would) and delivers the batched sink notification.
+    /// Closes a pending fast-forward region: charges its cycles to the
+    /// clock and the CPI stack, re-syncs the pipeline bookkeeping to the
+    /// fast-forwarded time (exactly as an explicit time skip would) and
+    /// delivers the batched sink notification.
     fn flush_ff(&mut self) {
-        let Some(s) = self.sampling.as_mut() else {
+        let uops = self.ff.pending;
+        if uops == 0 {
             return;
-        };
-        let Some((uops, from)) = s.pending_ff.take() else {
-            return;
-        };
-        let to = self.last_commit;
+        }
+        let [base, memory, execute, frontend] = self.ff.settle();
+        let advance = base + memory + execute + frontend;
+        self.cpi.base += base;
+        self.cpi.memory += memory;
+        self.cpi.execute += execute;
+        self.cpi.frontend += frontend;
+        self.retired += uops;
+        let s = self
+            .sampling
+            .as_mut()
+            .expect("fast-forward runs under a sampler");
+        s.ff_uops += uops;
+        s.ff_cycles += advance;
+        let from = self.last_commit;
+        let to = from + advance;
+        self.last_commit = to;
         if to > self.fetch_cycle {
             self.fetch_cycle = to;
             self.fetched_this_cycle = 0;
@@ -528,105 +555,113 @@ impl Engine {
     /// through the detailed pipeline model. Under a non-degenerate
     /// [`SamplingPlan`] the µop is dispatched by phase: detailed for
     /// warmup and measured windows, functional fast-forward otherwise.
+    /// Inside a fast-forward stretch the push is a countdown step and a
+    /// few counter bumps, inlined at the call site.
     ///
     /// # Panics
     ///
-    /// Panics if the µop names a register that was never allocated.
+    /// Panics if the µop's destination register was never allocated by
+    /// this engine. A µop that runs in detail also panics on a source
+    /// register that was never allocated; a fast-forwarded µop does not
+    /// read its sources, so it does not check them.
+    #[inline(always)]
     pub fn push(&mut self, uop: Uop) -> UopTiming {
-        let Some(s) = self.sampling.as_mut() else {
-            return self.push_detailed(uop);
-        };
-        if s.plan.is_degenerate() {
-            return self.push_detailed(uop);
+        if self.ff_left > 0 {
+            self.ff_left -= 1;
+            return self.push_ff(uop);
         }
-        match s.next_phase() {
-            Phase::Warmup => {
-                self.flush_ff();
-                self.push_detailed(uop)
+        self.push_dispatch(uop)
+    }
+
+    /// Every µop outside a fast-forward stretch: phase dispatch, then the
+    /// detailed model, or the first µop of a new stretch.
+    #[inline(never)]
+    fn push_dispatch(&mut self, uop: Uop) -> UopTiming {
+        let phase = match &mut self.sampling {
+            Some(s) if !s.plan.is_degenerate() => Some(s.next_phase()),
+            _ => None,
+        };
+        let mut closes = false;
+        match phase {
+            Some(Phase::FastForward { len }) => {
+                self.ff_left = len - 1;
+                return self.push_ff(uop);
             }
-            Phase::Measured { closes } => {
+            Some(Phase::Warmup) => self.flush_ff(),
+            Some(Phase::Measured { closes: last }) => {
                 self.flush_ff();
                 let cpi = self.cpi;
                 let s = self.sampling.as_mut().expect("sampler in force");
                 if !s.window_open {
                     s.open_window(cpi);
                 }
-                let t = self.push_detailed(uop);
-                if closes {
-                    let cpi = self.cpi;
-                    self.sampling
-                        .as_mut()
-                        .expect("sampler in force")
-                        .close_window(cpi);
-                }
-                t
+                closes = last;
             }
-            Phase::FastForward => self.push_ff(uop),
+            None => {}
         }
+        let t = self.push_detailed(uop);
+        if closes {
+            let cpi = self.cpi;
+            let s = self.sampling.as_mut().expect("sampler in force");
+            self.ff.rate = s.close_window(cpi);
+        }
+        t
     }
 
     /// The functional fast-forward path: performs every memory access (so
-    /// cache, TLB and store-forwarding state stay bit-identical to a full
-    /// run) and updates execution statistics and dataflow bookkeeping, but
-    /// skips all ROB/port/fetch/stall modelling. Simulated time advances
-    /// at the last measured window's per-slice CPI rates.
+    /// cache and TLB state stay bit-identical to a full run), updates the
+    /// execution statistics and counts the µop on the fast-forward clock.
+    /// Nothing else happens per µop; simulated time advances at the last
+    /// measured window's per-slice CPI rates, in closed form. The returned
+    /// timing evaluates that clock, so it compiles away at call sites
+    /// that drop it.
+    ///
+    /// # Why writing no register is exact
+    ///
+    /// The detailed model writes a destination's completion cycle for
+    /// later µops that read it; this path writes nothing. Registers are
+    /// SSA: each is written at most once and reads 0 until then, so a
+    /// register a fast-forwarded µop would have written reads 0 instead
+    /// of a cycle `t` no later than the fast-forward clock `T` at the end
+    /// of the region. Any µop that reads it later runs in detail, and a
+    /// region always ends in [`Engine::flush_ff`] before the next
+    /// detailed µop. That flush raises `fetch_cycle` and `fetch_barrier`
+    /// to `T`, so the reader fetches at or after `T`, and its ready time
+    /// is at least `fetch + frontend_latency >= T >= t`. The skipped
+    /// write could therefore never have raised a ready time. Stores skip
+    /// their store-forwarding entry for the same reason.
+    #[inline(always)]
     fn push_ff(&mut self, uop: Uop) -> UopTiming {
+        if let Some(dst) = uop.dst {
+            if dst.0 as usize >= self.reg_complete.len() {
+                unallocated(dst);
+            }
+        }
         self.stats.uops += 1;
-        let mut mem = None;
-        match uop.kind {
-            OpKind::Alu { .. } => {}
+        let mem = match uop.kind {
+            OpKind::Alu { .. } => None,
             OpKind::Load { addr } => {
                 self.stats.loads += 1;
-                mem = Some(self.mem.access(addr, AccessKind::Read));
+                Some(self.mem.access(addr, AccessKind::Read))
             }
             OpKind::Store { addr } => {
                 self.stats.stores += 1;
-                mem = Some(self.mem.access(addr, AccessKind::Write));
-                // No store_complete insert: a fast-forwarded store completes
-                // at the commit clock, and flush_ff raises the next detailed
-                // µop's fetch cycle past that clock before any load can look
-                // the line up — the entry could never raise a ready time, so
-                // probing the (large, host-cache-hostile) table here is pure
-                // overhead.
+                Some(self.mem.access(addr, AccessKind::Write))
             }
             OpKind::Prefetch { addr } => {
                 self.stats.prefetches += 1;
-                mem = Some(self.mem.access(addr, AccessKind::Prefetch));
+                Some(self.mem.access(addr, AccessKind::Prefetch))
             }
             OpKind::Branch { mispredicted, .. } => {
                 self.stats.branches += 1;
                 if mispredicted {
                     self.stats.mispredicts += 1;
                 }
+                None
             }
-        }
-        let prev = self.last_commit;
-        let s = self.sampling.as_mut().expect("ff requires a sampler");
-        let mut adv = [0u64; 4];
-        for ((accum, rate), out) in s.ff_accum.iter_mut().zip(s.ff_rate).zip(adv.iter_mut()) {
-            *accum += rate;
-            *out = *accum / FF_SCALE;
-            *accum %= FF_SCALE;
-        }
-        let advance: u64 = adv.iter().sum();
-        s.ff_uops += 1;
-        s.ff_cycles += advance;
-        match &mut s.pending_ff {
-            Some((n, _)) => *n += 1,
-            p @ None => *p = Some((1, prev)),
-        }
-        // Charge the emitted whole cycles slice by slice, so the CPI stack
-        // keeps summing exactly to attributed time in sampled mode too.
-        self.cpi.base += adv[0];
-        self.cpi.memory += adv[1];
-        self.cpi.execute += adv[2];
-        self.cpi.frontend += adv[3];
-        let now = prev + advance;
-        self.last_commit = now;
-        if let Some(dst) = uop.dst {
-            self.reg_complete[dst.0 as usize] = now;
-        }
-        self.retired += 1;
+        };
+        self.ff.pending += 1;
+        let now = self.now();
         UopTiming {
             fetch: now,
             ready: now,
@@ -637,6 +672,7 @@ impl Engine {
     }
 
     /// The full detailed pipeline model behind [`Engine::push`].
+    #[inline(always)]
     fn push_detailed(&mut self, uop: Uop) -> UopTiming {
         self.stats.uops += 1;
 
@@ -792,19 +828,6 @@ impl Engine {
         timing
     }
 
-    /// Pushes a sequence of µops, returning the timing of the last one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `uops` is empty.
-    pub fn push_all<I: IntoIterator<Item = Uop>>(&mut self, uops: I) -> UopTiming {
-        let mut last = None;
-        for u in uops {
-            last = Some(self.push(u));
-        }
-        last.expect("push_all requires at least one uop")
-    }
-
     /// Advances fetch to at least `cycle` (models time passing between
     /// allocator calls while the application runs).
     pub fn skip_to_cycle(&mut self, cycle: u64) {
@@ -828,6 +851,14 @@ impl Engine {
             }
         }
     }
+}
+
+/// The "never allocated" panic of [`Engine::push`], out of line so that
+/// the fast-forward path inlined at every call site stays small.
+#[cold]
+#[inline(never)]
+fn unallocated(reg: Reg) -> ! {
+    panic!("register {reg} was never allocated by this engine")
 }
 
 #[cfg(test)]
@@ -980,16 +1011,6 @@ mod tests {
         let t = cpu.push(Uop::alu(1, Some(d), &[]));
         assert!(t.fetch >= 1000);
         assert!(t.commit >= 1000);
-    }
-
-    #[test]
-    fn live_in_registers() {
-        let mut cpu = engine();
-        let live = cpu.alloc_reg();
-        cpu.set_reg_available_at(live, 500);
-        let d = cpu.alloc_reg();
-        let t = cpu.push(Uop::alu(1, Some(d), &[live]));
-        assert!(t.ready >= 500);
     }
 
     #[test]

@@ -45,6 +45,6 @@ pub mod trace;
 mod uop;
 
 pub use engine::{CoreConfig, CoreStats, CpiStack, Engine, UopTiming, LOAD_PORTS, STORE_PORTS};
-pub use sample::{SamplingPlan, SamplingReport, WindowSample};
+pub use sample::{SamplingPlan, SamplingReport, WindowSample, FF_SCALE};
 pub use trace::{Component, OpMeta, StallBreakdown, StallReason, TraceSink, UopEvent};
 pub use uop::{OpKind, Reg, Uop};

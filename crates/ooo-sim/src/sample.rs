@@ -16,9 +16,16 @@
 //! 3. **fast-forward** — functional execution only. Architectural state
 //!    that feeds *functional* decisions stays bit-identical (the driver's
 //!    heap, malloc cache and branch history live outside the engine;
-//!    inside it, register/statistics bookkeeping still advances), while
-//!    pipeline bookkeeping is skipped and simulated time advances at the
+//!    inside it, every memory access still reaches the cache hierarchy
+//!    and the execution statistics still count), while pipeline and
+//!    register bookkeeping is skipped and simulated time advances at the
 //!    last measured window's per-slice CPI rates.
+//!
+//! Apart from its memory access, a fast-forwarded µop costs a few counter
+//! bumps. The sampler hands the engine each fast-forward stretch whole, as
+//! a countdown, so no phase dispatch runs inside it. The stretch's clock is kept in closed form
+//! (`FfClock`): the engine counts the µops and evaluates the time they
+//! account for only when something reads it.
 //!
 //! A sampled run additionally opens with `startup_uops` of detailed,
 //! unmeasured execution (one full period by default) before the periodic
@@ -37,7 +44,7 @@ use crate::engine::CpiStack;
 /// Fixed-point scale for fast-forward cycle accumulation: rates are kept
 /// in micro-cycles per µop, so extrapolation rounding error is bounded by
 /// one cycle per million fast-forwarded µops per slice.
-pub(crate) const FF_SCALE: u64 = 1_000_000;
+pub const FF_SCALE: u64 = 1_000_000;
 
 /// Cadence of a sampled run, in µops: every `period` pushed µops run
 /// `warmup_uops` detailed-but-unmeasured, then `detailed_uops` measured,
@@ -240,12 +247,84 @@ pub(crate) enum Phase {
         /// True when the window must be closed after this µop retires.
         closes: bool,
     },
-    /// Functional fast-forward.
-    FastForward,
+    /// Functional fast-forward for the rest of the period: this µop and
+    /// the `len - 1` after it.
+    FastForward {
+        /// µops in the stretch, this one included (at least 1).
+        len: u64,
+    },
+}
+
+/// The fast-forward clock in closed form.
+///
+/// Fast-forwarded time is defined per µop: each CPI slice adds its rate
+/// to a fixed-point accumulator, emits `accum / FF_SCALE` whole cycles
+/// and keeps `accum % FF_SCALE`. Floor carries telescope: after `k` µops
+/// slice `i` has emitted exactly `⌊(accum_i + k·rate_i) / FF_SCALE⌋`
+/// cycles and its accumulator reads `(accum_i + k·rate_i) mod FF_SCALE`.
+/// So the clock only counts µops (`pending`) and evaluates that
+/// expression when something reads it.
+///
+/// The sum is formed in `u128`: a one-µop window on a `u32::MAX`-latency
+/// ALU sets a rate near 4.3·10¹⁵, so about 4,300 such µops would overflow
+/// `u64`.
+#[derive(Debug, Default)]
+pub(crate) struct FfClock {
+    /// Per-slice rates in [`FF_SCALE`]ths of a cycle per µop: base,
+    /// memory, execute, frontend — from the last closed window.
+    ///
+    /// Deliberately *not* pooled over window history: allocator runs have
+    /// long CPI trends (heap and cache warm-in, free lists filling), and a
+    /// cumulative mean lags those trends, which measured as a +35–80 %
+    /// systematic bias on the macro workloads. Last-window rates make each
+    /// period a self-contained stratum, so trend error cancels per period.
+    pub(crate) rate: [u64; 4],
+    /// Per-slice fractional-cycle accumulators, as of the last settle.
+    accum: [u64; 4],
+    /// Fast-forwarded µops whose cycles are not yet charged.
+    pub(crate) pending: u64,
+}
+
+impl FfClock {
+    /// Whole cycles each slice has advanced over the pending µops. Pure,
+    /// so it compiles away where its result is unused.
+    #[inline]
+    pub(crate) fn advance(&self) -> [u64; 4] {
+        if self.pending == 0 {
+            return [0; 4];
+        }
+        self.split().map(|(whole, _)| whole)
+    }
+
+    /// Charges the pending µops: returns each slice's whole-cycle advance
+    /// and keeps the fractions.
+    pub(crate) fn settle(&mut self) -> [u64; 4] {
+        let split = self.split();
+        self.accum = split.map(|(_, frac)| frac);
+        self.pending = 0;
+        split.map(|(whole, _)| whole)
+    }
+
+    #[inline]
+    fn split(&self) -> [(u64, u64); 4] {
+        let k = u128::from(self.pending);
+        std::array::from_fn(|i| {
+            let total = u128::from(self.accum[i]) + k * u128::from(self.rate[i]);
+            // Dividing a u64 by a constant is a multiply; dividing a u128
+            // is a library call.
+            match u64::try_from(total) {
+                Ok(total) => (total / FF_SCALE, total % FF_SCALE),
+                Err(_) => {
+                    let scale = u128::from(FF_SCALE);
+                    ((total / scale) as u64, (total % scale) as u64)
+                }
+            }
+        })
+    }
 }
 
 /// Per-engine sampling state: period position, window accumulation and the
-/// fast-forward extrapolation rates.
+/// fast-forward totals.
 #[derive(Debug)]
 pub(crate) struct Sampler {
     pub(crate) plan: SamplingPlan,
@@ -259,24 +338,11 @@ pub(crate) struct Sampler {
     pub(crate) window_open: bool,
     /// Closed window samples.
     pub(crate) windows: Vec<WindowSample>,
-    /// Per-slice fast-forward rates in [`FF_SCALE`]ths of a cycle per µop:
-    /// base, memory, execute, frontend — from the last closed window.
-    ///
-    /// Deliberately *not* pooled over window history: allocator runs have
-    /// long CPI trends (heap and cache warm-in, free lists filling), and a
-    /// cumulative mean lags those trends, which measured as a +35–80 %
-    /// systematic bias on the macro workloads. Last-window rates make each
-    /// period a self-contained stratum, so trend error cancels per period.
-    pub(crate) ff_rate: [u64; 4],
-    /// Per-slice fractional-cycle accumulators.
-    pub(crate) ff_accum: [u64; 4],
-    /// Totals for the report.
+    /// Totals for the report. The fast-forward ones exclude the engine's
+    /// pending µops.
     pub(crate) warmup_uops: u64,
     pub(crate) ff_uops: u64,
     pub(crate) ff_cycles: u64,
-    /// Batched sink notification for a fast-forward region: µop count and
-    /// the retirement cycle it started from.
-    pub(crate) pending_ff: Option<(u64, u64)>,
 }
 
 impl Sampler {
@@ -288,18 +354,19 @@ impl Sampler {
             window_start: CpiStack::default(),
             window_open: false,
             windows: Vec::new(),
-            ff_rate: [0; 4],
-            ff_accum: [0; 4],
             warmup_uops: 0,
             ff_uops: 0,
             ff_cycles: 0,
-            pending_ff: None,
         }
     }
 
     /// Classifies the next µop and advances the period position. The
     /// degenerate-plan check lives in the caller (degenerate plans never
     /// construct a sampler in the hot path).
+    ///
+    /// A fast-forward stretch is reported once, on its first µop, with its
+    /// length; the position then moves to the next period, and the caller
+    /// runs the rest of the stretch without asking again.
     ///
     /// The startup interval is detailed *and unmeasured*: a window inside
     /// it would price cold compulsory misses and stretch that outlier CPI
@@ -312,17 +379,21 @@ impl Sampler {
             return Phase::Warmup;
         }
         let pos = self.pos;
+        let warm_end = self.plan.warmup_uops;
+        let meas_end = warm_end + self.plan.detailed_uops;
+        if pos >= meas_end {
+            self.pos = 0;
+            return Phase::FastForward {
+                len: self.plan.period - pos,
+            };
+        }
         self.pos += 1;
         if self.pos >= self.plan.period {
             self.pos = 0;
         }
-        let warm_end = self.plan.warmup_uops;
-        let meas_end = warm_end + self.plan.detailed_uops;
         if pos < warm_end {
             self.warmup_uops += 1;
             Phase::Warmup
-        } else if pos >= meas_end {
-            Phase::FastForward
         } else {
             Phase::Measured {
                 closes: pos + 1 == meas_end,
@@ -337,8 +408,8 @@ impl Sampler {
     }
 
     /// Closes the window against the current CPI stack: stores the sample
-    /// and refreshes the fast-forward rates.
-    pub(crate) fn close_window(&mut self, cpi: CpiStack) {
+    /// and returns the new per-slice fast-forward rates ([`FfClock::rate`]).
+    pub(crate) fn close_window(&mut self, cpi: CpiStack) -> [u64; 4] {
         self.window_open = false;
         let uops = self.plan.detailed_uops;
         let d = [
@@ -349,9 +420,7 @@ impl Sampler {
         ];
         let cycles = d.iter().sum();
         self.windows.push(WindowSample { uops, cycles });
-        for (rate, slice) in self.ff_rate.iter_mut().zip(d) {
-            *rate = slice * FF_SCALE / uops;
-        }
+        d.map(|slice| slice * FF_SCALE / uops)
     }
 
     pub(crate) fn report(&self) -> SamplingReport {
@@ -398,30 +467,17 @@ mod tests {
     fn phase_sequence_follows_the_plan() {
         let plan = SamplingPlan::new(2, 3, 8).unwrap().with_startup(0);
         let mut s = Sampler::new(plan);
-        let seq: Vec<Phase> = (0..17).map(|_| s.next_phase()).collect();
+        let seq: Vec<Phase> = (0..13).map(|_| s.next_phase()).collect();
         use Phase::*;
         let open = Measured { closes: false };
         let close = Measured { closes: true };
+        // Each fast-forward stretch is reported once, whole.
+        let ff = FastForward { len: 3 };
         assert_eq!(
             seq,
             vec![
-                Warmup,
-                Warmup,
-                open,
-                open,
-                close,
-                FastForward,
-                FastForward,
-                FastForward,
-                // second period
-                Warmup,
-                Warmup,
-                open,
-                open,
-                close,
-                FastForward,
-                FastForward,
-                FastForward,
+                Warmup, Warmup, open, open, close, ff, // first period
+                Warmup, Warmup, open, open, close, ff, // second period
                 Warmup,
             ]
         );
@@ -434,7 +490,8 @@ mod tests {
         let mut s = Sampler::new(plan);
         assert_eq!(s.next_phase(), Phase::Measured { closes: false });
         assert_eq!(s.next_phase(), Phase::Measured { closes: true });
-        assert_eq!(s.next_phase(), Phase::FastForward);
+        assert_eq!(s.next_phase(), Phase::FastForward { len: 2 });
+        assert_eq!(s.next_phase(), Phase::Measured { closes: false });
     }
 
     #[test]
@@ -459,7 +516,7 @@ mod tests {
         assert_eq!(s.next_phase(), Phase::Warmup);
         assert_eq!(s.next_phase(), Phase::Measured { closes: false });
         assert_eq!(s.next_phase(), Phase::Measured { closes: true });
-        assert_eq!(s.next_phase(), Phase::FastForward);
+        assert_eq!(s.next_phase(), Phase::FastForward { len: 5 });
         assert_eq!(s.warmup_uops, 9);
     }
 
@@ -470,13 +527,13 @@ mod tests {
         let plan = SamplingPlan::new(0, 4, 16).unwrap().with_startup(0);
         let mut s = Sampler::new(plan);
         s.open_window(CpiStack::default());
-        s.close_window(CpiStack {
+        let rate = s.close_window(CpiStack {
             base: 8,
             memory: 0,
             execute: 0,
             frontend: 0,
         });
-        assert_eq!(s.ff_rate, [2 * FF_SCALE, 0, 0, 0]);
+        assert_eq!(rate, [2 * FF_SCALE, 0, 0, 0]);
         let mid = CpiStack {
             base: 8,
             memory: 0,
@@ -484,13 +541,55 @@ mod tests {
             frontend: 0,
         };
         s.open_window(mid);
-        s.close_window(CpiStack {
+        let rate = s.close_window(CpiStack {
             base: 12,
             memory: 4,
             execute: 0,
             frontend: 0,
         });
-        assert_eq!(s.ff_rate, [FF_SCALE, FF_SCALE, 0, 0]);
+        assert_eq!(rate, [FF_SCALE, FF_SCALE, 0, 0]);
+    }
+
+    #[test]
+    fn closed_form_clock_matches_per_uop_floor_carries() {
+        // The per-µop accumulator, stepped by hand, against the
+        // closed form — across a settle, with rates far above FF_SCALE,
+        // and with one large enough that k·rate overflows u64 once more
+        // than 4,295 µops are pending.
+        for rate in [
+            0,
+            1,
+            333_333,
+            999_999,
+            7_654_321,
+            u64::from(u32::MAX) * FF_SCALE,
+        ] {
+            let mut clock = FfClock {
+                rate: [rate, rate / 3, 1, FF_SCALE - 1],
+                ..FfClock::default()
+            };
+            let mut accum = [0u64; 4];
+            let mut emitted = [0u64; 4];
+            let mut charged = [0u64; 4];
+            for k in 1..=6_000u64 {
+                for ((a, e), r) in accum.iter_mut().zip(&mut emitted).zip(clock.rate) {
+                    *a += r;
+                    *e += *a / FF_SCALE;
+                    *a %= FF_SCALE;
+                }
+                clock.pending += 1;
+                if k == 700 {
+                    for (c, a) in charged.iter_mut().zip(clock.settle()) {
+                        *c += a;
+                    }
+                }
+                let adv = clock.advance();
+                let now: Vec<u64> = (0..4).map(|i| charged[i] + adv[i]).collect();
+                assert_eq!(now, emitted, "rate {rate}, k {k}");
+            }
+            clock.settle();
+            assert_eq!(clock.accum, accum);
+        }
     }
 
     #[test]
@@ -516,7 +615,7 @@ mod tests {
             execute: 0,
             frontend: 1,
         });
-        s.close_window(CpiStack {
+        let rate = s.close_window(CpiStack {
             base: 14,
             memory: 9,
             execute: 2,
@@ -529,7 +628,7 @@ mod tests {
                 cycles: 10
             }]
         );
-        assert_eq!(s.ff_rate, [FF_SCALE, FF_SCALE, FF_SCALE / 2, 0]);
+        assert_eq!(rate, [FF_SCALE, FF_SCALE, FF_SCALE / 2, 0]);
         let r = s.report();
         assert_eq!(r.measured_uops(), 4);
         assert_eq!(r.measured_cycles(), 10);
