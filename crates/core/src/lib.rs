@@ -18,9 +18,16 @@
 //!   `mcszupdate`, `mchdpop`, `mchdpush`, `mcnxtprefetch`), including
 //!   LRU replacement, the class-index keying optimisation, and
 //!   prefetch-blocking;
-//! * [`MallocSim`] — the per-call simulator that runs the functional
-//!   TCMalloc model and times every call on the out-of-order core model in
-//!   one of three [`Mode`]s: baseline, Mallacc, or the paper's limit study;
+//! * [`Driver`] — the one per-call simulator: it runs an allocator
+//!   [`Substrate`]'s functional model and times every call on the
+//!   out-of-order core model in one of the [`Mode`]s (baseline, Mallacc,
+//!   the paper's limit study, or offload to a helper core). A substrate
+//!   supplies only its µop emission, call classification and cache keying;
+//!   the shared accelerator sequences are [`Machine`] methods;
+//! * [`MallocSim`] — the driver over TCMalloc ([`TcSubstrate`]), which
+//!   alone keeps the paper's TCMalloc extras: Figure 5 class-index keying,
+//!   predicted fallback branches, the blocking `mcnxtprefetch` and the PMU
+//!   sampler;
 //! * [`AreaEstimate`] — the §6.4 silicon area accounting.
 //!
 //! # Example
@@ -56,13 +63,17 @@ mod config;
 mod driver;
 mod malloc_cache;
 pub mod programs;
+mod tcsim;
 
 pub use area::{AreaBits, AreaEstimate, HASWELL_CORE_MM2};
 pub use config::{AccelConfig, LimitRemove, Mode, SimMode, CODE_MODEL_VERSION};
-pub use driver::{CallKind, CallRecord, MallocSim, PostList, SimTotals};
+pub use driver::{
+    CallLabel, CallRecord, Driver, LocalPredictor, Machine, PostList, SimTotals, Substrate,
+};
 pub use malloc_cache::{
     EntryView, MallocCache, MallocCacheConfig, MallocCacheStats, PopResult, RangeKeying, SizeLookup,
 };
+pub use tcsim::{CallKind, MallocSim, TcSubstrate};
 // Re-exported so downstream layers (profiling, multicore) can speak the
 // observability types without depending on the engine crate directly.
 pub use mallacc_ooo::{

@@ -70,6 +70,25 @@ pub fn emit_overhead(cpu: &mut Engine, n: usize) {
     }
 }
 
+/// Emits a call's prologue: `n` overhead µops, then the µop producing the
+/// argument register (the requested size or the freed pointer), which it
+/// returns.
+pub fn emit_prologue(cpu: &mut Engine, n: usize) -> Reg {
+    emit_overhead(cpu, n);
+    let arg = cpu.alloc_reg();
+    cpu.push(Uop::alu(1, Some(arg), &[]));
+    arg
+}
+
+/// Emits the `mmap`/`sbrk` system call, modelled as one long-latency op,
+/// when the heap `grew`.
+pub fn emit_os_growth(cpu: &mut Engine, grew: bool) {
+    if grew {
+        let d = cpu.alloc_reg();
+        cpu.push(Uop::alu(OS_GROW_LATENCY, Some(d), &[]));
+    }
+}
+
 /// Emits the software size-class computation for a small malloc:
 /// index arithmetic, the small/large bounds branch, and the two dependent
 /// array loads. Returns `(class_reg, alloc_size_reg)`.
@@ -101,9 +120,9 @@ pub fn emit_size_class_sw(
 }
 
 /// Emits the page-map radix walk an unsized `free()` performs to find the
-/// size class: three dependent loads that the paper notes cache poorly.
-/// Returns the class register.
-pub fn emit_pagemap_walk(cpu: &mut Engine, nodes: [Addr; 3], ptr_reg: Reg) -> Reg {
+/// size class: dependent loads (three in TCMalloc) that the paper notes
+/// cache poorly. Returns the class register.
+pub fn emit_pagemap_walk<const N: usize>(cpu: &mut Engine, nodes: [Addr; N], ptr_reg: Reg) -> Reg {
     let mut dep = ptr_reg;
     for addr in nodes {
         let d = cpu.alloc_reg();
@@ -113,16 +132,16 @@ pub fn emit_pagemap_walk(cpu: &mut Engine, nodes: [Addr; 3], ptr_reg: Reg) -> Re
     dep
 }
 
-/// Emits the sampling check: load the byte counter, subtract the rounded
-/// size, branch on the threshold, store back. The branch mispredicts on the
-/// (rare) sampled calls.
-pub fn emit_sampling_sw(cpu: &mut Engine, alloc_size_reg: Reg, sampled: bool) {
+/// Emits the sampling check: load the byte counter at `counter`, subtract
+/// the rounded size, branch on the threshold, store back. The branch
+/// mispredicts on the (rare) sampled calls.
+pub fn emit_sampling_sw(cpu: &mut Engine, counter: Addr, alloc_size_reg: Reg, sampled: bool) {
     let cnt = cpu.alloc_reg();
-    cpu.push(Uop::load(layout::sampler_counter(), cnt, &[]));
+    cpu.push(Uop::load(counter, cnt, &[]));
     let dec = cpu.alloc_reg();
     cpu.push(Uop::alu(1, Some(dec), &[cnt, alloc_size_reg]));
     cpu.push(Uop::branch(sampled, &[dec]));
-    cpu.push(Uop::store(layout::sampler_counter(), &[dec]));
+    cpu.push(Uop::store(counter, &[dec]));
     if sampled {
         // Stack-trace capture on the sampled path: a burst of dependent
         // work (unwinder walks + stores), rare but expensive.
@@ -130,7 +149,7 @@ pub fn emit_sampling_sw(cpu: &mut Engine, alloc_size_reg: Reg, sampled: bool) {
         for i in 0..48 {
             let d = cpu.alloc_reg();
             if i % 3 == 2 {
-                cpu.push(Uop::store(layout::sampler_counter() + 64 + i, &[dep]));
+                cpu.push(Uop::store(counter + 64 + i, &[dep]));
             } else {
                 cpu.push(Uop::alu(1, Some(d), &[dep]));
                 dep = d;
@@ -218,11 +237,7 @@ pub fn emit_refill(cpu: &mut Engine, central_header: Addr, list_header: Addr, ba
 /// stores, and the carving loop that threads a free list through the new
 /// span (one linking store per object).
 pub fn emit_populate(cpu: &mut Engine, p: &Populate) {
-    if p.span.grew_heap {
-        // The mmap/sbrk system call, modelled as one long-latency op.
-        let d = cpu.alloc_reg();
-        cpu.push(Uop::alu(OS_GROW_LATENCY, Some(d), &[]));
-    }
+    emit_os_growth(cpu, p.span.grew_heap);
     // Span metadata + page map registration.
     let meta = cpu.alloc_reg();
     cpu.push(Uop::load(layout::span_meta(p.span.id), meta, &[]));
@@ -265,10 +280,7 @@ pub fn emit_release(cpu: &mut Engine, central_header: Addr, list_header: Addr, m
 pub fn emit_large_path(cpu: &mut Engine, pages: u64, grew_heap: bool, start_page: u64) {
     let lock = cpu.alloc_reg();
     cpu.push(Uop::load(layout::SPAN_META_BASE, lock, &[]));
-    if grew_heap {
-        let d = cpu.alloc_reg();
-        cpu.push(Uop::alu(OS_GROW_LATENCY, Some(d), &[]));
-    }
+    emit_os_growth(cpu, grew_heap);
     // Free-list search: a short dependent chase.
     let mut dep = lock;
     for i in 0..6 {
@@ -327,11 +339,11 @@ mod tests {
     fn sampled_call_is_much_longer() {
         let mut a = cpu();
         let ra = a.alloc_reg();
-        emit_sampling_sw(&mut a, ra, false);
+        emit_sampling_sw(&mut a, layout::sampler_counter(), ra, false);
         let end_plain = a.now();
         let mut b = cpu();
         let rb = b.alloc_reg();
-        emit_sampling_sw(&mut b, rb, true);
+        emit_sampling_sw(&mut b, layout::sampler_counter(), rb, true);
         let end_sampled = b.now();
         assert!(end_sampled > end_plain + 20);
     }

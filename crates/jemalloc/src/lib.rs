@@ -14,9 +14,10 @@
 //!   two-level chunk map;
 //! * tcache bins as **array stacks** (not linked lists), filled and
 //!   flushed in halves;
-//! * [`JeMalloc`] — the functional model, and [`JeSim`] — the timing
-//!   driver that reuses the *unchanged* malloc cache from the `mallacc`
-//!   crate in its generic requested-size keying mode.
+//! * [`JeMalloc`] — the functional model, and [`JeSubstrate`] — its
+//!   µop emission under the `mallacc` crate's one timing driver
+//!   ([`JeSim`]), which reuses the *unchanged* malloc cache in its generic
+//!   requested-size keying mode.
 //!
 //! # Example
 //!
@@ -50,6 +51,6 @@ mod tcache;
 
 pub use allocator::{JeFreeOutcome, JeFreePath, JeMalloc, JeMallocOutcome, JeMallocPath, JeStats};
 pub use arena::{Arena, ArenaFill, ArenaStats, PageUse, Run, RunId};
-pub use sim::{JeCallKind, JeCallRecord, JeSim, JeTotals};
+pub use sim::{JeCallKind, JeSim, JeSubstrate};
 pub use size_class::{consts, BinId, BinInfo, SizeClasses};
 pub use tcache::TcacheBin;

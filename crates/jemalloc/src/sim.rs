@@ -1,4 +1,4 @@
-//! The jemalloc timing driver: the same Mallacc hardware, a different
+//! The jemalloc substrate: the same Mallacc hardware, a different
 //! allocator.
 //!
 //! This is the paper's generality claim made executable (§4: "we would
@@ -18,12 +18,14 @@
 //!   pair on pops, a two-level chunk-map walk on unsized frees, and
 //!   streaming array refills on fills.
 
-use mallacc::{MallocCache, MallocCacheConfig, Mode, PopResult, RangeKeying};
-use mallacc_cache::{Addr, Hierarchy};
-use mallacc_offload::{service_cycles, OffloadConfig, OffloadQueue, OffloadStats, ServicePath};
-use mallacc_ooo::{CoreConfig, Engine, Reg, Uop};
+use mallacc::{
+    programs as prog, CallLabel, CallRecord, Driver, Machine, PopResult, PostList, Substrate,
+};
+use mallacc_cache::Addr;
+use mallacc_offload::ServicePath;
+use mallacc_ooo::{Engine, Reg, Uop};
 
-use crate::allocator::{JeFreePath, JeMalloc, JeMallocOutcome, JeMallocPath};
+use crate::allocator::{JeFreeOutcome, JeFreePath, JeMalloc, JeMallocOutcome, JeMallocPath};
 use crate::arena::ArenaFill;
 use crate::layout;
 use crate::size_class::BinId;
@@ -45,34 +47,16 @@ pub enum JeCallKind {
     FreeLarge,
 }
 
-/// One simulated call.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct JeCallRecord {
-    /// Retirement-attributed cycles.
-    pub cycles: u64,
-    /// Path classification.
-    pub kind: JeCallKind,
-    /// The pointer allocated or freed.
-    pub ptr: Addr,
-}
-
-/// Cycle totals.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct JeTotals {
-    /// malloc calls and cycles.
-    pub malloc_calls: u64,
-    /// Cycles in malloc.
-    pub malloc_cycles: u64,
-    /// free calls.
-    pub free_calls: u64,
-    /// Cycles in free.
-    pub free_cycles: u64,
-}
-
-impl JeTotals {
-    /// malloc + free cycles.
-    pub fn allocator_cycles(&self) -> u64 {
-        self.malloc_cycles + self.free_cycles
+impl CallLabel for JeCallKind {
+    fn label(self) -> &'static str {
+        match self {
+            JeCallKind::MallocFast => "malloc_fast",
+            JeCallKind::MallocFill => "malloc_fill",
+            JeCallKind::MallocLarge => "malloc_large",
+            JeCallKind::FreeFast => "free_fast",
+            JeCallKind::FreeFlush => "free_flush",
+            JeCallKind::FreeLarge => "free_large",
+        }
     }
 }
 
@@ -90,176 +74,74 @@ impl JeTotals {
 /// let hit = sim.malloc(64);
 /// assert_eq!(hit.kind, JeCallKind::MallocFast);
 /// ```
-#[derive(Debug)]
-pub struct JeSim {
-    mode: Mode,
+pub type JeSim = Driver<JeSubstrate>;
+
+/// The jemalloc model as a [`Substrate`].
+#[derive(Debug, Default)]
+pub struct JeSubstrate {
     alloc: JeMalloc,
-    cpu: Engine,
-    mc: MallocCache,
-    offload: Option<OffloadQueue>,
-    totals: JeTotals,
 }
 
-impl JeSim {
-    /// Creates a simulator. In [`Mode::Mallacc`] the malloc cache runs in
-    /// generic requested-size keying regardless of the config's keying —
-    /// jemalloc has no Figure 5 index hardware.
-    pub fn new(mode: Mode) -> Self {
-        let mc_cfg = match mode {
-            Mode::Mallacc(a) => MallocCacheConfig {
-                keying: RangeKeying::RequestedSize,
-                ..a.cache
-            },
-            _ => MallocCacheConfig {
-                keying: RangeKeying::RequestedSize,
-                ..MallocCacheConfig::paper_default()
-            },
-        };
-        let offload = match mode {
-            Mode::Offload(cfg) => Some(OffloadQueue::new(cfg)),
-            _ => None,
-        };
-        Self {
-            mode,
-            alloc: JeMalloc::new(),
-            cpu: Engine::new(CoreConfig::haswell(), Hierarchy::default()),
-            mc: MallocCache::new(mc_cfg),
-            offload,
-            totals: JeTotals::default(),
-        }
-    }
+/// The prof-sampling countdown (structurally TCMalloc's).
+const SAMPLE_COUNTER: Addr = layout::TLS_BASE + 0x8;
 
-    /// Switches the timing engine between full detailed execution
-    /// (`None`) and sampled execution under `plan` — the same axis the
-    /// tcmalloc-substrate simulator exposes. Purely a timing-fidelity
-    /// knob: the functional allocator and malloc cache are unaffected.
-    pub fn set_sampling(&mut self, plan: Option<mallacc_ooo::SamplingPlan>) {
-        self.cpu.set_sampling(plan);
+impl JeSubstrate {
+    /// The bin's top two stack slots after a call.
+    fn post_list(&self, bin: Option<BinId>) -> PostList {
+        bin.map_or_else(PostList::default, |b| PostList {
+            head: self.alloc.tcache_top(b),
+            next: self.alloc.tcache_below_top(b),
+        })
     }
+}
 
-    /// The functional allocator.
-    pub fn allocator(&self) -> &JeMalloc {
+fn raw_bin(bin: Option<BinId>) -> Option<u16> {
+    bin.map(|b| u16::from(b.as_u8()))
+}
+
+impl Substrate for JeSubstrate {
+    type Alloc = JeMalloc;
+    type Kind = JeCallKind;
+    type MallocOutcome = JeMallocOutcome;
+    type FreeOutcome = JeFreeOutcome;
+
+    fn allocator(&self) -> &JeMalloc {
         &self.alloc
     }
 
-    /// The out-of-order engine (CPI stacks, execution statistics,
-    /// sampling reports).
-    pub fn engine(&self) -> &Engine {
-        &self.cpu
-    }
-
-    /// The malloc cache.
-    pub fn malloc_cache(&self) -> &MallocCache {
-        &self.mc
-    }
-
-    /// Offload-queue statistics, when running in offload mode.
-    pub fn offload_stats(&self) -> Option<OffloadStats> {
-        self.offload.as_ref().map(OffloadQueue::stats)
-    }
-
-    /// Accumulated totals.
-    pub fn totals(&self) -> JeTotals {
-        self.totals
-    }
-
-    /// Resets totals (post-warm-up).
-    pub fn reset_totals(&mut self) {
-        self.totals = JeTotals::default();
-    }
-
-    /// The paper's antagonist hook.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `fraction` is outside `[0, 1]`.
-    pub fn antagonize(&mut self, fraction: f64) {
-        self.cpu.mem_mut().evict_antagonist(fraction);
-    }
-
-    /// Models a context switch: flush the malloc cache, evict half of
-    /// L1/L2, and let another thread run for `quantum_cycles`.
-    pub fn context_switch(&mut self, quantum_cycles: u64) {
-        self.mc.flush();
-        self.cpu.mem_mut().evict_antagonist(0.5);
-        let now = self.cpu.now();
-        self.cpu.skip_to_cycle(now + quantum_cycles);
-    }
-
-    /// Application compute between allocator calls.
-    pub fn app_run(&mut self, cycles: u64) {
-        let now = self.cpu.now();
-        self.cpu.skip_to_cycle(now + cycles);
-    }
-
-    /// Application memory traffic: one load per address.
-    pub fn app_touch(&mut self, addrs: &[Addr]) {
-        for &a in addrs {
-            let d = self.cpu.alloc_reg();
-            self.cpu.push(Uop::load(a, d, &[]));
-        }
-    }
-
-    fn accel(&self) -> Option<mallacc::AccelConfig> {
-        match self.mode {
-            Mode::Mallacc(a) => Some(a),
-            _ => None,
-        }
-    }
-
-    fn limit(&self) -> mallacc::LimitRemove {
-        match self.mode {
-            Mode::Limit(l) => l,
-            _ => Default::default(),
-        }
-    }
-
-    /// Simulates one malloc.
-    pub fn malloc(&mut self, size: u64) -> JeCallRecord {
+    fn malloc(&mut self, size: u64) -> (JeMallocOutcome, PostList) {
         let outcome = self.alloc.malloc(size);
-        let start = self.cpu.now();
-        self.cpu.push(Uop::jump(&[]));
-        let kind = if let Mode::Offload(cfg) = self.mode {
-            self.emit_offload_malloc(&outcome, cfg)
-        } else {
-            self.emit_malloc(&outcome)
-        };
-        self.cpu.push(Uop::jump(&[]));
-        let cycles = self.cpu.now().saturating_sub(start);
-        self.totals.malloc_calls += 1;
-        self.totals.malloc_cycles += cycles;
-        JeCallRecord {
-            cycles,
-            kind,
-            ptr: outcome.ptr,
-        }
+        let post = self.post_list(outcome.bin);
+        (outcome, post)
     }
 
-    /// Simulates one free.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an invalid or double free.
-    pub fn free(&mut self, ptr: Addr, sized: bool) -> JeCallRecord {
+    fn free(&mut self, ptr: Addr, sized: bool) -> (JeFreeOutcome, PostList) {
         let outcome = self.alloc.free(ptr, sized);
-        let start = self.cpu.now();
-        self.cpu.push(Uop::jump(&[]));
-        let kind = if let Mode::Offload(cfg) = self.mode {
-            self.emit_offload_free(&outcome, cfg)
-        } else {
-            self.emit_free(&outcome)
-        };
-        self.cpu.push(Uop::jump(&[]));
-        let cycles = self.cpu.now().saturating_sub(start);
-        self.totals.free_calls += 1;
-        self.totals.free_cycles += cycles;
-        JeCallRecord { cycles, kind, ptr }
+        let post = self.post_list(outcome.bin);
+        (outcome, post)
     }
 
-    // ---- offload ----------------------------------------------------------
+    fn malloc_record(outcome: &JeMallocOutcome) -> CallRecord<JeCallKind> {
+        let kind = match &outcome.path {
+            JeMallocPath::TcacheHit { .. } => JeCallKind::MallocFast,
+            JeMallocPath::TcacheFill { .. } => JeCallKind::MallocFill,
+            JeMallocPath::Large { .. } => JeCallKind::MallocLarge,
+        };
+        CallRecord::untimed(kind, outcome.ptr, outcome.requested, raw_bin(outcome.bin))
+    }
 
-    /// The helper-side service path a jemalloc malloc outcome maps to.
-    fn malloc_service_path(outcome: &JeMallocOutcome) -> ServicePath {
+    fn free_record(outcome: &JeFreeOutcome) -> CallRecord<JeCallKind> {
+        let kind = match &outcome.path {
+            JeFreePath::TcachePush {
+                flushed: Some(_), ..
+            } => JeCallKind::FreeFlush,
+            JeFreePath::TcachePush { .. } => JeCallKind::FreeFast,
+            JeFreePath::Large { .. } => JeCallKind::FreeLarge,
+        };
+        CallRecord::untimed(kind, outcome.ptr, outcome.alloc_size, raw_bin(outcome.bin))
+    }
+
+    fn malloc_service(outcome: &JeMallocOutcome) -> ServicePath {
         match &outcome.path {
             JeMallocPath::TcacheHit { .. } => ServicePath::MallocFast,
             JeMallocPath::TcacheFill { fill, .. } => {
@@ -287,8 +169,7 @@ impl JeSim {
         }
     }
 
-    /// The helper-side service path a jemalloc free outcome maps to.
-    fn free_service_path(outcome: &crate::allocator::JeFreeOutcome) -> ServicePath {
+    fn free_service(outcome: &JeFreeOutcome) -> ServicePath {
         let unsized_walk = outcome.chunk_map.is_some();
         match &outcome.path {
             JeFreePath::TcachePush { flushed, .. } => match flushed {
@@ -302,428 +183,210 @@ impl JeSim {
         }
     }
 
-    /// Marshals one request onto the offload queue: operand marshal, the
-    /// doorbell write, and any queue-full backpressure as a stall µop.
-    fn emit_offload_request(&mut self, cfg: OffloadConfig, service: u64) -> (u64, u64) {
-        let req = self.cpu.alloc_reg();
-        self.cpu.push(Uop::alu(1, Some(req), &[]));
-        let db = self.cpu.alloc_reg();
-        let t = self
-            .cpu
-            .push(Uop::alu(cfg.enqueue_latency.max(1), Some(db), &[req]));
-        let enq = self
-            .offload
-            .as_mut()
-            .expect("offload mode has a queue")
-            .enqueue(t.complete, service);
-        if enq.stall_cycles > 0 {
-            let stalled = self.cpu.alloc_reg();
-            let wait = u32::try_from(enq.stall_cycles).unwrap_or(u32::MAX);
-            self.cpu.push(Uop::alu(wait.max(1), Some(stalled), &[db]));
-        }
-        (t.complete, enq.response_ready)
-    }
-
-    fn emit_offload_malloc(&mut self, outcome: &JeMallocOutcome, cfg: OffloadConfig) -> JeCallKind {
-        let service = service_cycles(Self::malloc_service_path(outcome), false, &cfg);
-        let (submitted, response_ready) = self.emit_offload_request(cfg, service);
-        let need_at = submitted + u64::from(cfg.speculative_window);
-        let wait = response_ready.saturating_sub(need_at.max(self.cpu.now()));
-        if wait > 0 {
-            let d = self.cpu.alloc_reg();
-            let w = u32::try_from(wait).unwrap_or(u32::MAX);
-            self.cpu.push(Uop::alu(w.max(1), Some(d), &[]));
-        }
+    fn emit_malloc(&mut self, m: &mut Machine, outcome: &JeMallocOutcome, post: PostList) {
+        let size_reg = prog::emit_prologue(&mut m.cpu, 5);
         match &outcome.path {
-            JeMallocPath::TcacheHit { .. } => JeCallKind::MallocFast,
-            JeMallocPath::TcacheFill { .. } => JeCallKind::MallocFill,
-            JeMallocPath::Large { .. } => JeCallKind::MallocLarge,
-        }
-    }
-
-    fn emit_offload_free(
-        &mut self,
-        outcome: &crate::allocator::JeFreeOutcome,
-        cfg: OffloadConfig,
-    ) -> JeCallKind {
-        let service = service_cycles(Self::free_service_path(outcome), false, &cfg);
-        self.emit_offload_request(cfg, service);
-        match &outcome.path {
-            JeFreePath::TcachePush {
-                flushed: Some(_), ..
-            } => JeCallKind::FreeFlush,
-            JeFreePath::TcachePush { .. } => JeCallKind::FreeFast,
-            JeFreePath::Large { .. } => JeCallKind::FreeLarge,
-        }
-    }
-
-    // ---- µop emission -----------------------------------------------------
-
-    fn emit_overhead(&mut self, n: usize) {
-        for _ in 0..n {
-            let d = self.cpu.alloc_reg();
-            self.cpu.push(Uop::alu(1, Some(d), &[]));
-        }
-    }
-
-    /// jemalloc's size→bin: one shift plus one dense-table load.
-    fn emit_bin_lookup_sw(&mut self, size_reg: Reg, size: u64) -> Reg {
-        let idx = self.cpu.alloc_reg();
-        self.cpu.push(Uop::alu(1, Some(idx), &[size_reg]));
-        let bin = self.cpu.alloc_reg();
-        self.cpu
-            .push(Uop::load(layout::lookup_entry(size), bin, &[idx]));
-        self.cpu.push(Uop::branch(false, &[bin]));
-        bin
-    }
-
-    /// The size-class component under the current mode.
-    fn emit_size_class(&mut self, size_reg: Reg, outcome: &JeMallocOutcome) -> Reg {
-        let bin = outcome.bin.expect("small path");
-        let raw = u16::from(bin.as_u8());
-        if self.limit().size_class {
-            return size_reg;
-        }
-        if self.accel().filter(|a| a.size_class_opt).is_none() {
-            return self.emit_bin_lookup_sw(size_reg, outcome.requested);
-        }
-        let now = self.cpu.now();
-        let hit = self.mc.lookup(outcome.requested, now);
-        let lk = self.cpu.alloc_reg();
-        self.cpu.push(Uop::alu(
-            self.mc.config().lookup_latency(),
-            Some(lk),
-            &[size_reg],
-        ));
-        self.cpu.push(Uop::branch(false, &[lk]));
-        match hit {
-            Some(h) => {
-                debug_assert_eq!(h.size_class, raw);
-                lk
-            }
-            None => {
-                let r = self.emit_bin_lookup_sw(size_reg, outcome.requested);
-                self.mc.update(outcome.requested, outcome.alloc_size, raw);
-                r
-            }
-        }
-    }
-
-    /// jemalloc's prof-sampling countdown (structurally TCMalloc's).
-    fn emit_sampling(&mut self, dep: Reg) {
-        if self.limit().sampling {
-            return;
-        }
-        if self.accel().map(|a| a.sampling_opt).unwrap_or(false) {
-            return;
-        }
-        let ctr = layout::TLS_BASE + 0x8;
-        let c = self.cpu.alloc_reg();
-        self.cpu.push(Uop::load(ctr, c, &[]));
-        let d = self.cpu.alloc_reg();
-        self.cpu.push(Uop::alu(1, Some(d), &[c, dep]));
-        self.cpu.push(Uop::branch(false, &[d]));
-        self.cpu.push(Uop::store(ctr, &[d]));
-    }
-
-    /// The software stack pop: header load → slot-address arithmetic →
-    /// slot load → header store.
-    fn emit_pop_sw(&mut self, bin: BinId, ncached: u64, bin_reg: Reg) -> Reg {
-        let header = layout::tcache_bin_header(bin);
-        let n = self.cpu.alloc_reg();
-        self.cpu.push(Uop::load(header, n, &[bin_reg]));
-        self.cpu.push(Uop::branch(false, &[n]));
-        let slot_addr = self.cpu.alloc_reg();
-        self.cpu.push(Uop::alu(1, Some(slot_addr), &[n]));
-        let ptr = self.cpu.alloc_reg();
-        self.cpu.push(Uop::load(
-            layout::tcache_avail_slot(bin, ncached.saturating_sub(1)),
-            ptr,
-            &[slot_addr],
-        ));
-        self.cpu.push(Uop::store(header, &[n]));
-        ptr
-    }
-
-    fn emit_push_sw(&mut self, bin: BinId, ncached_after: u64, bin_reg: Reg, ptr_reg: Reg) {
-        let header = layout::tcache_bin_header(bin);
-        let n = self.cpu.alloc_reg();
-        self.cpu.push(Uop::load(header, n, &[bin_reg]));
-        self.cpu.push(Uop::branch(false, &[n]));
-        self.cpu.push(Uop::store(
-            layout::tcache_avail_slot(bin, ncached_after.saturating_sub(1)),
-            &[ptr_reg, n],
-        ));
-        self.cpu.push(Uop::store(header, &[n]));
-    }
-
-    /// Arena fill: bin lock, streaming stores into the avail array, bitmap
-    /// updates, chunk-map registration for new runs, OS growth.
-    fn emit_fill(&mut self, bin: BinId, fill: &ArenaFill) {
-        let lock_addr = layout::arena_bin_header(bin);
-        let lock = self.cpu.alloc_reg();
-        self.cpu.push(Uop::load(lock_addr, lock, &[]));
-        self.cpu.push(Uop::branch(false, &[lock]));
-        self.cpu.push(Uop::store(lock_addr, &[lock]));
-        if fill.grew {
-            let d = self.cpu.alloc_reg();
-            self.cpu.push(Uop::alu(8000, Some(d), &[]));
-        }
-        let mut dep = lock;
-        for (i, &obj) in fill.batch.iter().enumerate() {
-            // Bitmap word probe + set for the object's run.
-            if i % 16 == 0 {
-                let page = layout::addr_to_page(obj);
-                let [c0, _] = layout::chunk_map_entries(page);
-                let w = self.cpu.alloc_reg();
-                self.cpu.push(Uop::load(c0, w, &[dep]));
-                dep = w;
-            }
-            let b = self.cpu.alloc_reg();
-            self.cpu.push(Uop::alu(1, Some(b), &[dep]));
-            // Streaming store into the avail array.
-            self.cpu
-                .push(Uop::store(layout::tcache_avail_slot(bin, i as u64), &[b]));
-        }
-        for _ in 0..fill.new_runs {
-            // Run headers + chunk-map registration.
-            for j in 0..4u64 {
-                self.cpu
-                    .push(Uop::store(layout::CHUNK_MAP_BASE + j * 64, &[dep]));
-            }
-        }
-        self.cpu.push(Uop::store(lock_addr, &[dep]));
-    }
-
-    /// Flush of the oldest half of a bin back to the arena.
-    fn emit_flush(&mut self, flushed: &[Addr]) {
-        let mut dep = self.cpu.alloc_reg();
-        self.cpu.push(Uop::alu(1, Some(dep), &[]));
-        for &obj in flushed {
-            let page = layout::addr_to_page(obj);
-            let [c0, c1] = layout::chunk_map_entries(page);
-            let a = self.cpu.alloc_reg();
-            self.cpu.push(Uop::load(c0, a, &[dep]));
-            let b = self.cpu.alloc_reg();
-            self.cpu.push(Uop::load(c1, b, &[a]));
-            self.cpu.push(Uop::store(c1, &[b]));
-            dep = b;
-        }
-    }
-
-    fn emit_large(&mut self, pages: u64, grew: bool) {
-        let lock = self.cpu.alloc_reg();
-        self.cpu.push(Uop::load(layout::ARENA_BASE, lock, &[]));
-        if grew {
-            let d = self.cpu.alloc_reg();
-            self.cpu.push(Uop::alu(8000, Some(d), &[]));
-        }
-        let mut dep = lock;
-        for p in (0..pages).step_by(16) {
-            let [_, c1] = layout::chunk_map_entries(p);
-            let d = self.cpu.alloc_reg();
-            self.cpu.push(Uop::alu(1, Some(d), &[dep]));
-            self.cpu.push(Uop::store(c1, &[d]));
-            dep = d;
-        }
-    }
-
-    fn emit_malloc(&mut self, outcome: &JeMallocOutcome) -> JeCallKind {
-        self.emit_overhead(5);
-        let size_reg = self.cpu.alloc_reg();
-        self.cpu.push(Uop::alu(1, Some(size_reg), &[]));
-        match &outcome.path {
-            JeMallocPath::Large { pages, grew } => {
-                self.emit_large(*pages, *grew);
-                self.emit_overhead(6);
-                JeCallKind::MallocLarge
-            }
+            JeMallocPath::Large { pages, grew } => emit_large(&mut m.cpu, *pages, *grew),
             JeMallocPath::TcacheHit { ncached, below } => {
                 let bin = outcome.bin.expect("small path");
                 let raw = u16::from(bin.as_u8());
-                let bin_reg = self.emit_size_class(size_reg, outcome);
-                self.emit_sampling(bin_reg);
-                let tls = self.cpu.alloc_reg();
-                self.cpu.push(Uop::load(layout::TLS_BASE, tls, &[bin_reg]));
-                if self.limit().push_pop {
-                    self.emit_overhead(1);
-                } else if self.accel().map(|a| a.list_opt).unwrap_or(false) {
-                    let blocked_until = self.mc.block_delay(raw, 0);
-                    let pop_raw = self.cpu.alloc_reg();
-                    let t = self.cpu.push(Uop::alu(1, Some(pop_raw), &[tls]));
-                    let result = self.mc.pop(raw, t.ready);
-                    let pop = if blocked_until > t.ready {
-                        let stalled = self.cpu.alloc_reg();
-                        let wait = (blocked_until - t.ready) as u32;
-                        self.cpu
-                            .push(Uop::alu(wait.max(1), Some(stalled), &[pop_raw]));
-                        stalled
-                    } else {
-                        pop_raw
-                    };
-                    self.cpu.push(Uop::branch(false, &[pop]));
-                    let head_reg = match result {
-                        PopResult::Hit { head, next } => {
+                let bin_reg =
+                    emit_size_class(m, size_reg, outcome.requested, outcome.alloc_size, raw);
+                m.emit_sampling(SAMPLE_COUNTER, bin_reg, false);
+                let tls = m.cpu.alloc_reg();
+                m.cpu.push(Uop::load(layout::TLS_BASE, tls, &[bin_reg]));
+                if m.limit().push_pop {
+                    prog::emit_overhead(&mut m.cpu, 1);
+                } else if m.accel().is_some_and(|a| a.list_opt) {
+                    let head_reg = match m.mchdpop(raw, tls, None) {
+                        (pop, PopResult::Hit { head, next }) => {
                             debug_assert_eq!(head, outcome.ptr, "jemalloc cache pop mismatch");
                             debug_assert_eq!(Some(next), *below);
                             // Software still maintains ncached.
-                            self.cpu
+                            m.cpu
                                 .push(Uop::store(layout::tcache_bin_header(bin), &[pop]));
                             pop
                         }
-                        PopResult::Miss => self.emit_pop_sw(bin, *ncached, tls),
+                        (_, PopResult::Miss) => emit_pop_sw(&mut m.cpu, bin, *ncached, tls),
                     };
-                    if self.accel().map(|a| a.prefetch).unwrap_or(false) {
+                    if m.accel().is_some_and(|a| a.prefetch) {
                         if let Some(new_top) = *below {
                             // jemalloc's avail slots are contiguous and
-                            // L1-hot, so instead of a blocking
-                            // mcnxtprefetch the integration reloads the
-                            // next slot with an ordinary (cheap) load and
-                            // reconstructs the cached pair with two
-                            // register-operand mchdpush instructions —
-                            // push(below) then push(top) leaves
-                            // Head = top, Next = below, no entry blocking.
-                            let value = self.alloc.tcache_below_top(bin);
+                            // L1-hot, so instead of a blocking mcnxtprefetch
+                            // the integration reloads the next slot with an
+                            // ordinary (cheap) load and republishes the pair.
                             let slot = layout::tcache_avail_slot(bin, ncached.saturating_sub(2));
-                            let below_reg = self.cpu.alloc_reg();
-                            self.cpu.push(Uop::load(slot, below_reg, &[head_reg]));
-                            let p1 = self.cpu.alloc_reg();
-                            self.cpu.push(Uop::alu(1, Some(p1), &[below_reg]));
-                            let p2 = self.cpu.alloc_reg();
-                            self.cpu.push(Uop::alu(1, Some(p2), &[p1]));
-                            self.mc.sync_list(raw, Some(new_top), value);
+                            m.repush_pair(raw, Some(slot), head_reg, new_top, post.next);
                         }
                     }
                 } else {
-                    self.emit_pop_sw(bin, *ncached, tls);
+                    emit_pop_sw(&mut m.cpu, bin, *ncached, tls);
                 }
-                self.emit_overhead(6);
-                JeCallKind::MallocFast
             }
             JeMallocPath::TcacheFill { fill, below: _ } => {
                 let bin = outcome.bin.expect("small path");
                 let raw = u16::from(bin.as_u8());
-                let bin_reg = self.emit_size_class(size_reg, outcome);
-                self.emit_sampling(bin_reg);
+                let bin_reg =
+                    emit_size_class(m, size_reg, outcome.requested, outcome.alloc_size, raw);
+                m.emit_sampling(SAMPLE_COUNTER, bin_reg, false);
                 // Empty-bin branch mispredicts (rare).
-                let n = self.cpu.alloc_reg();
-                self.cpu
+                let n = m.cpu.alloc_reg();
+                m.cpu
                     .push(Uop::load(layout::tcache_bin_header(bin), n, &[bin_reg]));
-                self.cpu.push(Uop::branch(true, &[n]));
-                self.emit_fill(bin, fill);
-                self.emit_pop_sw(bin, fill.batch.len() as u64, bin_reg);
-                if self.accel().map(|a| a.needs_cache()).unwrap_or(false) {
-                    self.mc.sync_list(
-                        raw,
-                        self.alloc.tcache_top(bin),
-                        self.alloc.tcache_below_top(bin),
-                    );
-                }
-                self.emit_overhead(6);
-                JeCallKind::MallocFill
+                m.cpu.push(Uop::branch(true, &[n]));
+                emit_fill(&mut m.cpu, bin, fill);
+                emit_pop_sw(&mut m.cpu, bin, fill.batch.len() as u64, bin_reg);
+                m.resync(raw, post);
             }
         }
+        prog::emit_overhead(&mut m.cpu, 6);
     }
 
-    fn emit_free(&mut self, outcome: &crate::allocator::JeFreeOutcome) -> JeCallKind {
-        self.emit_overhead(4);
-        let ptr_reg = self.cpu.alloc_reg();
-        self.cpu.push(Uop::alu(1, Some(ptr_reg), &[]));
+    fn emit_free(&mut self, m: &mut Machine, outcome: &JeFreeOutcome, post: PostList) {
+        let ptr_reg = prog::emit_prologue(&mut m.cpu, 4);
         match &outcome.path {
-            JeFreePath::Large { pages } => {
-                self.emit_large(*pages, false);
-                self.emit_overhead(5);
-                JeCallKind::FreeLarge
-            }
+            JeFreePath::Large { pages } => emit_large(&mut m.cpu, *pages, false),
             JeFreePath::TcachePush { ncached, flushed } => {
                 let bin = outcome.bin.expect("small path");
                 let raw = u16::from(bin.as_u8());
-                let bin_reg = if let Some([c0, c1]) = outcome.chunk_map {
+                let bin_reg = match outcome.chunk_map {
                     // Unsized: the two-level chunk-map walk.
-                    let a = self.cpu.alloc_reg();
-                    self.cpu.push(Uop::load(c0, a, &[ptr_reg]));
-                    let b = self.cpu.alloc_reg();
-                    self.cpu.push(Uop::load(c1, b, &[a]));
-                    b
-                } else if self.limit().size_class {
-                    ptr_reg
-                } else if self.accel().map(|a| a.size_class_opt).unwrap_or(false) {
-                    let now = self.cpu.now();
-                    let hit = self.mc.lookup(outcome.alloc_size, now);
-                    let lk = self.cpu.alloc_reg();
-                    self.cpu.push(Uop::alu(
-                        self.mc.config().lookup_latency(),
-                        Some(lk),
-                        &[ptr_reg],
-                    ));
-                    self.cpu.push(Uop::branch(false, &[lk]));
-                    match hit {
-                        Some(h) => {
-                            debug_assert_eq!(h.size_class, raw);
-                            lk
-                        }
-                        None => {
-                            let r = self.emit_bin_lookup_sw(ptr_reg, outcome.alloc_size);
-                            self.mc.update(outcome.alloc_size, outcome.alloc_size, raw);
-                            r
-                        }
+                    Some(nodes) => prog::emit_pagemap_walk(&mut m.cpu, nodes, ptr_reg),
+                    None => {
+                        emit_size_class(m, ptr_reg, outcome.alloc_size, outcome.alloc_size, raw)
                     }
-                } else {
-                    self.emit_bin_lookup_sw(ptr_reg, outcome.alloc_size)
                 };
-                if !self.limit().push_pop {
-                    if self.accel().map(|a| a.list_opt).unwrap_or(false) {
-                        let d = self.cpu.alloc_reg();
-                        let t = self.cpu.push(Uop::alu(1, Some(d), &[bin_reg]));
-                        self.mc.push(raw, outcome.ptr, t.ready);
+                if !m.limit().push_pop {
+                    if m.accel().is_some_and(|a| a.list_opt) {
+                        m.mchdpush(raw, outcome.ptr, bin_reg);
                     }
-                    self.emit_push_sw(bin, *ncached, bin_reg, ptr_reg);
+                    emit_push_sw(&mut m.cpu, bin, *ncached, bin_reg, ptr_reg);
                 }
-                let kind = if let Some(fl) = flushed {
-                    self.emit_flush(fl);
-                    if self.accel().map(|a| a.needs_cache()).unwrap_or(false) {
-                        self.mc.sync_list(
-                            raw,
-                            self.alloc.tcache_top(bin),
-                            self.alloc.tcache_below_top(bin),
-                        );
-                    }
-                    JeCallKind::FreeFlush
-                } else {
-                    JeCallKind::FreeFast
-                };
-                self.emit_overhead(5);
-                kind
+                if let Some(fl) = flushed {
+                    emit_flush(&mut m.cpu, fl);
+                    m.resync(raw, post);
+                }
             }
         }
+        prog::emit_overhead(&mut m.cpu, 5);
     }
 }
 
-impl mallacc_workloads::SimBackend for JeSim {
-    fn backend_malloc(&mut self, size: u64) -> (u64, u64) {
-        let r = self.malloc(size);
-        (r.ptr, r.cycles)
+/// The size→bin component under the machine's mode, keyed on `key`.
+fn emit_size_class(m: &mut Machine, dep: Reg, key: u64, alloc_size: u64, raw: u16) -> Reg {
+    m.emit_size_class(key, alloc_size, raw, dep, None, |cpu, dep| {
+        emit_bin_lookup_sw(cpu, dep, key)
+    })
+}
+
+/// jemalloc's size→bin: one shift plus one dense-table load.
+fn emit_bin_lookup_sw(cpu: &mut Engine, size_reg: Reg, size: u64) -> Reg {
+    let idx = cpu.alloc_reg();
+    cpu.push(Uop::alu(1, Some(idx), &[size_reg]));
+    let bin = cpu.alloc_reg();
+    cpu.push(Uop::load(layout::lookup_entry(size), bin, &[idx]));
+    cpu.push(Uop::branch(false, &[bin]));
+    bin
+}
+
+/// The software stack pop: header load → slot-address arithmetic →
+/// slot load → header store.
+fn emit_pop_sw(cpu: &mut Engine, bin: BinId, ncached: u64, bin_reg: Reg) -> Reg {
+    let header = layout::tcache_bin_header(bin);
+    let n = cpu.alloc_reg();
+    cpu.push(Uop::load(header, n, &[bin_reg]));
+    cpu.push(Uop::branch(false, &[n]));
+    let slot_addr = cpu.alloc_reg();
+    cpu.push(Uop::alu(1, Some(slot_addr), &[n]));
+    let ptr = cpu.alloc_reg();
+    cpu.push(Uop::load(
+        layout::tcache_avail_slot(bin, ncached.saturating_sub(1)),
+        ptr,
+        &[slot_addr],
+    ));
+    cpu.push(Uop::store(header, &[n]));
+    ptr
+}
+
+fn emit_push_sw(cpu: &mut Engine, bin: BinId, ncached_after: u64, bin_reg: Reg, ptr_reg: Reg) {
+    let header = layout::tcache_bin_header(bin);
+    let n = cpu.alloc_reg();
+    cpu.push(Uop::load(header, n, &[bin_reg]));
+    cpu.push(Uop::branch(false, &[n]));
+    cpu.push(Uop::store(
+        layout::tcache_avail_slot(bin, ncached_after.saturating_sub(1)),
+        &[ptr_reg, n],
+    ));
+    cpu.push(Uop::store(header, &[n]));
+}
+
+/// Arena fill: bin lock, streaming stores into the avail array, bitmap
+/// updates, chunk-map registration for new runs, OS growth.
+fn emit_fill(cpu: &mut Engine, bin: BinId, fill: &ArenaFill) {
+    let lock_addr = layout::arena_bin_header(bin);
+    let lock = cpu.alloc_reg();
+    cpu.push(Uop::load(lock_addr, lock, &[]));
+    cpu.push(Uop::branch(false, &[lock]));
+    cpu.push(Uop::store(lock_addr, &[lock]));
+    prog::emit_os_growth(cpu, fill.grew);
+    let mut dep = lock;
+    for (i, &obj) in fill.batch.iter().enumerate() {
+        // Bitmap word probe + set for the object's run.
+        if i % 16 == 0 {
+            let page = layout::addr_to_page(obj);
+            let [c0, _] = layout::chunk_map_entries(page);
+            let w = cpu.alloc_reg();
+            cpu.push(Uop::load(c0, w, &[dep]));
+            dep = w;
+        }
+        let b = cpu.alloc_reg();
+        cpu.push(Uop::alu(1, Some(b), &[dep]));
+        // Streaming store into the avail array.
+        cpu.push(Uop::store(layout::tcache_avail_slot(bin, i as u64), &[b]));
     }
-    fn backend_free(&mut self, ptr: u64, sized: bool) -> u64 {
-        self.free(ptr, sized).cycles
+    for _ in 0..fill.new_runs {
+        // Run headers + chunk-map registration.
+        for j in 0..4u64 {
+            cpu.push(Uop::store(layout::CHUNK_MAP_BASE + j * 64, &[dep]));
+        }
     }
-    fn backend_antagonize(&mut self, fraction: f64) {
-        self.antagonize(fraction);
+    cpu.push(Uop::store(lock_addr, &[dep]));
+}
+
+/// Flush of the oldest half of a bin back to the arena.
+fn emit_flush(cpu: &mut Engine, flushed: &[Addr]) {
+    let mut dep = cpu.alloc_reg();
+    cpu.push(Uop::alu(1, Some(dep), &[]));
+    for &obj in flushed {
+        let page = layout::addr_to_page(obj);
+        let [c0, c1] = layout::chunk_map_entries(page);
+        let a = cpu.alloc_reg();
+        cpu.push(Uop::load(c0, a, &[dep]));
+        let b = cpu.alloc_reg();
+        cpu.push(Uop::load(c1, b, &[a]));
+        cpu.push(Uop::store(c1, &[b]));
+        dep = b;
     }
-    fn backend_context_switch(&mut self, quantum: u64) {
-        self.context_switch(quantum);
-    }
-    fn backend_app_run(&mut self, cycles: u64) {
-        self.app_run(cycles);
-    }
-    fn backend_app_touch(&mut self, addrs: &[Addr]) {
-        self.app_touch(addrs);
+}
+
+fn emit_large(cpu: &mut Engine, pages: u64, grew: bool) {
+    let lock = cpu.alloc_reg();
+    cpu.push(Uop::load(layout::ARENA_BASE, lock, &[]));
+    prog::emit_os_growth(cpu, grew);
+    let mut dep = lock;
+    for p in (0..pages).step_by(16) {
+        let [_, c1] = layout::chunk_map_entries(p);
+        let d = cpu.alloc_reg();
+        cpu.push(Uop::alu(1, Some(d), &[dep]));
+        cpu.push(Uop::store(c1, &[d]));
+        dep = d;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mallacc::Mode;
 
     fn warm_rotating(sim: &mut JeSim, n: usize) {
         for i in 0..n {
@@ -788,34 +451,6 @@ mod tests {
         assert!(r.cycles > 1000);
         let f = sim.free(r.ptr, false);
         assert_eq!(f.kind, JeCallKind::FreeLarge);
-    }
-
-    #[test]
-    fn offload_mode_runs_and_reports_stats() {
-        let mut sim = JeSim::new(Mode::offload_default());
-        warm_rotating(&mut sim, 200);
-        let stats = sim.offload_stats().expect("offload mode");
-        assert!(stats.enqueued >= 400, "enqueued {}", stats.enqueued);
-        assert!(stats.busy_cycles > 0, "helper never ran");
-    }
-
-    #[test]
-    fn offload_heap_is_bit_identical_to_baseline() {
-        let run = |mode: Mode| {
-            let mut sim = JeSim::new(mode);
-            let mut ptrs = Vec::new();
-            for i in 0..300u64 {
-                ptrs.push(sim.malloc(16 + (i % 50) * 24).ptr);
-                if i % 3 == 0 {
-                    if let Some(p) = ptrs.pop() {
-                        sim.free(p, true);
-                    }
-                }
-            }
-            ptrs
-        };
-        assert_eq!(run(Mode::Baseline), run(Mode::offload_default()));
-        assert_eq!(run(Mode::Baseline), run(Mode::offload_both()));
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //! of where fast-path malloc/free cycles go, per configuration.
 
 use mallacc::{
-    CallKind, Component, MallocCacheStats, MallocSim, Mode, SimTotals, StallBreakdown, StallReason,
+    CallKind, CallLabel, Component, MallocCacheStats, MallocSim, Mode, SimTotals, StallBreakdown,
+    StallReason,
 };
 use mallacc_stats::table::{pct, Table};
 use mallacc_stats::{Breakdown, Json};

@@ -1,4 +1,4 @@
-//! The TCMalloc-per-CPU timing driver.
+//! The TCMalloc-per-CPU substrate.
 //!
 //! Same size classes as the paper's baseline, different fast path: the
 //! rseq per-CPU array cache replaces the TLS linked list. A pop is a
@@ -9,14 +9,16 @@
 //! countdown, however, are TCMalloc's — `mcszlookup` and the sampling
 //! optimisation keep their targets.
 //!
-//! Mode integration mirrors [`mallacc_jemalloc::JeSim`] (requested-size
-//! keying, array-top caching via `sync_list`); offload mode reuses the
-//! SpeedMalloc queue/cost model.
+//! The integration mirrors jemalloc's ([`mallacc_jemalloc::JeSubstrate`]):
+//! requested-size keying and array-top caching via `sync_list`. A context
+//! switch migrates the thread to the next CPU's slab set.
 
-use mallacc::{MallocCache, MallocCacheConfig, Mode, PopResult, RangeKeying};
-use mallacc_cache::{Addr, Hierarchy};
-use mallacc_offload::{service_cycles, OffloadConfig, OffloadQueue, OffloadStats, ServicePath};
-use mallacc_ooo::{CoreConfig, Engine, Reg, Uop};
+use mallacc::{
+    programs as prog, CallLabel, CallRecord, Driver, Machine, PopResult, PostList, Substrate,
+};
+use mallacc_cache::Addr;
+use mallacc_offload::ServicePath;
+use mallacc_ooo::{Engine, Reg, Uop};
 
 use crate::percpu::{
     pc_layout, PcFreeOutcome, PcFreePath, PcMallocOutcome, PcMallocPath, PerCpuMalloc,
@@ -39,34 +41,16 @@ pub enum PcCallKind {
     FreeLarge,
 }
 
-/// One simulated call.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PcCallRecord {
-    /// Retirement-attributed cycles.
-    pub cycles: u64,
-    /// Path classification.
-    pub kind: PcCallKind,
-    /// The pointer allocated or freed.
-    pub ptr: Addr,
-}
-
-/// Cycle totals.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct PcTotals {
-    /// malloc calls.
-    pub malloc_calls: u64,
-    /// Cycles in malloc.
-    pub malloc_cycles: u64,
-    /// free calls.
-    pub free_calls: u64,
-    /// Cycles in free.
-    pub free_cycles: u64,
-}
-
-impl PcTotals {
-    /// malloc + free cycles.
-    pub fn allocator_cycles(&self) -> u64 {
-        self.malloc_cycles + self.free_cycles
+impl CallLabel for PcCallKind {
+    fn label(self) -> &'static str {
+        match self {
+            PcCallKind::MallocFast => "malloc_fast",
+            PcCallKind::MallocRefill => "malloc_refill",
+            PcCallKind::MallocLarge => "malloc_large",
+            PcCallKind::FreeFast => "free_fast",
+            PcCallKind::FreeDrain => "free_drain",
+            PcCallKind::FreeLarge => "free_large",
+        }
     }
 }
 
@@ -84,171 +68,120 @@ impl PcTotals {
 /// let hit = sim.malloc(64);
 /// assert_eq!(hit.kind, PcCallKind::MallocFast);
 /// ```
+pub type PcSim = Driver<PcSubstrate>;
+
+/// The per-CPU model as a [`Substrate`].
 #[derive(Debug)]
-pub struct PcSim {
-    mode: Mode,
+pub struct PcSubstrate {
     alloc: PerCpuMalloc,
-    cpu: Engine,
-    mc: MallocCache,
-    offload: Option<OffloadQueue>,
-    totals: PcTotals,
 }
 
-impl PcSim {
-    /// Creates a simulator. The malloc cache runs requested-size keying:
-    /// the per-CPU build replaces the Figure 5 index path with the same
-    /// table, but caching keys on the request keeps the integration
-    /// identical across non-TCMalloc substrates.
-    pub fn new(mode: Mode) -> Self {
-        let mc_cfg = match mode {
-            Mode::Mallacc(a) => MallocCacheConfig {
-                keying: RangeKeying::RequestedSize,
-                ..a.cache
-            },
-            _ => MallocCacheConfig {
-                keying: RangeKeying::RequestedSize,
-                ..MallocCacheConfig::paper_default()
-            },
-        };
-        let offload = match mode {
-            Mode::Offload(cfg) => Some(OffloadQueue::new(cfg)),
-            _ => None,
-        };
+impl Default for PcSubstrate {
+    fn default() -> Self {
         Self {
-            mode,
             alloc: PerCpuMalloc::new(2),
-            cpu: Engine::new(CoreConfig::haswell(), Hierarchy::default()),
-            mc: MallocCache::new(mc_cfg),
-            offload,
-            totals: PcTotals::default(),
         }
     }
+}
 
-    /// Switches the timing engine between detailed and sampled execution.
-    pub fn set_sampling(&mut self, plan: Option<mallacc_ooo::SamplingPlan>) {
-        self.cpu.set_sampling(plan);
+/// TCMalloc's sampling countdown, unchanged in the per-CPU build.
+const SAMPLE_COUNTER: Addr = pc_layout::SLAB_BASE - 0x40;
+
+/// One CPU's slab array of one size class, as the emitters address it.
+#[derive(Debug, Clone, Copy)]
+struct Slab {
+    cpu: usize,
+    class: u8,
+    num_classes: usize,
+}
+
+impl Slab {
+    fn header(self) -> Addr {
+        pc_layout::slab_header(self.cpu, self.class, self.num_classes)
     }
 
-    /// The functional allocator.
-    pub fn allocator(&self) -> &PerCpuMalloc {
+    fn slot(self, idx: u64) -> Addr {
+        pc_layout::slab_slot(self.cpu, self.class, self.num_classes, idx as usize)
+    }
+}
+
+impl PcSubstrate {
+    /// `cpu`'s slab of class `raw`.
+    fn slab(&self, cpu: usize, raw: u16) -> Slab {
+        Slab {
+            cpu,
+            class: raw as u8,
+            num_classes: self.alloc.classes().num_classes(),
+        }
+    }
+}
+
+fn raw_class(class: Option<mallacc_tcmalloc::ClassId>) -> Option<u16> {
+    class.map(|c| u16::from(c.as_u8()))
+}
+
+impl Substrate for PcSubstrate {
+    type Alloc = PerCpuMalloc;
+    type Kind = PcCallKind;
+    type MallocOutcome = PcMallocOutcome;
+    type FreeOutcome = PcFreeOutcome;
+
+    fn allocator(&self) -> &PerCpuMalloc {
         &self.alloc
     }
 
-    /// The out-of-order engine (CPI stacks, execution statistics,
-    /// sampling reports).
-    pub fn engine(&self) -> &Engine {
-        &self.cpu
-    }
-
-    /// The malloc cache.
-    pub fn malloc_cache(&self) -> &MallocCache {
-        &self.mc
-    }
-
-    /// Offload-queue statistics, when running in offload mode.
-    pub fn offload_stats(&self) -> Option<OffloadStats> {
-        self.offload.as_ref().map(OffloadQueue::stats)
-    }
-
-    /// Accumulated totals.
-    pub fn totals(&self) -> PcTotals {
-        self.totals
-    }
-
-    /// Resets totals (post-warm-up).
-    pub fn reset_totals(&mut self) {
-        self.totals = PcTotals::default();
-    }
-
-    /// The paper's antagonist hook.
-    pub fn antagonize(&mut self, fraction: f64) {
-        self.cpu.mem_mut().evict_antagonist(fraction);
-    }
-
-    /// Models a context switch: flush the malloc cache, evict half of
-    /// L1/L2, migrate to the next CPU's slab set, and let another thread
-    /// run for `quantum_cycles`.
-    pub fn context_switch(&mut self, quantum_cycles: u64) {
-        self.mc.flush();
-        self.cpu.mem_mut().evict_antagonist(0.5);
-        self.alloc.context_switch();
-        let now = self.cpu.now();
-        self.cpu.skip_to_cycle(now + quantum_cycles);
-    }
-
-    /// Application compute between allocator calls.
-    pub fn app_run(&mut self, cycles: u64) {
-        let now = self.cpu.now();
-        self.cpu.skip_to_cycle(now + cycles);
-    }
-
-    /// Application memory traffic: one load per address.
-    pub fn app_touch(&mut self, addrs: &[Addr]) {
-        for &a in addrs {
-            let d = self.cpu.alloc_reg();
-            self.cpu.push(Uop::load(a, d, &[]));
-        }
-    }
-
-    fn accel(&self) -> Option<mallacc::AccelConfig> {
-        match self.mode {
-            Mode::Mallacc(a) => Some(a),
-            _ => None,
-        }
-    }
-
-    fn limit(&self) -> mallacc::LimitRemove {
-        match self.mode {
-            Mode::Limit(l) => l,
-            _ => Default::default(),
-        }
-    }
-
-    /// Simulates one malloc.
-    pub fn malloc(&mut self, size: u64) -> PcCallRecord {
+    fn malloc(&mut self, size: u64) -> (PcMallocOutcome, PostList) {
         let outcome = self.alloc.malloc(size);
-        let start = self.cpu.now();
-        self.cpu.push(Uop::jump(&[]));
-        let kind = if let Mode::Offload(cfg) = self.mode {
-            self.emit_offload_malloc(&outcome, cfg)
-        } else {
-            self.emit_malloc(&outcome)
+        let post = PostList {
+            head: outcome.post_head,
+            next: outcome.post_next,
         };
-        self.cpu.push(Uop::jump(&[]));
-        let cycles = self.cpu.now().saturating_sub(start);
-        self.totals.malloc_calls += 1;
-        self.totals.malloc_cycles += cycles;
-        PcCallRecord {
-            cycles,
-            kind,
-            ptr: outcome.ptr,
-        }
+        (outcome, post)
     }
 
-    /// Simulates one free.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an invalid or double free.
-    pub fn free(&mut self, ptr: Addr, sized: bool) -> PcCallRecord {
+    fn free(&mut self, ptr: Addr, sized: bool) -> (PcFreeOutcome, PostList) {
         let outcome = self.alloc.free(ptr, sized);
-        let start = self.cpu.now();
-        self.cpu.push(Uop::jump(&[]));
-        let kind = if let Mode::Offload(cfg) = self.mode {
-            self.emit_offload_free(&outcome, cfg)
-        } else {
-            self.emit_free(&outcome)
-        };
-        self.cpu.push(Uop::jump(&[]));
-        let cycles = self.cpu.now().saturating_sub(start);
-        self.totals.free_calls += 1;
-        self.totals.free_cycles += cycles;
-        PcCallRecord { cycles, kind, ptr }
+        let post = outcome.class.map_or_else(PostList::default, |c| {
+            let (head, next) = self.alloc.slab_top2(c);
+            PostList { head, next }
+        });
+        (outcome, post)
     }
 
-    // ---- offload ----------------------------------------------------------
+    /// Migrates to the next CPU's slab set.
+    fn context_switch(&mut self) {
+        self.alloc.context_switch();
+    }
 
-    fn malloc_service_path(outcome: &PcMallocOutcome) -> ServicePath {
+    fn malloc_record(outcome: &PcMallocOutcome) -> CallRecord<PcCallKind> {
+        let kind = match &outcome.path {
+            PcMallocPath::SlabHit { .. } => PcCallKind::MallocFast,
+            PcMallocPath::SlabRefill { .. } => PcCallKind::MallocRefill,
+            PcMallocPath::Large { .. } => PcCallKind::MallocLarge,
+        };
+        CallRecord::untimed(
+            kind,
+            outcome.ptr,
+            outcome.requested,
+            raw_class(outcome.class),
+        )
+    }
+
+    fn free_record(outcome: &PcFreeOutcome) -> CallRecord<PcCallKind> {
+        let kind = match &outcome.path {
+            PcFreePath::SlabPush { .. } => PcCallKind::FreeFast,
+            PcFreePath::SlabDrain { .. } => PcCallKind::FreeDrain,
+            PcFreePath::Large { .. } => PcCallKind::FreeLarge,
+        };
+        CallRecord::untimed(
+            kind,
+            outcome.ptr,
+            outcome.alloc_size,
+            raw_class(outcome.class),
+        )
+    }
+
+    fn malloc_service(outcome: &PcMallocOutcome) -> ServicePath {
         match &outcome.path {
             PcMallocPath::SlabHit { .. } => ServicePath::MallocFast,
             PcMallocPath::SlabRefill {
@@ -280,7 +213,7 @@ impl PcSim {
         }
     }
 
-    fn free_service_path(outcome: &PcFreeOutcome) -> ServicePath {
+    fn free_service(outcome: &PcFreeOutcome) -> ServicePath {
         let unsized_walk = outcome.pagemap.is_some();
         match &outcome.path {
             PcFreePath::SlabPush { .. } => ServicePath::FreeFast { unsized_walk },
@@ -292,434 +225,196 @@ impl PcSim {
         }
     }
 
-    fn emit_offload_request(&mut self, cfg: OffloadConfig, service: u64) -> (u64, u64) {
-        let req = self.cpu.alloc_reg();
-        self.cpu.push(Uop::alu(1, Some(req), &[]));
-        let db = self.cpu.alloc_reg();
-        let t = self
-            .cpu
-            .push(Uop::alu(cfg.enqueue_latency.max(1), Some(db), &[req]));
-        let enq = self
-            .offload
-            .as_mut()
-            .expect("offload mode has a queue")
-            .enqueue(t.complete, service);
-        if enq.stall_cycles > 0 {
-            let stalled = self.cpu.alloc_reg();
-            let wait = u32::try_from(enq.stall_cycles).unwrap_or(u32::MAX);
-            self.cpu.push(Uop::alu(wait.max(1), Some(stalled), &[db]));
-        }
-        (t.complete, enq.response_ready)
-    }
-
-    fn emit_offload_malloc(&mut self, outcome: &PcMallocOutcome, cfg: OffloadConfig) -> PcCallKind {
-        let service = service_cycles(Self::malloc_service_path(outcome), false, &cfg);
-        let (submitted, response_ready) = self.emit_offload_request(cfg, service);
-        let need_at = submitted + u64::from(cfg.speculative_window);
-        let wait = response_ready.saturating_sub(need_at.max(self.cpu.now()));
-        if wait > 0 {
-            let d = self.cpu.alloc_reg();
-            let w = u32::try_from(wait).unwrap_or(u32::MAX);
-            self.cpu.push(Uop::alu(w.max(1), Some(d), &[]));
-        }
-        Self::malloc_kind(outcome)
-    }
-
-    fn emit_offload_free(&mut self, outcome: &PcFreeOutcome, cfg: OffloadConfig) -> PcCallKind {
-        let service = service_cycles(Self::free_service_path(outcome), false, &cfg);
-        self.emit_offload_request(cfg, service);
-        Self::free_kind(outcome)
-    }
-
-    fn malloc_kind(outcome: &PcMallocOutcome) -> PcCallKind {
+    fn emit_malloc(&mut self, m: &mut Machine, outcome: &PcMallocOutcome, post: PostList) {
+        let size_reg = prog::emit_prologue(&mut m.cpu, 4);
         match &outcome.path {
-            PcMallocPath::SlabHit { .. } => PcCallKind::MallocFast,
-            PcMallocPath::SlabRefill { .. } => PcCallKind::MallocRefill,
-            PcMallocPath::Large { .. } => PcCallKind::MallocLarge,
-        }
-    }
-
-    fn free_kind(outcome: &PcFreeOutcome) -> PcCallKind {
-        match &outcome.path {
-            PcFreePath::SlabPush { .. } => PcCallKind::FreeFast,
-            PcFreePath::SlabDrain { .. } => PcCallKind::FreeDrain,
-            PcFreePath::Large { .. } => PcCallKind::FreeLarge,
-        }
-    }
-
-    // ---- µop emission -----------------------------------------------------
-
-    fn emit_overhead(&mut self, n: usize) {
-        for _ in 0..n {
-            let d = self.cpu.alloc_reg();
-            self.cpu.push(Uop::alu(1, Some(d), &[]));
-        }
-    }
-
-    /// TCMalloc's two dependent table loads (Figure 5's class-index array
-    /// then the class array).
-    fn emit_class_sw(&mut self, size_reg: Reg) -> Reg {
-        let idx = self.cpu.alloc_reg();
-        self.cpu.push(Uop::alu(1, Some(idx), &[size_reg]));
-        let a = self.cpu.alloc_reg();
-        self.cpu.push(Uop::load(pc_layout::STATIC_BASE, a, &[idx]));
-        let b = self.cpu.alloc_reg();
-        self.cpu
-            .push(Uop::load(pc_layout::STATIC_BASE + 0x1000, b, &[a]));
-        self.cpu.push(Uop::branch(false, &[b]));
-        b
-    }
-
-    fn emit_size_class(&mut self, size_reg: Reg, requested: u64, alloc_size: u64, raw: u16) -> Reg {
-        if self.limit().size_class {
-            return size_reg;
-        }
-        if self.accel().filter(|a| a.size_class_opt).is_none() {
-            return self.emit_class_sw(size_reg);
-        }
-        let now = self.cpu.now();
-        let hit = self.mc.lookup(requested, now);
-        let lk = self.cpu.alloc_reg();
-        self.cpu.push(Uop::alu(
-            self.mc.config().lookup_latency(),
-            Some(lk),
-            &[size_reg],
-        ));
-        self.cpu.push(Uop::branch(false, &[lk]));
-        match hit {
-            Some(h) => {
-                debug_assert_eq!(h.size_class, raw);
-                lk
-            }
-            None => {
-                let r = self.emit_class_sw(size_reg);
-                self.mc.update(requested, alloc_size, raw);
-                r
-            }
-        }
-    }
-
-    /// TCMalloc's sampling countdown, unchanged in the per-CPU build.
-    fn emit_sampling(&mut self, dep: Reg) {
-        if self.limit().sampling {
-            return;
-        }
-        if self.accel().map(|a| a.sampling_opt).unwrap_or(false) {
-            return;
-        }
-        let ctr = pc_layout::SLAB_BASE - 0x40;
-        let c = self.cpu.alloc_reg();
-        self.cpu.push(Uop::load(ctr, c, &[]));
-        let d = self.cpu.alloc_reg();
-        self.cpu.push(Uop::alu(1, Some(d), &[c, dep]));
-        self.cpu.push(Uop::branch(false, &[d]));
-        self.cpu.push(Uop::store(ctr, &[d]));
-    }
-
-    /// The rseq pop: cpu-id read, slab-header load, slot load (address
-    /// computed from the header — but served from the same cache line
-    /// region, not chased through the block), header store.
-    fn emit_pop_sw(&mut self, cpu_id: usize, raw: u16, depth: u64, dep: Reg) -> Reg {
-        let n = usize::from(raw as u8);
-        let ncls = self.alloc.classes().num_classes();
-        let header = pc_layout::slab_header(cpu_id, n as u8, ncls);
-        let id = self.cpu.alloc_reg();
-        self.cpu.push(Uop::alu(1, Some(id), &[dep]));
-        let hdr = self.cpu.alloc_reg();
-        self.cpu.push(Uop::load(header, hdr, &[id]));
-        self.cpu.push(Uop::branch(false, &[hdr]));
-        let ptr = self.cpu.alloc_reg();
-        let slot = pc_layout::slab_slot(cpu_id, n as u8, ncls, depth.saturating_sub(1) as usize);
-        self.cpu.push(Uop::load(slot, ptr, &[hdr]));
-        self.cpu.push(Uop::store(header, &[hdr]));
-        ptr
-    }
-
-    fn emit_push_sw(&mut self, cpu_id: usize, raw: u16, depth_after: u64, ptr_reg: Reg, dep: Reg) {
-        let ncls = self.alloc.classes().num_classes();
-        let header = pc_layout::slab_header(cpu_id, raw as u8, ncls);
-        let id = self.cpu.alloc_reg();
-        self.cpu.push(Uop::alu(1, Some(id), &[dep]));
-        let hdr = self.cpu.alloc_reg();
-        self.cpu.push(Uop::load(header, hdr, &[id]));
-        self.cpu.push(Uop::branch(false, &[hdr]));
-        let slot = pc_layout::slab_slot(
-            cpu_id,
-            raw as u8,
-            ncls,
-            depth_after.saturating_sub(1) as usize,
-        );
-        self.cpu.push(Uop::store(slot, &[ptr_reg, hdr]));
-        self.cpu.push(Uop::store(header, &[hdr]));
-    }
-
-    fn emit_refill(&mut self, cpu_id: usize, raw: u16, from_central: u64, carved: u64, grew: bool) {
-        let ncls = self.alloc.classes().num_classes();
-        // Central-list lock.
-        let lock = self.cpu.alloc_reg();
-        let t = self.cpu.push(Uop::alu(30, Some(lock), &[]));
-        let _ = t;
-        if grew {
-            let d = self.cpu.alloc_reg();
-            self.cpu.push(Uop::alu(8000, Some(d), &[]));
-        }
-        let mut dep = lock;
-        for i in 0..from_central {
-            let d = self.cpu.alloc_reg();
-            self.cpu
-                .push(Uop::load(pc_layout::CENTRAL_BASE + i * 8, d, &[dep]));
-            self.cpu.push(Uop::store(
-                pc_layout::slab_slot(cpu_id, raw as u8, ncls, i as usize),
-                &[d],
-            ));
-            dep = d;
-        }
-        for i in 0..carved {
-            let d = self.cpu.alloc_reg();
-            self.cpu.push(Uop::alu(1, Some(d), &[dep]));
-            self.cpu.push(Uop::store(
-                pc_layout::slab_slot(cpu_id, raw as u8, ncls, (from_central + i) as usize),
-                &[d],
-            ));
-            dep = d;
-        }
-        self.cpu.push(Uop::store(
-            pc_layout::slab_header(cpu_id, raw as u8, ncls),
-            &[dep],
-        ));
-    }
-
-    fn emit_large(&mut self, pages: u64, grew: bool) {
-        let lock = self.cpu.alloc_reg();
-        self.cpu.push(Uop::alu(30, Some(lock), &[]));
-        if grew {
-            let d = self.cpu.alloc_reg();
-            self.cpu.push(Uop::alu(8000, Some(d), &[]));
-        }
-        let mut dep = lock;
-        for p in (0..pages).step_by(16) {
-            let d = self.cpu.alloc_reg();
-            self.cpu.push(Uop::alu(1, Some(d), &[dep]));
-            self.cpu
-                .push(Uop::store(pc_layout::PAGEMAP_BASE + p * 16, &[d]));
-            dep = d;
-        }
-    }
-
-    fn emit_malloc(&mut self, outcome: &PcMallocOutcome) -> PcCallKind {
-        self.emit_overhead(4);
-        let size_reg = self.cpu.alloc_reg();
-        self.cpu.push(Uop::alu(1, Some(size_reg), &[]));
-        match &outcome.path {
-            PcMallocPath::Large { pages, grew } => {
-                self.emit_large(*pages, *grew);
-                self.emit_overhead(6);
-                PcCallKind::MallocLarge
-            }
+            PcMallocPath::Large { pages, grew } => emit_large(&mut m.cpu, *pages, *grew),
             PcMallocPath::SlabHit { depth } => {
-                let raw = u16::from(outcome.class.expect("small path").as_u8());
+                let raw = raw_class(outcome.class).expect("small path");
+                let slab = self.slab(outcome.cpu, raw);
                 let cls_reg =
-                    self.emit_size_class(size_reg, outcome.requested, outcome.alloc_size, raw);
-                self.emit_sampling(cls_reg);
-                if self.limit().push_pop {
-                    self.emit_overhead(1);
-                } else if self.accel().map(|a| a.list_opt).unwrap_or(false) {
-                    let blocked_until = self.mc.block_delay(raw, 0);
-                    let pop_raw = self.cpu.alloc_reg();
-                    let t = self.cpu.push(Uop::alu(1, Some(pop_raw), &[cls_reg]));
-                    let result = self.mc.pop(raw, t.ready);
-                    let pop = if blocked_until > t.ready {
-                        let stalled = self.cpu.alloc_reg();
-                        let wait = (blocked_until - t.ready) as u32;
-                        self.cpu
-                            .push(Uop::alu(wait.max(1), Some(stalled), &[pop_raw]));
-                        stalled
-                    } else {
-                        pop_raw
-                    };
-                    self.cpu.push(Uop::branch(false, &[pop]));
+                    emit_size_class(m, size_reg, outcome.requested, outcome.alloc_size, raw);
+                m.emit_sampling(SAMPLE_COUNTER, cls_reg, false);
+                if m.limit().push_pop {
+                    prog::emit_overhead(&mut m.cpu, 1);
+                } else if m.accel().is_some_and(|a| a.list_opt) {
+                    let (pop, result) = m.mchdpop(raw, cls_reg, None);
                     match result {
                         PopResult::Hit { head, next } => {
                             debug_assert_eq!(head, outcome.ptr, "per-cpu cache pop mismatch");
-                            debug_assert_eq!(Some(next), outcome.post_head);
-                            let ncls = self.alloc.classes().num_classes();
-                            self.cpu.push(Uop::store(
-                                pc_layout::slab_header(outcome.cpu, raw as u8, ncls),
-                                &[pop],
-                            ));
+                            debug_assert_eq!(Some(next), post.head);
+                            m.cpu.push(Uop::store(slab.header(), &[pop]));
                         }
                         PopResult::Miss => {
-                            self.emit_pop_sw(outcome.cpu, raw, *depth, cls_reg);
+                            emit_pop_sw(&mut m.cpu, slab, *depth, cls_reg);
                         }
                     }
-                    if self.accel().map(|a| a.prefetch).unwrap_or(false) {
+                    if m.accel().is_some_and(|a| a.prefetch) {
                         // The array is contiguous: reconstruct the cached
                         // pair with one cheap slot load + two pushes.
-                        if let Some(new_top) = outcome.post_head {
-                            let below = self.cpu.alloc_reg();
-                            let ncls = self.alloc.classes().num_classes();
-                            let slot = pc_layout::slab_slot(
-                                outcome.cpu,
-                                raw as u8,
-                                ncls,
-                                depth.saturating_sub(2) as usize,
-                            );
-                            self.cpu.push(Uop::load(slot, below, &[pop]));
-                            let p1 = self.cpu.alloc_reg();
-                            self.cpu.push(Uop::alu(1, Some(p1), &[below]));
-                            let p2 = self.cpu.alloc_reg();
-                            self.cpu.push(Uop::alu(1, Some(p2), &[p1]));
-                            self.mc.sync_list(raw, Some(new_top), outcome.post_next);
+                        if let Some(new_top) = post.head {
+                            let below = slab.slot(depth.saturating_sub(2));
+                            m.repush_pair(raw, Some(below), pop, new_top, post.next);
                         }
                     }
                 } else {
-                    self.emit_pop_sw(outcome.cpu, raw, *depth, cls_reg);
+                    emit_pop_sw(&mut m.cpu, slab, *depth, cls_reg);
                 }
-                self.emit_overhead(4);
-                PcCallKind::MallocFast
             }
             PcMallocPath::SlabRefill {
                 from_central,
                 carved,
                 grew,
             } => {
-                let raw = u16::from(outcome.class.expect("small path").as_u8());
+                let raw = raw_class(outcome.class).expect("small path");
+                let slab = self.slab(outcome.cpu, raw);
                 let cls_reg =
-                    self.emit_size_class(size_reg, outcome.requested, outcome.alloc_size, raw);
-                self.emit_sampling(cls_reg);
-                self.cpu.push(Uop::branch(true, &[cls_reg]));
-                self.emit_refill(outcome.cpu, raw, *from_central, *carved, *grew);
-                let depth = from_central + carved;
-                self.emit_pop_sw(outcome.cpu, raw, depth, cls_reg);
-                if self.accel().map(|a| a.needs_cache()).unwrap_or(false) {
-                    self.mc.sync_list(raw, outcome.post_head, outcome.post_next);
-                }
-                self.emit_overhead(4);
-                PcCallKind::MallocRefill
+                    emit_size_class(m, size_reg, outcome.requested, outcome.alloc_size, raw);
+                m.emit_sampling(SAMPLE_COUNTER, cls_reg, false);
+                m.cpu.push(Uop::branch(true, &[cls_reg]));
+                emit_refill(&mut m.cpu, slab, *from_central, *carved, *grew);
+                emit_pop_sw(&mut m.cpu, slab, from_central + carved, cls_reg);
+                m.resync(raw, post);
             }
         }
+        let large = matches!(outcome.path, PcMallocPath::Large { .. });
+        prog::emit_overhead(&mut m.cpu, if large { 6 } else { 4 });
     }
 
-    fn emit_free(&mut self, outcome: &PcFreeOutcome) -> PcCallKind {
-        self.emit_overhead(3);
-        let ptr_reg = self.cpu.alloc_reg();
-        self.cpu.push(Uop::alu(1, Some(ptr_reg), &[]));
+    fn emit_free(&mut self, m: &mut Machine, outcome: &PcFreeOutcome, post: PostList) {
+        let ptr_reg = prog::emit_prologue(&mut m.cpu, 3);
         match &outcome.path {
-            PcFreePath::Large { pages } => {
-                self.emit_large(*pages, false);
-                self.emit_overhead(5);
-                PcCallKind::FreeLarge
-            }
+            PcFreePath::Large { pages } => emit_large(&mut m.cpu, *pages, false),
             PcFreePath::SlabPush { depth } => {
-                let raw = u16::from(outcome.class.expect("small path").as_u8());
-                let cls_reg = self.emit_free_class(ptr_reg, outcome, raw);
-                if !self.limit().push_pop {
-                    if self.accel().map(|a| a.list_opt).unwrap_or(false) {
-                        let d = self.cpu.alloc_reg();
-                        let t = self.cpu.push(Uop::alu(1, Some(d), &[cls_reg]));
-                        self.mc.push(raw, outcome.ptr, t.ready);
+                let raw = raw_class(outcome.class).expect("small path");
+                let cls_reg = emit_free_class(m, ptr_reg, outcome, raw);
+                if !m.limit().push_pop {
+                    if m.accel().is_some_and(|a| a.list_opt) {
+                        m.mchdpush(raw, outcome.ptr, cls_reg);
                     }
-                    self.emit_push_sw(outcome.cpu, raw, *depth, ptr_reg, cls_reg);
+                    let slab = self.slab(outcome.cpu, raw);
+                    emit_push_sw(&mut m.cpu, slab, *depth, ptr_reg, cls_reg);
                 }
-                self.emit_overhead(3);
-                PcCallKind::FreeFast
             }
             PcFreePath::SlabDrain { moved } => {
-                let raw = u16::from(outcome.class.expect("small path").as_u8());
-                let cls_reg = self.emit_free_class(ptr_reg, outcome, raw);
-                self.cpu.push(Uop::branch(true, &[cls_reg]));
+                let raw = raw_class(outcome.class).expect("small path");
+                let cls_reg = emit_free_class(m, ptr_reg, outcome, raw);
+                m.cpu.push(Uop::branch(true, &[cls_reg]));
                 // Drain: central lock, then stream the bottom half out.
-                let lock = self.cpu.alloc_reg();
-                self.cpu.push(Uop::alu(30, Some(lock), &[cls_reg]));
+                let lock = m.cpu.alloc_reg();
+                m.cpu.push(Uop::alu(30, Some(lock), &[cls_reg]));
                 let mut dep = lock;
                 for i in 0..*moved {
-                    let d = self.cpu.alloc_reg();
-                    self.cpu.push(Uop::alu(1, Some(d), &[dep]));
-                    self.cpu
+                    let d = m.cpu.alloc_reg();
+                    m.cpu.push(Uop::alu(1, Some(d), &[dep]));
+                    m.cpu
                         .push(Uop::store(pc_layout::CENTRAL_BASE + i * 8, &[d]));
                     dep = d;
                 }
-                self.emit_push_sw(
-                    outcome.cpu,
-                    raw,
-                    1 + pc_layout::SLAB_CAP as u64 / 2,
-                    ptr_reg,
-                    dep,
-                );
-                if self.accel().map(|a| a.needs_cache()).unwrap_or(false) {
-                    // Half the array left with the drain; resync the pair.
-                    let (top, below) = self.alloc.slab_top2(outcome.class.expect("small path"));
-                    self.mc.sync_list(raw, top, below);
-                }
-                self.emit_overhead(3);
-                PcCallKind::FreeDrain
+                let depth = 1 + pc_layout::SLAB_CAP as u64 / 2;
+                emit_push_sw(&mut m.cpu, self.slab(outcome.cpu, raw), depth, ptr_reg, dep);
+                // Half the array left with the drain; resync the pair.
+                m.resync(raw, post);
             }
         }
-    }
-
-    /// The free-side class discovery: sized deletes use the table, unsized
-    /// ones walk the pagemap (two dependent loads).
-    fn emit_free_class(&mut self, ptr_reg: Reg, outcome: &PcFreeOutcome, raw: u16) -> Reg {
-        if let Some([p0, p1]) = outcome.pagemap {
-            let a = self.cpu.alloc_reg();
-            self.cpu.push(Uop::load(p0, a, &[ptr_reg]));
-            let b = self.cpu.alloc_reg();
-            self.cpu.push(Uop::load(p1, b, &[a]));
-            b
-        } else if self.limit().size_class {
-            ptr_reg
-        } else if self.accel().map(|a| a.size_class_opt).unwrap_or(false) {
-            let now = self.cpu.now();
-            let hit = self.mc.lookup(outcome.alloc_size, now);
-            let lk = self.cpu.alloc_reg();
-            self.cpu.push(Uop::alu(
-                self.mc.config().lookup_latency(),
-                Some(lk),
-                &[ptr_reg],
-            ));
-            self.cpu.push(Uop::branch(false, &[lk]));
-            match hit {
-                Some(h) => {
-                    debug_assert_eq!(h.size_class, raw);
-                    lk
-                }
-                None => {
-                    let r = self.emit_class_sw(ptr_reg);
-                    self.mc.update(outcome.alloc_size, outcome.alloc_size, raw);
-                    r
-                }
-            }
-        } else {
-            self.emit_class_sw(ptr_reg)
-        }
+        let large = matches!(outcome.path, PcFreePath::Large { .. });
+        prog::emit_overhead(&mut m.cpu, if large { 5 } else { 3 });
     }
 }
 
-impl mallacc_workloads::SimBackend for PcSim {
-    fn backend_malloc(&mut self, size: u64) -> (u64, u64) {
-        let r = self.malloc(size);
-        (r.ptr, r.cycles)
+/// The malloc-side size-class component under the machine's mode.
+fn emit_size_class(m: &mut Machine, dep: Reg, key: u64, alloc_size: u64, raw: u16) -> Reg {
+    m.emit_size_class(key, alloc_size, raw, dep, None, emit_class_sw)
+}
+
+/// The free-side class discovery: sized deletes use the table, unsized
+/// ones walk the pagemap (two dependent loads).
+fn emit_free_class(m: &mut Machine, ptr_reg: Reg, outcome: &PcFreeOutcome, raw: u16) -> Reg {
+    match outcome.pagemap {
+        Some(nodes) => prog::emit_pagemap_walk(&mut m.cpu, nodes, ptr_reg),
+        None => emit_size_class(m, ptr_reg, outcome.alloc_size, outcome.alloc_size, raw),
     }
-    fn backend_free(&mut self, ptr: u64, sized: bool) -> u64 {
-        self.free(ptr, sized).cycles
+}
+
+/// TCMalloc's two dependent table loads (Figure 5's class-index array
+/// then the class array).
+fn emit_class_sw(cpu: &mut Engine, size_reg: Reg) -> Reg {
+    let idx = cpu.alloc_reg();
+    cpu.push(Uop::alu(1, Some(idx), &[size_reg]));
+    let a = cpu.alloc_reg();
+    cpu.push(Uop::load(pc_layout::STATIC_BASE, a, &[idx]));
+    let b = cpu.alloc_reg();
+    cpu.push(Uop::load(pc_layout::STATIC_BASE + 0x1000, b, &[a]));
+    cpu.push(Uop::branch(false, &[b]));
+    b
+}
+
+/// The rseq pop from a slab `depth` deep: cpu-id read, slab-header load,
+/// slot load (address computed from the header — but served from the same
+/// cache line region, not chased through the block), header store.
+fn emit_pop_sw(cpu: &mut Engine, slab: Slab, depth: u64, dep: Reg) -> Reg {
+    let id = cpu.alloc_reg();
+    cpu.push(Uop::alu(1, Some(id), &[dep]));
+    let hdr = cpu.alloc_reg();
+    cpu.push(Uop::load(slab.header(), hdr, &[id]));
+    cpu.push(Uop::branch(false, &[hdr]));
+    let ptr = cpu.alloc_reg();
+    cpu.push(Uop::load(slab.slot(depth.saturating_sub(1)), ptr, &[hdr]));
+    cpu.push(Uop::store(slab.header(), &[hdr]));
+    ptr
+}
+
+/// The rseq push of `ptr_reg` onto a slab left `depth_after` deep.
+fn emit_push_sw(cpu: &mut Engine, slab: Slab, depth_after: u64, ptr_reg: Reg, dep: Reg) {
+    let id = cpu.alloc_reg();
+    cpu.push(Uop::alu(1, Some(id), &[dep]));
+    let hdr = cpu.alloc_reg();
+    cpu.push(Uop::load(slab.header(), hdr, &[id]));
+    cpu.push(Uop::branch(false, &[hdr]));
+    let slot = slab.slot(depth_after.saturating_sub(1));
+    cpu.push(Uop::store(slot, &[ptr_reg, hdr]));
+    cpu.push(Uop::store(slab.header(), &[hdr]));
+}
+
+/// Slab refill: central-list lock, OS growth, the central fetch and the
+/// carve, streamed into the slab, then the header store.
+fn emit_refill(cpu: &mut Engine, slab: Slab, from_central: u64, carved: u64, grew: bool) {
+    let lock = cpu.alloc_reg();
+    cpu.push(Uop::alu(30, Some(lock), &[]));
+    prog::emit_os_growth(cpu, grew);
+    let mut dep = lock;
+    for i in 0..from_central {
+        let d = cpu.alloc_reg();
+        cpu.push(Uop::load(pc_layout::CENTRAL_BASE + i * 8, d, &[dep]));
+        cpu.push(Uop::store(slab.slot(i), &[d]));
+        dep = d;
     }
-    fn backend_antagonize(&mut self, fraction: f64) {
-        self.antagonize(fraction);
+    for i in 0..carved {
+        let d = cpu.alloc_reg();
+        cpu.push(Uop::alu(1, Some(d), &[dep]));
+        cpu.push(Uop::store(slab.slot(from_central + i), &[d]));
+        dep = d;
     }
-    fn backend_context_switch(&mut self, quantum: u64) {
-        self.context_switch(quantum);
-    }
-    fn backend_app_run(&mut self, cycles: u64) {
-        self.app_run(cycles);
-    }
-    fn backend_app_touch(&mut self, addrs: &[Addr]) {
-        self.app_touch(addrs);
+    cpu.push(Uop::store(slab.header(), &[dep]));
+}
+
+fn emit_large(cpu: &mut Engine, pages: u64, grew: bool) {
+    let lock = cpu.alloc_reg();
+    cpu.push(Uop::alu(30, Some(lock), &[]));
+    prog::emit_os_growth(cpu, grew);
+    let mut dep = lock;
+    for p in (0..pages).step_by(16) {
+        let d = cpu.alloc_reg();
+        cpu.push(Uop::alu(1, Some(d), &[dep]));
+        cpu.push(Uop::store(pc_layout::PAGEMAP_BASE + p * 16, &[d]));
+        dep = d;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mallacc::Mode;
 
     fn warm_rotating(sim: &mut PcSim, n: usize) {
         for i in 0..n {
@@ -775,14 +470,6 @@ mod tests {
         // The other CPU's slab is cold: first malloc refills.
         let r = sim.malloc(64);
         assert_eq!(r.kind, PcCallKind::MallocRefill);
-    }
-
-    #[test]
-    fn offload_mode_runs_and_reports_stats() {
-        let mut sim = PcSim::new(Mode::offload_default());
-        warm_rotating(&mut sim, 200);
-        let stats = sim.offload_stats().expect("offload mode");
-        assert!(stats.enqueued >= 400, "enqueued {}", stats.enqueued);
     }
 
     #[test]

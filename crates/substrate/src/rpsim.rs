@@ -1,5 +1,5 @@
-//! The rpmalloc timing driver: Mallacc and SpeedMalloc-style offload
-//! over a lock-free fast path.
+//! The rpmalloc substrate: Mallacc and SpeedMalloc-style offload over a
+//! lock-free fast path.
 //!
 //! This is the substrate the paper could not evaluate: rpmalloc's fast
 //! path has no size-class table loads (pure arithmetic), no pagemap walk
@@ -9,16 +9,18 @@
 //! `mchdpop` caches — so the malloc cache still has a target, just a
 //! smaller share of the call.
 //!
-//! Mode integration mirrors [`mallacc_jemalloc::JeSim`]: requested-size
-//! keying (no Figure 5 index hardware here), cache pushes only for frees
-//! landing on the *active* span (the only list the next pop consults),
-//! `sync_list` resyncs on span installs and deferred adoptions. Offload
-//! mode reuses the SpeedMalloc queue/cost model verbatim.
+//! The integration mirrors jemalloc's ([`mallacc_jemalloc::JeSubstrate`]):
+//! requested-size keying (no Figure 5 index hardware here), cache pushes
+//! only for frees landing on the *active* span (the only list the next pop
+//! consults), `sync_list` resyncs on span installs and deferred adoptions.
+//! Foreign frees take thread 1's deferred-list path.
 
-use mallacc::{MallocCache, MallocCacheConfig, Mode, PopResult, RangeKeying};
-use mallacc_cache::{Addr, Hierarchy};
-use mallacc_offload::{service_cycles, OffloadConfig, OffloadQueue, OffloadStats, ServicePath};
-use mallacc_ooo::{CoreConfig, Engine, Reg, Uop};
+use mallacc::{
+    programs as prog, CallLabel, CallRecord, Driver, Machine, PopResult, PostList, Substrate,
+};
+use mallacc_cache::Addr;
+use mallacc_offload::ServicePath;
+use mallacc_ooo::{Engine, Reg, Uop};
 
 use crate::rpmalloc::{
     rp_layout, RpFreeOutcome, RpFreePath, RpMalloc, RpMallocOutcome, RpMallocPath,
@@ -43,34 +45,17 @@ pub enum RpCallKind {
     FreeLarge,
 }
 
-/// One simulated call.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RpCallRecord {
-    /// Retirement-attributed cycles.
-    pub cycles: u64,
-    /// Path classification.
-    pub kind: RpCallKind,
-    /// The pointer allocated or freed.
-    pub ptr: Addr,
-}
-
-/// Cycle totals.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct RpTotals {
-    /// malloc calls.
-    pub malloc_calls: u64,
-    /// Cycles in malloc.
-    pub malloc_cycles: u64,
-    /// free calls.
-    pub free_calls: u64,
-    /// Cycles in free.
-    pub free_cycles: u64,
-}
-
-impl RpTotals {
-    /// malloc + free cycles.
-    pub fn allocator_cycles(&self) -> u64 {
-        self.malloc_cycles + self.free_cycles
+impl CallLabel for RpCallKind {
+    fn label(self) -> &'static str {
+        match self {
+            RpCallKind::MallocFast => "malloc_fast",
+            RpCallKind::MallocAdopt => "malloc_adopt",
+            RpCallKind::MallocSpan => "malloc_span",
+            RpCallKind::MallocLarge => "malloc_large",
+            RpCallKind::FreeFast => "free_fast",
+            RpCallKind::FreeDeferred => "free_deferred",
+            RpCallKind::FreeLarge => "free_large",
+        }
     }
 }
 
@@ -88,622 +73,320 @@ impl RpTotals {
 /// let hit = sim.malloc(64);
 /// assert_eq!(hit.kind, RpCallKind::MallocFast);
 /// ```
+pub type RpSim = Driver<RpSubstrate>;
+
+/// The rpmalloc model as a [`Substrate`].
 #[derive(Debug)]
-pub struct RpSim {
-    mode: Mode,
+pub struct RpSubstrate {
     alloc: RpMalloc,
-    cpu: Engine,
-    mc: MallocCache,
-    offload: Option<OffloadQueue>,
-    totals: RpTotals,
 }
 
-impl RpSim {
-    /// Creates a simulator. In [`Mode::Mallacc`] the malloc cache runs in
-    /// generic requested-size keying — rpmalloc's class function is plain
-    /// arithmetic, not TCMalloc's index table.
-    pub fn new(mode: Mode) -> Self {
-        let mc_cfg = match mode {
-            Mode::Mallacc(a) => MallocCacheConfig {
-                keying: RangeKeying::RequestedSize,
-                ..a.cache
-            },
-            _ => MallocCacheConfig {
-                keying: RangeKeying::RequestedSize,
-                ..MallocCacheConfig::paper_default()
-            },
-        };
-        let offload = match mode {
-            Mode::Offload(cfg) => Some(OffloadQueue::new(cfg)),
-            _ => None,
-        };
+impl Default for RpSubstrate {
+    fn default() -> Self {
+        // Thread 0 runs the app; thread 1 stands in for every foreign
+        // thread whose frees land on the deferred lists.
         Self {
-            mode,
-            // Thread 0 runs the app; thread 1 stands in for every foreign
-            // thread whose frees land on the deferred lists.
             alloc: RpMalloc::new(2),
-            cpu: Engine::new(CoreConfig::haswell(), Hierarchy::default()),
-            mc: MallocCache::new(mc_cfg),
-            offload,
-            totals: RpTotals::default(),
         }
     }
+}
 
-    /// Switches the timing engine between detailed and sampled execution.
-    pub fn set_sampling(&mut self, plan: Option<mallacc_ooo::SamplingPlan>) {
-        self.cpu.set_sampling(plan);
-    }
+/// Span pages as the helper core's cost model counts them.
+const SPAN_PAGES: u64 = rp_layout::SPAN_SIZE / 8192;
 
-    /// The functional allocator.
-    pub fn allocator(&self) -> &RpMalloc {
+impl Substrate for RpSubstrate {
+    type Alloc = RpMalloc;
+    type Kind = RpCallKind;
+    type MallocOutcome = RpMallocOutcome;
+    type FreeOutcome = RpFreeOutcome;
+
+    fn allocator(&self) -> &RpMalloc {
         &self.alloc
     }
 
-    /// The out-of-order engine (CPI stacks, execution statistics,
-    /// sampling reports).
-    pub fn engine(&self) -> &Engine {
-        &self.cpu
-    }
-
-    /// The malloc cache.
-    pub fn malloc_cache(&self) -> &MallocCache {
-        &self.mc
-    }
-
-    /// Offload-queue statistics, when running in offload mode.
-    pub fn offload_stats(&self) -> Option<OffloadStats> {
-        self.offload.as_ref().map(OffloadQueue::stats)
-    }
-
-    /// Accumulated totals.
-    pub fn totals(&self) -> RpTotals {
-        self.totals
-    }
-
-    /// Resets totals (post-warm-up).
-    pub fn reset_totals(&mut self) {
-        self.totals = RpTotals::default();
-    }
-
-    /// The paper's antagonist hook.
-    pub fn antagonize(&mut self, fraction: f64) {
-        self.cpu.mem_mut().evict_antagonist(fraction);
-    }
-
-    /// Models a context switch: flush the malloc cache, evict half of
-    /// L1/L2, and let another thread run for `quantum_cycles`.
-    pub fn context_switch(&mut self, quantum_cycles: u64) {
-        self.mc.flush();
-        self.cpu.mem_mut().evict_antagonist(0.5);
-        let now = self.cpu.now();
-        self.cpu.skip_to_cycle(now + quantum_cycles);
-    }
-
-    /// Application compute between allocator calls.
-    pub fn app_run(&mut self, cycles: u64) {
-        let now = self.cpu.now();
-        self.cpu.skip_to_cycle(now + cycles);
-    }
-
-    /// Application memory traffic: one load per address.
-    pub fn app_touch(&mut self, addrs: &[Addr]) {
-        for &a in addrs {
-            let d = self.cpu.alloc_reg();
-            self.cpu.push(Uop::load(a, d, &[]));
-        }
-    }
-
-    fn accel(&self) -> Option<mallacc::AccelConfig> {
-        match self.mode {
-            Mode::Mallacc(a) => Some(a),
-            _ => None,
-        }
-    }
-
-    fn limit(&self) -> mallacc::LimitRemove {
-        match self.mode {
-            Mode::Limit(l) => l,
-            _ => Default::default(),
-        }
-    }
-
-    /// Simulates one malloc.
-    pub fn malloc(&mut self, size: u64) -> RpCallRecord {
+    fn malloc(&mut self, size: u64) -> (RpMallocOutcome, PostList) {
         let outcome = self.alloc.malloc_on(0, size);
-        let start = self.cpu.now();
-        self.cpu.push(Uop::jump(&[]));
-        let kind = if let Mode::Offload(cfg) = self.mode {
-            self.emit_offload_malloc(&outcome, cfg)
-        } else {
-            self.emit_malloc(&outcome)
+        let post = PostList {
+            head: outcome.post_head,
+            next: outcome.post_next,
         };
-        self.cpu.push(Uop::jump(&[]));
-        let cycles = self.cpu.now().saturating_sub(start);
-        self.totals.malloc_calls += 1;
-        self.totals.malloc_cycles += cycles;
-        RpCallRecord {
-            cycles,
-            kind,
-            ptr: outcome.ptr,
-        }
+        (outcome, post)
     }
 
-    /// Simulates one free issued by the owning thread.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an invalid or double free.
-    pub fn free(&mut self, ptr: Addr, sized: bool) -> RpCallRecord {
-        let outcome = self.alloc.free_on(0, ptr, sized);
-        self.time_free(outcome, sized)
+    fn free(&mut self, ptr: Addr, sized: bool) -> (RpFreeOutcome, PostList) {
+        (self.alloc.free_on(0, ptr, sized), PostList::default())
     }
 
-    /// Simulates one cross-thread free: a foreign thread pushing the
-    /// block onto its span's deferred list.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an invalid or double free.
-    pub fn free_remote(&mut self, ptr: Addr, sized: bool) -> RpCallRecord {
-        let outcome = self.alloc.free_on(1, ptr, sized);
-        self.time_free(outcome, sized)
+    /// A foreign thread pushing the block onto its span's deferred list.
+    fn free_foreign(&mut self, ptr: Addr, sized: bool) -> (RpFreeOutcome, PostList) {
+        (self.alloc.free_on(1, ptr, sized), PostList::default())
     }
 
-    fn time_free(&mut self, outcome: RpFreeOutcome, _sized: bool) -> RpCallRecord {
-        let start = self.cpu.now();
-        self.cpu.push(Uop::jump(&[]));
-        let kind = if let Mode::Offload(cfg) = self.mode {
-            self.emit_offload_free(&outcome, cfg)
-        } else {
-            self.emit_free(&outcome)
+    fn malloc_record(outcome: &RpMallocOutcome) -> CallRecord<RpCallKind> {
+        let kind = match &outcome.path {
+            RpMallocPath::LocalHit { .. } | RpMallocPath::Carve { .. } => RpCallKind::MallocFast,
+            RpMallocPath::DeferredAdopt { .. } => RpCallKind::MallocAdopt,
+            RpMallocPath::NewSpan { .. } => RpCallKind::MallocSpan,
+            RpMallocPath::Large { .. } => RpCallKind::MallocLarge,
         };
-        self.cpu.push(Uop::jump(&[]));
-        let cycles = self.cpu.now().saturating_sub(start);
-        self.totals.free_calls += 1;
-        self.totals.free_cycles += cycles;
-        RpCallRecord {
-            cycles,
-            kind,
-            ptr: outcome.ptr,
-        }
+        CallRecord::untimed(kind, outcome.ptr, outcome.requested, outcome.class)
     }
 
-    // ---- offload ----------------------------------------------------------
+    fn free_record(outcome: &RpFreeOutcome) -> CallRecord<RpCallKind> {
+        let kind = match &outcome.path {
+            RpFreePath::Local { .. } => RpCallKind::FreeFast,
+            RpFreePath::Deferred { .. } => RpCallKind::FreeDeferred,
+            RpFreePath::Large { .. } => RpCallKind::FreeLarge,
+        };
+        CallRecord::untimed(kind, outcome.ptr, outcome.alloc_size, outcome.class)
+    }
 
-    fn malloc_service_path(outcome: &RpMallocOutcome) -> ServicePath {
+    fn malloc_service(outcome: &RpMallocOutcome) -> ServicePath {
         match &outcome.path {
             RpMallocPath::LocalHit { .. } | RpMallocPath::Carve { .. } => ServicePath::MallocFast,
             RpMallocPath::DeferredAdopt { adopted } => ServicePath::MallocCentral {
                 batch: (*adopted).max(1),
             },
-            RpMallocPath::NewSpan { grew, .. } => {
-                let pages = rp_layout::SPAN_SIZE / 8192;
-                if *grew {
-                    ServicePath::MallocOs {
-                        batch: 1,
-                        objects: 1,
-                        pages,
-                    }
-                } else {
-                    ServicePath::MallocSpan {
-                        batch: 1,
-                        objects: 1,
-                        pages,
-                    }
-                }
-            }
+            RpMallocPath::NewSpan { grew: true, .. } => ServicePath::MallocOs {
+                batch: 1,
+                objects: 1,
+                pages: SPAN_PAGES,
+            },
+            RpMallocPath::NewSpan { grew: false, .. } => ServicePath::MallocSpan {
+                batch: 1,
+                objects: 1,
+                pages: SPAN_PAGES,
+            },
             RpMallocPath::Large { spans, grew } => ServicePath::MallocLarge {
-                pages: spans * (rp_layout::SPAN_SIZE / 8192),
+                pages: spans * SPAN_PAGES,
                 grew_heap: *grew,
             },
         }
     }
 
-    fn free_service_path(outcome: &RpFreeOutcome) -> ServicePath {
+    fn free_service(outcome: &RpFreeOutcome) -> ServicePath {
         match &outcome.path {
             // The address mask makes unsized frees cost-identical.
             RpFreePath::Local { .. } | RpFreePath::Deferred { .. } => ServicePath::FreeFast {
                 unsized_walk: false,
             },
             RpFreePath::Large { spans } => ServicePath::FreeLarge {
-                pages: spans * (rp_layout::SPAN_SIZE / 8192),
+                pages: spans * SPAN_PAGES,
             },
         }
     }
 
-    fn emit_offload_request(&mut self, cfg: OffloadConfig, service: u64) -> (u64, u64) {
-        let req = self.cpu.alloc_reg();
-        self.cpu.push(Uop::alu(1, Some(req), &[]));
-        let db = self.cpu.alloc_reg();
-        let t = self
-            .cpu
-            .push(Uop::alu(cfg.enqueue_latency.max(1), Some(db), &[req]));
-        let enq = self
-            .offload
-            .as_mut()
-            .expect("offload mode has a queue")
-            .enqueue(t.complete, service);
-        if enq.stall_cycles > 0 {
-            let stalled = self.cpu.alloc_reg();
-            let wait = u32::try_from(enq.stall_cycles).unwrap_or(u32::MAX);
-            self.cpu.push(Uop::alu(wait.max(1), Some(stalled), &[db]));
-        }
-        (t.complete, enq.response_ready)
-    }
-
-    fn emit_offload_malloc(&mut self, outcome: &RpMallocOutcome, cfg: OffloadConfig) -> RpCallKind {
-        let service = service_cycles(Self::malloc_service_path(outcome), false, &cfg);
-        let (submitted, response_ready) = self.emit_offload_request(cfg, service);
-        let need_at = submitted + u64::from(cfg.speculative_window);
-        let wait = response_ready.saturating_sub(need_at.max(self.cpu.now()));
-        if wait > 0 {
-            let d = self.cpu.alloc_reg();
-            let w = u32::try_from(wait).unwrap_or(u32::MAX);
-            self.cpu.push(Uop::alu(w.max(1), Some(d), &[]));
-        }
-        Self::malloc_kind(outcome)
-    }
-
-    fn emit_offload_free(&mut self, outcome: &RpFreeOutcome, cfg: OffloadConfig) -> RpCallKind {
-        let service = service_cycles(Self::free_service_path(outcome), false, &cfg);
-        self.emit_offload_request(cfg, service);
-        Self::free_kind(outcome)
-    }
-
-    fn malloc_kind(outcome: &RpMallocOutcome) -> RpCallKind {
+    fn emit_malloc(&mut self, m: &mut Machine, outcome: &RpMallocOutcome, post: PostList) {
+        let size_reg = prog::emit_prologue(&mut m.cpu, 4);
         match &outcome.path {
-            RpMallocPath::LocalHit { .. } | RpMallocPath::Carve { .. } => RpCallKind::MallocFast,
-            RpMallocPath::DeferredAdopt { .. } => RpCallKind::MallocAdopt,
-            RpMallocPath::NewSpan { .. } => RpCallKind::MallocSpan,
-            RpMallocPath::Large { .. } => RpCallKind::MallocLarge,
-        }
-    }
-
-    fn free_kind(outcome: &RpFreeOutcome) -> RpCallKind {
-        match &outcome.path {
-            RpFreePath::Local { .. } => RpCallKind::FreeFast,
-            RpFreePath::Deferred { .. } => RpCallKind::FreeDeferred,
-            RpFreePath::Large { .. } => RpCallKind::FreeLarge,
-        }
-    }
-
-    // ---- µop emission -----------------------------------------------------
-
-    fn emit_overhead(&mut self, n: usize) {
-        for _ in 0..n {
-            let d = self.cpu.alloc_reg();
-            self.cpu.push(Uop::alu(1, Some(d), &[]));
-        }
-    }
-
-    /// rpmalloc's size→class: two ALU ops (round, shift) — no table load.
-    fn emit_class_sw(&mut self, size_reg: Reg) -> Reg {
-        let a = self.cpu.alloc_reg();
-        self.cpu.push(Uop::alu(1, Some(a), &[size_reg]));
-        let b = self.cpu.alloc_reg();
-        self.cpu.push(Uop::alu(1, Some(b), &[a]));
-        self.cpu.push(Uop::branch(false, &[b]));
-        b
-    }
-
-    /// The size-class component under the current mode. With no memory
-    /// accesses to hide, `mcszlookup` can at best shave one ALU op here.
-    fn emit_size_class(&mut self, size_reg: Reg, outcome: &RpMallocOutcome) -> Reg {
-        let raw = outcome.class.expect("small path");
-        if self.limit().size_class {
-            return size_reg;
-        }
-        if self.accel().filter(|a| a.size_class_opt).is_none() {
-            return self.emit_class_sw(size_reg);
-        }
-        let now = self.cpu.now();
-        let hit = self.mc.lookup(outcome.requested, now);
-        let lk = self.cpu.alloc_reg();
-        self.cpu.push(Uop::alu(
-            self.mc.config().lookup_latency(),
-            Some(lk),
-            &[size_reg],
-        ));
-        self.cpu.push(Uop::branch(false, &[lk]));
-        match hit {
-            Some(h) => {
-                debug_assert_eq!(h.size_class, raw);
-                lk
-            }
-            None => {
-                let r = self.emit_class_sw(size_reg);
-                self.mc.update(outcome.requested, outcome.alloc_size, raw);
-                r
-            }
-        }
-    }
-
-    /// The software list pop: head load from the span header, then the
-    /// dependent chase through the block for the next pointer — the one
-    /// memory chain rpmalloc's fast path retains. The free list is
-    /// intrusive (threaded through the blocks), so the chase lands on the
-    /// popped block itself, not the hot span header.
-    fn emit_pop_sw(&mut self, span: Addr, block: Addr, heap_reg: Reg) -> Reg {
-        let head = self.cpu.alloc_reg();
-        self.cpu
-            .push(Uop::load(rp_layout::span_header(span), head, &[heap_reg]));
-        self.cpu.push(Uop::branch(false, &[head]));
-        let next = self.cpu.alloc_reg();
-        self.cpu.push(Uop::load(block, next, &[head]));
-        self.cpu
-            .push(Uop::store(rp_layout::span_header(span), &[next]));
-        head
-    }
-
-    /// Resyncs the malloc cache after any operation that replaced the
-    /// active list wholesale (span install, deferred adoption).
-    fn resync(&mut self, outcome: &RpMallocOutcome) {
-        if let Some(raw) = outcome.class {
-            if self.accel().map(|a| a.needs_cache()).unwrap_or(false) {
-                self.mc.sync_list(raw, outcome.post_head, outcome.post_next);
-            }
-        }
-    }
-
-    fn emit_malloc(&mut self, outcome: &RpMallocOutcome) -> RpCallKind {
-        self.emit_overhead(4);
-        let size_reg = self.cpu.alloc_reg();
-        self.cpu.push(Uop::alu(1, Some(size_reg), &[]));
-        match &outcome.path {
-            RpMallocPath::Large { spans, grew } => {
-                self.emit_large(*spans, *grew);
-                self.emit_overhead(5);
-                RpCallKind::MallocLarge
-            }
+            RpMallocPath::Large { spans, grew } => emit_large(&mut m.cpu, *spans, *grew),
             RpMallocPath::LocalHit { .. } => {
                 let raw = outcome.class.expect("small path");
                 let span = outcome.span.expect("small path");
-                let cls_reg = self.emit_size_class(size_reg, outcome);
-                let heap = self.cpu.alloc_reg();
-                self.cpu.push(Uop::load(
-                    rp_layout::heap_class_entry(raw),
-                    heap,
-                    &[cls_reg],
-                ));
-                if self.limit().push_pop {
-                    self.emit_overhead(1);
-                } else if self.accel().map(|a| a.list_opt).unwrap_or(false) {
-                    let blocked_until = self.mc.block_delay(raw, 0);
-                    let pop_raw = self.cpu.alloc_reg();
-                    let t = self.cpu.push(Uop::alu(1, Some(pop_raw), &[heap]));
-                    let result = self.mc.pop(raw, t.ready);
-                    let pop = if blocked_until > t.ready {
-                        let stalled = self.cpu.alloc_reg();
-                        let wait = (blocked_until - t.ready) as u32;
-                        self.cpu
-                            .push(Uop::alu(wait.max(1), Some(stalled), &[pop_raw]));
-                        stalled
-                    } else {
-                        pop_raw
-                    };
-                    self.cpu.push(Uop::branch(false, &[pop]));
+                let cls_reg = emit_size_class(m, size_reg, outcome);
+                let heap = emit_heap_entry(&mut m.cpu, raw, cls_reg);
+                if m.limit().push_pop {
+                    prog::emit_overhead(&mut m.cpu, 1);
+                } else if m.accel().is_some_and(|a| a.list_opt) {
+                    let (pop, result) = m.mchdpop(raw, heap, None);
                     let pop_hit = matches!(result, PopResult::Hit { .. });
                     let head_reg = match result {
                         PopResult::Hit { head, next } => {
                             debug_assert_eq!(head, outcome.ptr, "rpmalloc cache pop mismatch");
-                            debug_assert_eq!(Some(next), outcome.post_head);
-                            self.cpu
-                                .push(Uop::store(rp_layout::span_header(span), &[pop]));
+                            debug_assert_eq!(Some(next), post.head);
+                            m.cpu.push(Uop::store(rp_layout::span_header(span), &[pop]));
                             pop
                         }
-                        PopResult::Miss => self.emit_pop_sw(span, outcome.ptr, heap),
+                        PopResult::Miss => emit_pop_sw(&mut m.cpu, span, outcome.ptr, heap),
                     };
-                    if self.accel().map(|a| a.prefetch).unwrap_or(false) {
-                        if let Some(new_top) = outcome.post_head {
-                            if pop_hit {
-                                // The pop consumed the cached pair; refill
-                                // by chasing one load for the entry under
-                                // the new top, then two register-operand
-                                // mchdpush ops. rpmalloc's fast path is too
-                                // short to hide a blocking mcnxtprefetch
-                                // (the Figure 17 tp effect), so the refill
-                                // stays in the ordinary load pipeline.
-                                let below = self.cpu.alloc_reg();
-                                self.cpu.push(Uop::load(new_top, below, &[head_reg]));
-                                let p1 = self.cpu.alloc_reg();
-                                self.cpu.push(Uop::alu(1, Some(p1), &[below]));
-                                let p2 = self.cpu.alloc_reg();
-                                self.cpu.push(Uop::alu(1, Some(p2), &[p1]));
-                                self.mc.sync_list(raw, Some(new_top), outcome.post_next);
-                            } else {
-                                // The software pop already loaded the next
-                                // pointer; republishing the pair is two
-                                // register-operand mchdpush ops — no extra
-                                // memory traffic.
-                                let p1 = self.cpu.alloc_reg();
-                                self.cpu.push(Uop::alu(1, Some(p1), &[head_reg]));
-                                let p2 = self.cpu.alloc_reg();
-                                self.cpu.push(Uop::alu(1, Some(p2), &[p1]));
-                                self.mc.sync_list(raw, Some(new_top), outcome.post_next);
-                            }
+                    if m.accel().is_some_and(|a| a.prefetch) {
+                        if let Some(new_top) = post.head {
+                            // After a hit the pop consumed the cached pair:
+                            // refill by chasing one load for the entry under
+                            // the new top. After a miss the software pop
+                            // already loaded it. rpmalloc's fast path is too
+                            // short to hide a blocking mcnxtprefetch (the
+                            // Figure 17 tp effect), so the refill stays in
+                            // the ordinary load pipeline.
+                            let reload = pop_hit.then_some(new_top);
+                            m.repush_pair(raw, reload, head_reg, new_top, post.next);
                         }
                     }
                 } else {
-                    self.emit_pop_sw(span, outcome.ptr, heap);
+                    emit_pop_sw(&mut m.cpu, span, outcome.ptr, heap);
                 }
-                self.emit_overhead(4);
-                RpCallKind::MallocFast
             }
             RpMallocPath::Carve { .. } => {
                 let raw = outcome.class.expect("small path");
-                let cls_reg = self.emit_size_class(size_reg, outcome);
-                let heap = self.cpu.alloc_reg();
-                self.cpu.push(Uop::load(
-                    rp_layout::heap_class_entry(raw),
-                    heap,
-                    &[cls_reg],
-                ));
+                let cls_reg = emit_size_class(m, size_reg, outcome);
+                let heap = emit_heap_entry(&mut m.cpu, raw, cls_reg);
                 // Bump carve: offset add, counter increment, header store —
                 // no memory chain at all.
-                let off = self.cpu.alloc_reg();
-                self.cpu.push(Uop::alu(1, Some(off), &[heap]));
-                let ctr = self.cpu.alloc_reg();
-                self.cpu.push(Uop::alu(1, Some(ctr), &[off]));
-                self.cpu.push(Uop::branch(false, &[ctr]));
+                let off = m.cpu.alloc_reg();
+                m.cpu.push(Uop::alu(1, Some(off), &[heap]));
+                let ctr = m.cpu.alloc_reg();
+                m.cpu.push(Uop::alu(1, Some(ctr), &[off]));
+                m.cpu.push(Uop::branch(false, &[ctr]));
                 if let Some(span) = outcome.span {
-                    self.cpu
-                        .push(Uop::store(rp_layout::span_header(span), &[ctr]));
+                    m.cpu.push(Uop::store(rp_layout::span_header(span), &[ctr]));
                 }
-                self.emit_overhead(4);
-                RpCallKind::MallocFast
             }
             RpMallocPath::DeferredAdopt { .. } => {
-                let cls_reg = self.emit_size_class(size_reg, outcome);
+                let cls_reg = emit_size_class(m, size_reg, outcome);
                 let span = outcome.span.expect("small path");
+                let raw = outcome.class.expect("small path");
                 // Atomic exchange of the deferred head (rare branch), then
                 // the adopted list serves like a local one.
-                let heap = self.cpu.alloc_reg();
-                let raw = outcome.class.expect("small path");
-                self.cpu.push(Uop::load(
-                    rp_layout::heap_class_entry(raw),
-                    heap,
-                    &[cls_reg],
-                ));
-                self.cpu.push(Uop::branch(true, &[heap]));
-                let xchg = self.cpu.alloc_reg();
-                self.cpu.push(Uop::alu(8, Some(xchg), &[heap]));
-                self.emit_pop_sw(span, outcome.ptr, xchg);
-                self.resync(outcome);
-                self.emit_overhead(4);
-                RpCallKind::MallocAdopt
+                let heap = emit_heap_entry(&mut m.cpu, raw, cls_reg);
+                m.cpu.push(Uop::branch(true, &[heap]));
+                let xchg = m.cpu.alloc_reg();
+                m.cpu.push(Uop::alu(8, Some(xchg), &[heap]));
+                emit_pop_sw(&mut m.cpu, span, outcome.ptr, xchg);
+                m.resync(raw, post);
             }
             RpMallocPath::NewSpan { reused, grew } => {
-                let cls_reg = self.emit_size_class(size_reg, outcome);
-                self.cpu.push(Uop::branch(true, &[cls_reg]));
-                if *grew {
-                    let d = self.cpu.alloc_reg();
-                    self.cpu.push(Uop::alu(8000, Some(d), &[]));
-                }
+                let cls_reg = emit_size_class(m, size_reg, outcome);
+                m.cpu.push(Uop::branch(true, &[cls_reg]));
+                prog::emit_os_growth(&mut m.cpu, *grew);
                 // Span install: unlink from the partial/reserve list, write
                 // the header, point the heap's class entry at it.
                 let mut dep = cls_reg;
                 let loads = if *reused { 2 } else { 1 };
                 for _ in 0..loads {
-                    let d = self.cpu.alloc_reg();
-                    self.cpu.push(Uop::load(rp_layout::STATIC_BASE, d, &[dep]));
+                    let d = m.cpu.alloc_reg();
+                    m.cpu.push(Uop::load(rp_layout::STATIC_BASE, d, &[dep]));
                     dep = d;
                 }
                 for _ in 0..8 {
-                    let d = self.cpu.alloc_reg();
-                    self.cpu.push(Uop::alu(1, Some(d), &[dep]));
+                    let d = m.cpu.alloc_reg();
+                    m.cpu.push(Uop::alu(1, Some(d), &[dep]));
                     dep = d;
                 }
                 if let Some(span) = outcome.span {
-                    self.cpu
-                        .push(Uop::store(rp_layout::span_header(span), &[dep]));
+                    m.cpu.push(Uop::store(rp_layout::span_header(span), &[dep]));
                 }
                 if let Some(raw) = outcome.class {
-                    self.cpu
+                    m.cpu
                         .push(Uop::store(rp_layout::heap_class_entry(raw), &[dep]));
+                    m.resync(raw, post);
                 }
-                self.resync(outcome);
-                self.emit_overhead(4);
-                RpCallKind::MallocSpan
             }
         }
+        let large = matches!(outcome.path, RpMallocPath::Large { .. });
+        prog::emit_overhead(&mut m.cpu, if large { 5 } else { 4 });
     }
 
-    fn emit_large(&mut self, spans: u64, grew: bool) {
-        let d = self.cpu.alloc_reg();
-        self.cpu.push(Uop::load(rp_layout::STATIC_BASE, d, &[]));
-        if grew {
-            let g = self.cpu.alloc_reg();
-            self.cpu.push(Uop::alu(8000, Some(g), &[]));
-        }
-        let mut dep = d;
-        for _ in 0..spans.min(8) {
-            let s = self.cpu.alloc_reg();
-            self.cpu.push(Uop::alu(1, Some(s), &[dep]));
-            dep = s;
-        }
-        self.cpu.push(Uop::store(rp_layout::STATIC_BASE, &[dep]));
-    }
-
-    fn emit_free(&mut self, outcome: &RpFreeOutcome) -> RpCallKind {
-        self.emit_overhead(3);
-        let ptr_reg = self.cpu.alloc_reg();
-        self.cpu.push(Uop::alu(1, Some(ptr_reg), &[]));
+    fn emit_free(&mut self, m: &mut Machine, outcome: &RpFreeOutcome, _post: PostList) {
+        let ptr_reg = prog::emit_prologue(&mut m.cpu, 3);
         match &outcome.path {
-            RpFreePath::Large { spans } => {
-                self.emit_large(*spans, false);
-                self.emit_overhead(4);
-                RpCallKind::FreeLarge
-            }
+            RpFreePath::Large { spans } => emit_large(&mut m.cpu, *spans, false),
             RpFreePath::Local { to_active, .. } => {
                 let span = outcome.span.expect("small path");
                 let raw = outcome.class.expect("small path");
-                // `ptr & SPAN_MASK`: one ALU op, sized and unsized alike —
-                // the lookup the malloc cache cannot improve on.
-                let mask = self.cpu.alloc_reg();
-                self.cpu.push(Uop::alu(1, Some(mask), &[ptr_reg]));
-                let owner = self.cpu.alloc_reg();
-                self.cpu
-                    .push(Uop::load(rp_layout::span_header(span), owner, &[mask]));
-                self.cpu.push(Uop::branch(false, &[owner]));
-                if !self.limit().push_pop {
-                    if *to_active && self.accel().map(|a| a.list_opt).unwrap_or(false) {
-                        let d = self.cpu.alloc_reg();
-                        let t = self.cpu.push(Uop::alu(1, Some(d), &[owner]));
-                        self.mc.push(raw, outcome.ptr, t.ready);
+                let owner = emit_span_owner(&mut m.cpu, span, ptr_reg);
+                if !m.limit().push_pop {
+                    if *to_active && m.accel().is_some_and(|a| a.list_opt) {
+                        m.mchdpush(raw, outcome.ptr, owner);
                     }
                     // Software push: write the old head into the block,
                     // repoint the span's list head.
-                    self.cpu.push(Uop::store(outcome.ptr, &[owner]));
-                    self.cpu
+                    m.cpu.push(Uop::store(outcome.ptr, &[owner]));
+                    m.cpu
                         .push(Uop::store(rp_layout::span_header(span), &[owner]));
                 }
-                self.emit_overhead(3);
-                RpCallKind::FreeFast
             }
             RpFreePath::Deferred { .. } => {
                 let span = outcome.span.expect("small path");
-                let mask = self.cpu.alloc_reg();
-                self.cpu.push(Uop::alu(1, Some(mask), &[ptr_reg]));
-                let owner = self.cpu.alloc_reg();
-                self.cpu
-                    .push(Uop::load(rp_layout::span_header(span), owner, &[mask]));
-                self.cpu.push(Uop::branch(false, &[owner]));
+                let owner = emit_span_owner(&mut m.cpu, span, ptr_reg);
                 // CAS loop on the deferred head (uncontended here).
-                let cas = self.cpu.alloc_reg();
-                self.cpu.push(Uop::alu(8, Some(cas), &[owner]));
-                self.cpu.push(Uop::store(outcome.ptr, &[cas]));
-                self.emit_overhead(3);
-                RpCallKind::FreeDeferred
+                let cas = m.cpu.alloc_reg();
+                m.cpu.push(Uop::alu(8, Some(cas), &[owner]));
+                m.cpu.push(Uop::store(outcome.ptr, &[cas]));
             }
         }
+        let large = matches!(outcome.path, RpFreePath::Large { .. });
+        prog::emit_overhead(&mut m.cpu, if large { 4 } else { 3 });
     }
 }
 
-impl mallacc_workloads::SimBackend for RpSim {
-    fn backend_malloc(&mut self, size: u64) -> (u64, u64) {
-        let r = self.malloc(size);
-        (r.ptr, r.cycles)
+/// The size-class component under the machine's mode. With no memory
+/// accesses to hide, `mcszlookup` can at best shave one ALU op here.
+fn emit_size_class(m: &mut Machine, size_reg: Reg, outcome: &RpMallocOutcome) -> Reg {
+    let raw = outcome.class.expect("small path");
+    m.emit_size_class(
+        outcome.requested,
+        outcome.alloc_size,
+        raw,
+        size_reg,
+        None,
+        emit_class_sw,
+    )
+}
+
+/// rpmalloc's size→class: two ALU ops (round, shift) — no table load.
+fn emit_class_sw(cpu: &mut Engine, size_reg: Reg) -> Reg {
+    let a = cpu.alloc_reg();
+    cpu.push(Uop::alu(1, Some(a), &[size_reg]));
+    let b = cpu.alloc_reg();
+    cpu.push(Uop::alu(1, Some(b), &[a]));
+    cpu.push(Uop::branch(false, &[b]));
+    b
+}
+
+/// `ptr & SPAN_MASK`: one ALU op, sized and unsized alike — the lookup
+/// the malloc cache cannot improve on — then the span header's owner load.
+fn emit_span_owner(cpu: &mut Engine, span: Addr, ptr_reg: Reg) -> Reg {
+    let mask = cpu.alloc_reg();
+    cpu.push(Uop::alu(1, Some(mask), &[ptr_reg]));
+    let owner = cpu.alloc_reg();
+    cpu.push(Uop::load(rp_layout::span_header(span), owner, &[mask]));
+    cpu.push(Uop::branch(false, &[owner]));
+    owner
+}
+
+/// The heap's class-entry load that locates the active span.
+fn emit_heap_entry(cpu: &mut Engine, raw: u16, cls_reg: Reg) -> Reg {
+    let heap = cpu.alloc_reg();
+    cpu.push(Uop::load(
+        rp_layout::heap_class_entry(raw),
+        heap,
+        &[cls_reg],
+    ));
+    heap
+}
+
+/// The software list pop: head load from the span header, then the
+/// dependent chase through the block for the next pointer — the one
+/// memory chain rpmalloc's fast path retains. The free list is intrusive
+/// (threaded through the blocks), so the chase lands on the popped block
+/// itself, not the hot span header.
+fn emit_pop_sw(cpu: &mut Engine, span: Addr, block: Addr, heap_reg: Reg) -> Reg {
+    let head = cpu.alloc_reg();
+    cpu.push(Uop::load(rp_layout::span_header(span), head, &[heap_reg]));
+    cpu.push(Uop::branch(false, &[head]));
+    let next = cpu.alloc_reg();
+    cpu.push(Uop::load(block, next, &[head]));
+    cpu.push(Uop::store(rp_layout::span_header(span), &[next]));
+    head
+}
+
+fn emit_large(cpu: &mut Engine, spans: u64, grew: bool) {
+    let d = cpu.alloc_reg();
+    cpu.push(Uop::load(rp_layout::STATIC_BASE, d, &[]));
+    prog::emit_os_growth(cpu, grew);
+    let mut dep = d;
+    for _ in 0..spans.min(8) {
+        let s = cpu.alloc_reg();
+        cpu.push(Uop::alu(1, Some(s), &[dep]));
+        dep = s;
     }
-    fn backend_free(&mut self, ptr: u64, sized: bool) -> u64 {
-        self.free(ptr, sized).cycles
-    }
-    fn backend_antagonize(&mut self, fraction: f64) {
-        self.antagonize(fraction);
-    }
-    fn backend_context_switch(&mut self, quantum: u64) {
-        self.context_switch(quantum);
-    }
-    fn backend_app_run(&mut self, cycles: u64) {
-        self.app_run(cycles);
-    }
-    fn backend_app_touch(&mut self, addrs: &[Addr]) {
-        self.app_touch(addrs);
-    }
+    cpu.push(Uop::store(rp_layout::STATIC_BASE, &[dep]));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mallacc::Mode;
 
     fn warm_rotating(sim: &mut RpSim, n: usize) {
         for i in 0..n {
@@ -775,16 +458,8 @@ mod tests {
             }
         }
         let victim = ptrs[0];
-        let f = sim.free_remote(victim, true);
+        let f = sim.free_foreign(victim, true);
         assert_eq!(f.kind, RpCallKind::FreeDeferred);
-    }
-
-    #[test]
-    fn offload_mode_runs_and_reports_stats() {
-        let mut sim = RpSim::new(Mode::offload_default());
-        warm_rotating(&mut sim, 200);
-        let stats = sim.offload_stats().expect("offload mode");
-        assert!(stats.enqueued >= 400, "enqueued {}", stats.enqueued);
     }
 
     #[test]

@@ -7,15 +7,13 @@
 //! the machine alone (the paper's methodology: same binary, different
 //! simulated hardware).
 
-use mallacc::{CallKind, CallRecord, MallocSim, SimTotals};
+use mallacc::{CallKind, CallRecord, Driver, MallocSim, SimTotals, Substrate};
 use mallacc_stats::{LogHistogram, Summary};
 
 /// A simulation backend a [`Trace`] can be replayed on.
 ///
-/// [`MallocSim`] implements this for the TCMalloc machine; the
-/// `mallacc-jemalloc` crate implements it for its jemalloc machine, which
-/// is how the generality experiments run identical workloads on both
-/// allocators.
+/// Every substrate's [`Driver`] implements this, which is how the
+/// generality experiments run identical workloads on every allocator.
 pub trait SimBackend {
     /// Allocates; returns the pointer and the call's attributed cycles.
     fn backend_malloc(&mut self, size: u64) -> (u64, u64);
@@ -31,7 +29,7 @@ pub trait SimBackend {
     fn backend_app_touch(&mut self, addrs: &[u64]);
 }
 
-impl SimBackend for MallocSim {
+impl<S: Substrate> SimBackend for Driver<S> {
     fn backend_malloc(&mut self, size: u64) -> (u64, u64) {
         let r = self.malloc(size);
         (r.ptr, r.cycles)

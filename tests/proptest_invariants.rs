@@ -2,10 +2,103 @@
 
 use proptest::prelude::*;
 
-use mallacc::{AccelConfig, MallocSim, Mode};
+use mallacc::{AccelConfig, Driver, MallocSim, Mode, SamplingPlan, Substrate, TcSubstrate};
 use mallacc_cache::{CacheConfig, CacheStats, SetAssocCache};
+use mallacc_jemalloc::JeSubstrate;
+use mallacc_prof::Profiler;
+use mallacc_substrate::{PcSubstrate, RpSubstrate, SubstrateKind};
 use mallacc_tcmalloc::{SizeClasses, TcMalloc};
+use mallacc_test_support::arb_sampling_plan;
 use mallacc_workloads::{Op, Trace};
+
+/// Evaluates `$f::<S>($args)` with `S` the substrate `$kind` names.
+macro_rules! on_substrate {
+    ($kind:expr, $f:ident($($arg:expr),*)) => {
+        match $kind {
+            SubstrateKind::TcMalloc => $f::<TcSubstrate>($($arg),*),
+            SubstrateKind::JeMalloc => $f::<JeSubstrate>($($arg),*),
+            SubstrateKind::Rpmalloc => $f::<RpSubstrate>($($arg),*),
+            SubstrateKind::PerCpu => $f::<PcSubstrate>($($arg),*),
+        }
+    };
+}
+
+/// Strategy: one of the allocator substrates.
+fn arb_substrate() -> impl Strategy<Value = SubstrateKind> {
+    (0usize..SubstrateKind::ALL.len()).prop_map(|i| SubstrateKind::ALL[i])
+}
+
+/// Strategy: full detail, or sampled execution under an arbitrary plan.
+fn arb_sim_plan() -> impl Strategy<Value = Option<SamplingPlan>> {
+    prop_oneof![Just(None), arb_sampling_plan().prop_map(Some)]
+}
+
+/// Replays `trace` on an `S` driver under `mode` and `plan`, with a
+/// profiler attached when `traced`.
+fn replay<S: Substrate + Default>(
+    trace: &Trace,
+    mode: Mode,
+    plan: Option<SamplingPlan>,
+    traced: bool,
+) -> Driver<S> {
+    let mut sim = Driver::<S>::new(mode);
+    sim.set_sampling(plan);
+    if traced {
+        sim.attach_tracer(Box::new(Profiler::new(0)));
+    }
+    trace.replay_on(&mut sim);
+    sim
+}
+
+/// Per-op stall conservation on one substrate: see
+/// `stall_attribution_conserves_every_call`.
+fn conserves_every_call<S: Substrate + Default>(
+    trace: &Trace,
+    plan: Option<SamplingPlan>,
+) -> Result<(), TestCaseError> {
+    for mode in [Mode::Baseline, Mode::mallacc_default(), Mode::limit_all()] {
+        let mut sim = replay::<S>(trace, mode, plan, true);
+        let p = Profiler::from_sink(sim.detach_tracer().expect("tracer attached"))
+            .expect("profiler comes back");
+        prop_assert_eq!(p.conservation_violations(), 0);
+        let mut in_ops = 0u64;
+        for op in p.ops() {
+            prop_assert_eq!(
+                op.stall.total(),
+                op.cycles(),
+                "op {} start {} end {}",
+                &op.name,
+                op.start,
+                op.end
+            );
+            in_ops += op.cycles();
+        }
+        prop_assert_eq!(in_ops, sim.totals().allocator_cycles());
+    }
+    Ok(())
+}
+
+/// Tracing is invisible on one substrate: see
+/// `tracing_never_changes_simulated_time`.
+fn tracing_is_invisible<S: Substrate + Default>(
+    trace: &Trace,
+    plan: Option<SamplingPlan>,
+) -> Result<(), TestCaseError> {
+    for mode in [Mode::Baseline, Mode::mallacc_default()] {
+        let run = |traced: bool| {
+            let sim = replay::<S>(trace, mode, plan, traced);
+            (
+                sim.totals(),
+                sim.cpi_stack(),
+                sim.engine().stats(),
+                sim.memory().stats(),
+                sim.malloc_cache().stats(),
+            )
+        };
+        prop_assert_eq!(run(false), run(true));
+    }
+    Ok(())
+}
 
 /// Strategy: an arbitrary interleaving of mallocs (small and large),
 /// frees, antagonism and app activity.
@@ -171,50 +264,31 @@ proptest! {
     }
 
     /// Every simulated malloc/free reports stall-reason cycles that sum
-    /// *exactly* to its latency, for any operation interleaving and in
-    /// every mode — and the profiled op cycles re-derive the driver's own
-    /// totals, so the attribution can never drift from the headline
-    /// numbers.
+    /// *exactly* to its latency, on every substrate, at full detail and
+    /// sampled, for any operation interleaving and in every mode — and the
+    /// profiled op cycles re-derive the driver's own totals, so the
+    /// attribution can never drift from the headline numbers.
     #[test]
-    fn stall_attribution_conserves_every_call(ops in arb_ops(90)) {
+    fn stall_attribution_conserves_every_call(
+        ops in arb_ops(90),
+        kind in arb_substrate(),
+        plan in arb_sim_plan(),
+    ) {
         let trace: Trace = ops.into_iter().collect();
-        for mode in [Mode::Baseline, Mode::mallacc_default(), Mode::limit_all()] {
-            let mut sim = MallocSim::new(mode);
-            sim.attach_tracer(Box::new(mallacc_prof::Profiler::new(0)));
-            trace.replay(&mut sim);
-            let p = mallacc_prof::Profiler::from_sink(
-                sim.detach_tracer().expect("tracer attached"),
-            )
-            .expect("profiler comes back");
-            prop_assert_eq!(p.conservation_violations(), 0);
-            let mut in_ops = 0u64;
-            for op in p.ops() {
-                prop_assert_eq!(
-                    op.stall.total(), op.cycles(),
-                    "op {} start {} end {}", &op.name, op.start, op.end
-                );
-                in_ops += op.cycles();
-            }
-            prop_assert_eq!(in_ops, sim.totals().allocator_cycles());
-        }
+        on_substrate!(kind, conserves_every_call(&trace, plan))?;
     }
 
-    /// Attaching a tracer is observation-only: with or without one, every
-    /// simulated cycle count is identical.
+    /// Attaching a tracer is observation-only: on every substrate, at full
+    /// detail and sampled, the totals, the CPI stack, the core's statistics
+    /// and every cache's statistics are identical with or without one.
     #[test]
-    fn tracing_never_changes_simulated_time(ops in arb_ops(80)) {
+    fn tracing_never_changes_simulated_time(
+        ops in arb_ops(80),
+        kind in arb_substrate(),
+        plan in arb_sim_plan(),
+    ) {
         let trace: Trace = ops.into_iter().collect();
-        for mode in [Mode::Baseline, Mode::mallacc_default()] {
-            let run = |traced: bool| {
-                let mut sim = MallocSim::new(mode);
-                if traced {
-                    sim.attach_tracer(Box::new(mallacc_prof::Profiler::new(0)));
-                }
-                trace.replay(&mut sim);
-                (sim.totals(), sim.malloc_cache().stats(), sim.cpi_stack())
-            };
-            prop_assert_eq!(run(false), run(true));
-        }
+        on_substrate!(kind, tracing_is_invisible(&trace, plan))?;
     }
 }
 
