@@ -17,7 +17,7 @@ use std::collections::HashMap;
 use mallacc::Mode;
 use mallacc_cache::Addr;
 use mallacc_ooo::SamplingPlan;
-use mallacc_workloads::MtOp;
+use mallacc_workloads::{MtOp, SimBackend};
 
 use crate::anysim::AnySim;
 use crate::kind::SubstrateKind;
@@ -160,7 +160,7 @@ impl ShardedMt {
                 }
             }
             MtOp::AppRun { cycles } => {
-                self.cores[core].app_run(u64::from(cycles));
+                self.cores[core].backend_app_run(u64::from(cycles));
             }
             MtOp::AppTouch {
                 lines,
@@ -173,7 +173,7 @@ impl ShardedMt {
                     .map(|i| base + ((cur + i) % ws) * 64)
                     .collect();
                 self.touch[core].cursor = (cur + u64::from(lines)) % ws;
-                self.cores[core].app_touch(&addrs);
+                self.cores[core].backend_app_touch(&addrs);
             }
         }
     }
