@@ -1,70 +1,40 @@
 //! `repro` — regenerate every table and figure of the Mallacc paper.
 //!
-//! ```text
-//! repro <experiment> [--quick] [--calls N] [--trials N] [--seed N]
-//!       [--no-index-opt] [--json PATH]
-//!
-//! experiments:
-//!   fig1 fig2 fig4 fig6 fig13 fig14 fig15 fig16 fig17 fig18
-//!   table1 table2 area ablate mt all
-//!
-//! repro explore [--smoke] [--grid SPEC] [--preset NAME] [--quick]
-//!       [--seed N] [--jobs N] [--memo PATH] [--out PATH]
-//!       [--assert-memo-frac F]
-//!
-//! repro profile [--smoke] [--quick] [--pairs N] [--warmup N] [--seed N]
-//!       [--jobs N] [--uops N] [--trace PATH] [--json PATH]
-//!
-//! repro validate [--smoke] [--full] [--kernel-n N] [--fuzz N] [--laws N]
-//!       [--offload-fuzz N] [--seed N] [--jobs N] [--json PATH]
-//!
-//! repro fleet [--smoke] [--full] [--cores A,B,...] [--scenario NAME]...
-//!       [--requests N] [--weak-requests N] [--seed N] [--jobs N]
-//!       [--json PATH]
-//!
-//! repro offload [--smoke] [--full] [--workload NAME]... [--scenario NAME]...
-//!       [--depths A,B,...] [--cores A,B,...] [--calls N] [--warmup N]
-//!       [--requests N] [--seed N] [--jobs N] [--json PATH]
-//!
-//! repro sample [--smoke] [--full] [--workload NAME]... [--mallocs N]
-//!       [--plan W:D:P[:S]] [--seed N] [--jobs N] [--json PATH]
-//!
-//! repro substrate [--smoke] [--full] [--substrate NAME]...
-//!       [--workload NAME]... [--calls N] [--warmup N] [--seed N]
-//!       [--jobs N] [--json PATH]
-//! ```
-//!
+//! `repro <experiment>` runs one figure or table (flags: `USAGE` below);
 //! `--json PATH` additionally writes the machine-readable datasets of the
 //! experiments that have one (fig13, fig14, fig17, table2, mt) — the same
-//! numbers the text renders, not a re-run.
+//! numbers the text renders, not a re-run. Each subcommand's flags are
+//! the `USAGE` line of its module (`mallacc_bench::offload_cli::USAGE`
+//! and so on); `repro` without arguments prints them all.
 
-use mallacc_bench::{
-    cli, explore_cli, figures, fleet_cli, mt, offload_cli, profile_cli, sample_cli, substrate_cli,
-    tables, validate_cli, Scale,
-};
+use mallacc_bench::explore_cli;
+use mallacc_bench::fleet_cli::{self, fleet_report, FleetArgs};
+use mallacc_bench::offload_cli::{self, offload_report, OffloadArgs};
+use mallacc_bench::profile_cli::{self, profile_report, ProfileArgs};
+use mallacc_bench::sample_cli::{self, sample_report, SampleArgs};
+use mallacc_bench::substrate_cli::{self, substrate_report, SubstrateArgs};
+use mallacc_bench::validate_cli::{self, validate_report, ValidateArgs};
+use mallacc_bench::{cli, figures, mt, tables, Scale};
 use mallacc_stats::Json;
 
+/// Command line of the paper experiments.
+const USAGE: &str = "repro <fig1|fig2|fig4|fig6|fig13|fig14|fig15|fig16|fig17|fig18|\
+    table1|table2|area|ablate|generality|resilience|sensitivity|sized-delete|cpi|mt|all> \
+    [--quick] [--calls N] [--trials N] [--seed N] [--no-index-opt] [--json PATH]";
+
 fn usage() -> ! {
-    eprintln!(
-        "usage: repro <fig1|fig2|fig4|fig6|fig13|fig14|fig15|fig16|fig17|\
-         fig18|table1|table2|area|ablate|generality|resilience|sensitivity|sized-delete|cpi|mt|all> [--quick] [--calls N] \
-         [--trials N] [--seed N] [--no-index-opt] [--json PATH]\n\
-         \x20      repro explore [--smoke] [--grid SPEC] [--preset NAME] [--quick] \
-         [--seed N] [--jobs N] [--memo PATH] [--out PATH] [--assert-memo-frac F]\n\
-         \x20      repro profile [--smoke] [--quick] [--pairs N] [--warmup N] \
-         [--seed N] [--jobs N] [--uops N] [--trace PATH] [--json PATH]\n\
-         \x20      repro validate [--smoke] [--full] [--kernel-n N] [--fuzz N] \
-         [--laws N] [--offload-fuzz N] [--seed N] [--jobs N] [--json PATH]\n\
-         \x20      repro fleet [--smoke] [--full] [--cores A,B,...] [--scenario NAME]... \
-         [--requests N] [--weak-requests N] [--seed N] [--jobs N] [--json PATH]\n\
-         \x20      repro offload [--smoke] [--full] [--workload NAME]... [--scenario NAME]... \
-         [--depths A,B,...] [--cores A,B,...] [--calls N] [--warmup N] [--requests N] \
-         [--seed N] [--jobs N] [--json PATH]\n\
-         \x20      repro sample [--smoke] [--full] [--workload NAME]... [--mallocs N] \
-         [--plan W:D:P[:S]] [--seed N] [--jobs N] [--json PATH]\n\
-         \x20      repro substrate [--smoke] [--full] [--substrate NAME]... [--workload NAME]... \
-         [--calls N] [--warmup N] [--seed N] [--jobs N] [--json PATH]"
-    );
+    eprintln!("usage: {USAGE}");
+    for line in [
+        explore_cli::USAGE,
+        profile_cli::USAGE,
+        validate_cli::USAGE,
+        fleet_cli::USAGE,
+        offload_cli::USAGE,
+        sample_cli::USAGE,
+        substrate_cli::USAGE,
+    ] {
+        eprintln!("       {line}");
+    }
     std::process::exit(2);
 }
 
@@ -72,28 +42,22 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = args.first() else { usage() };
 
-    if cmd == "explore" {
-        std::process::exit(explore_cli::explore(&args[1..]));
-    }
-    if cmd == "profile" {
-        std::process::exit(profile_cli::profile(&args[1..]));
-    }
-    if cmd == "validate" {
-        std::process::exit(validate_cli::validate(&args[1..]));
-    }
-    if cmd == "fleet" {
-        std::process::exit(fleet_cli::fleet(&args[1..]));
-    }
-    if cmd == "offload" {
-        std::process::exit(offload_cli::offload(&args[1..]));
-    }
-    if cmd == "sample" {
-        std::process::exit(sample_cli::sample(&args[1..]));
-    }
-    if cmd == "substrate" {
-        std::process::exit(substrate_cli::substrate(&args[1..]));
-    }
+    let sub = &args[1..];
+    let code = match cmd.as_str() {
+        "explore" => explore_cli::explore(sub),
+        "profile" => cli::run("profile", sub, ProfileArgs::parse, profile_report),
+        "validate" => cli::run("validate", sub, ValidateArgs::parse, validate_report),
+        "fleet" => cli::run("fleet", sub, FleetArgs::parse, fleet_report),
+        "offload" => cli::run("offload", sub, OffloadArgs::parse, offload_report),
+        "sample" => cli::run("sample", sub, SampleArgs::parse, sample_report),
+        "substrate" => cli::run("substrate", sub, SubstrateArgs::parse, substrate_report),
+        _ => experiments(cmd, &args),
+    };
+    std::process::exit(code);
+}
 
+/// Runs the paper experiment `cmd`; returns the process exit code.
+fn experiments(cmd: &str, args: &[String]) -> i32 {
     // The generic experiment path (mt, figures, tables) shares the
     // `--seed`/`--json` plumbing with the subcommand CLIs; its scale
     // flag is `--quick` rather than `--smoke`/`--full`.
@@ -102,7 +66,7 @@ fn main() {
     let mut common = cli::CommonFlags::default();
     let mut i = 1;
     while i < args.len() {
-        let taken = cli::take_common(&args, &mut i, &cli::CommonSpec::SEED_JSON, &mut common)
+        let taken = cli::take_common(args, &mut i, &cli::CommonSpec::SEED_JSON, &mut common)
             .unwrap_or_else(|e| {
                 eprintln!("repro: {e}");
                 usage()
@@ -112,13 +76,13 @@ fn main() {
                 "--quick" => scale = Scale::quick(),
                 "--no-index-opt" => index_keying = false,
                 "--calls" => {
-                    scale.calls = cli::value(&args, &mut i, "--calls")
+                    scale.calls = cli::value(args, &mut i, "--calls")
                         .and_then(|v| cli::int(v, "--calls"))
                         .map(|n| n as usize)
                         .unwrap_or_else(|_| usage());
                 }
                 "--trials" => {
-                    scale.trials = cli::value(&args, &mut i, "--trials")
+                    scale.trials = cli::value(args, &mut i, "--trials")
                         .and_then(|v| cli::int(v, "--trials"))
                         .map(|n| n as usize)
                         .unwrap_or_else(|_| usage());
@@ -184,7 +148,7 @@ fn main() {
         Some(text)
     };
 
-    match cmd.as_str() {
+    match cmd {
         "all" => {
             for name in [
                 "fig1",
@@ -234,8 +198,9 @@ fn main() {
         ]);
         if let Err(e) = std::fs::write(&path, doc.render_pretty()) {
             eprintln!("repro: writing {}: {e}", path.display());
-            std::process::exit(1);
+            return 1;
         }
         eprintln!("wrote {}", path.display());
     }
+    0
 }

@@ -12,6 +12,10 @@
 //! * [`CommonFlags`] + [`take_common`] — one-pass recognition of the
 //!   shared flags, gated per subcommand by a [`CommonSpec`] so a CLI
 //!   that never had `--full` or `--json` keeps rejecting them;
+//! * [`substrate`] / [`workload`] / [`scenario`] / [`counts`] — the
+//!   flag values more than one subcommand takes;
+//! * [`run`] / [`write_json`] — the parse → report → print entry point
+//!   and the `--json` write every report shares;
 //! * [`run_indexed`] — the strided-worker slot runner behind every
 //!   "byte-identical across `--jobs`" report.
 //!
@@ -19,7 +23,12 @@
 //! `scale` first and explicit overrides after, so `--smoke --fuzz 7`
 //! and `--fuzz 7 --smoke` both mean "smoke scale, but 7 fuzz slots".
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+
+use mallacc_fleet::Scenario;
+use mallacc_stats::Json;
+use mallacc_substrate::SubstrateKind;
+use mallacc_workloads::AnyWorkload;
 
 /// The run scale selected by `--smoke`/`--full` (whichever came last).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -113,6 +122,83 @@ pub fn value(args: &[String], i: &mut usize, flag: &str) -> Result<String, Strin
 pub fn int(v: String, flag: &str) -> Result<u64, String> {
     v.parse::<u64>()
         .map_err(|_| format!("{flag} needs an integer"))
+}
+
+/// Parses a comma-separated list of counts, each in `1..=64` (the core
+/// and queue-depth caps).
+pub fn counts(v: String, flag: &str) -> Result<Vec<usize>, String> {
+    v.split(',')
+        .map(|part| match part.trim().parse::<usize>() {
+            Ok(n) if (1..=64).contains(&n) => Ok(n),
+            Ok(_) => Err(format!("{flag}: values must be in 1..=64")),
+            Err(_) => Err(format!("{flag}: bad value {part:?}")),
+        })
+        .collect()
+}
+
+/// Resolves a `--substrate` value.
+pub fn substrate(name: &str) -> Result<SubstrateKind, String> {
+    SubstrateKind::by_name(name).ok_or_else(|| {
+        unknown(
+            "substrate",
+            name,
+            SubstrateKind::ALL.map(SubstrateKind::name),
+        )
+    })
+}
+
+/// Resolves a `--workload` value.
+pub fn workload(name: &str) -> Result<AnyWorkload, String> {
+    AnyWorkload::by_name(name).ok_or_else(|| unknown("workload", name, AnyWorkload::all_names()))
+}
+
+/// Resolves a `--scenario` value.
+pub fn scenario(name: &str) -> Result<&'static Scenario, String> {
+    Scenario::by_name(name)
+        .ok_or_else(|| unknown("scenario", name, Scenario::all().iter().map(|s| s.name)))
+}
+
+fn unknown<'a>(what: &str, name: &str, known: impl IntoIterator<Item = &'a str>) -> String {
+    let known: Vec<&str> = known.into_iter().collect();
+    format!("unknown {what} {name:?} (available: {})", known.join(", "))
+}
+
+/// The `repro <cmd>` entry point of a report subcommand: parses `args`,
+/// prints the report and returns its exit code, or prints the parse
+/// error and returns 2.
+pub fn run<A>(
+    cmd: &str,
+    args: &[String],
+    parse: fn(&[String]) -> Result<A, String>,
+    report: fn(&A) -> (i32, String),
+) -> i32 {
+    match parse(args) {
+        Ok(parsed) => {
+            let (code, text) = report(&parsed);
+            println!("{text}");
+            code
+        }
+        Err(e) => {
+            eprintln!("repro {cmd}: {e}");
+            2
+        }
+    }
+}
+
+/// Writes `doc` to `path` and appends a `wrote PATH` line to the report
+/// `out`. On failure, prints the error and returns `false`: the report
+/// then exits 1.
+pub fn write_json(cmd: &str, path: &Path, doc: &Json, out: &mut String) -> bool {
+    match std::fs::write(path, doc.render_pretty()) {
+        Ok(()) => {
+            out.push_str(&format!("\nwrote {}", path.display()));
+            true
+        }
+        Err(e) => {
+            eprintln!("repro {cmd}: writing {}: {e}", path.display());
+            false
+        }
+    }
 }
 
 /// If `args[*i]` is a shared flag `spec` enables, consumes it (and its
@@ -235,6 +321,79 @@ mod tests {
         assert_eq!(
             int("x".to_string(), "--n").unwrap_err(),
             "--n needs an integer"
+        );
+    }
+
+    /// Asserts that `usage` names exactly the flags its parser knows:
+    /// every flag it names reaches the parser, and so does no flag it
+    /// leaves out, whether matched in the parser's `source` or shared.
+    fn assert_usage_matches<A>(
+        usage: &str,
+        source: &str,
+        parse: fn(&[String]) -> Result<A, String>,
+    ) {
+        let named: Vec<&str> = usage
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .filter(|word| word.starts_with("--"))
+            .collect();
+        // A value flag without its value errs with "needs a value".
+        let unknown = |flag: &str| parse(&s(&[flag])).is_err_and(|e| e.starts_with("unknown"));
+        for flag in &named {
+            assert!(!unknown(flag), "{usage}\nthe parser rejects {flag}");
+        }
+        let matched = source.split("\"--").skip(1).filter_map(|rest| {
+            let (name, after) = rest.split_once('"')?;
+            after.starts_with(" =>").then(|| format!("--{name}"))
+        });
+        let shared = ["--smoke", "--full", "--seed", "--jobs", "--json"]
+            .into_iter()
+            .filter(|flag| !unknown(flag))
+            .map(String::from);
+        for flag in matched.chain(shared) {
+            assert!(named.contains(&flag.as_str()), "{usage}\nleaves out {flag}");
+        }
+    }
+
+    #[test]
+    fn usage_lines_name_exactly_the_parsed_flags() {
+        use crate::{
+            explore_cli, fleet_cli, offload_cli, profile_cli, sample_cli, substrate_cli,
+            validate_cli,
+        };
+        assert_usage_matches(
+            explore_cli::USAGE,
+            include_str!("explore_cli.rs"),
+            explore_cli::ExploreArgs::parse,
+        );
+        assert_usage_matches(
+            fleet_cli::USAGE,
+            include_str!("fleet_cli.rs"),
+            fleet_cli::FleetArgs::parse,
+        );
+        assert_usage_matches(
+            offload_cli::USAGE,
+            include_str!("offload_cli.rs"),
+            offload_cli::OffloadArgs::parse,
+        );
+        assert_usage_matches(
+            profile_cli::USAGE,
+            include_str!("profile_cli.rs"),
+            profile_cli::ProfileArgs::parse,
+        );
+        assert_usage_matches(
+            sample_cli::USAGE,
+            include_str!("sample_cli.rs"),
+            sample_cli::SampleArgs::parse,
+        );
+        assert_usage_matches(
+            substrate_cli::USAGE,
+            include_str!("substrate_cli.rs"),
+            substrate_cli::SubstrateArgs::parse,
+        );
+        assert_usage_matches(
+            validate_cli::USAGE,
+            include_str!("validate_cli.rs"),
+            validate_cli::ValidateArgs::parse,
         );
     }
 

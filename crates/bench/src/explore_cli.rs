@@ -1,16 +1,15 @@
 //! The `repro explore` subcommand: design-space sweeps over the
-//! accelerator configuration, driven by `mallacc-explore`.
-//!
-//! ```text
-//! repro explore [--smoke] [--grid SPEC] [--preset NAME] [--quick]
-//!               [--seed N] [--jobs N] [--memo PATH] [--out PATH]
-//!               [--assert-memo-frac F]
-//! ```
+//! accelerator configuration, driven by `mallacc-explore`. Flags:
+//! [`USAGE`].
 
 use std::path::PathBuf;
 
 use crate::cli::{self, CommonFlags, CommonSpec, ScaleFlag};
 use mallacc_explore::{run_sweep, ParamGrid, RunScale, SweepOptions};
+
+/// Command line of `repro explore`.
+pub const USAGE: &str = "repro explore [--smoke] [--grid SPEC] [--preset NAME] [--quick] \
+    [--seed N] [--jobs N] [--memo PATH] [--out PATH] [--assert-memo-frac F]";
 
 /// Parsed `repro explore` arguments.
 #[derive(Debug, Clone, Default)]

@@ -1,11 +1,5 @@
 //! The `repro fleet` subcommand: datacenter fleet scenarios, driven by
-//! `mallacc-fleet`.
-//!
-//! ```text
-//! repro fleet [--smoke] [--full] [--cores A,B,...] [--scenario NAME]...
-//!             [--requests N] [--weak-requests N] [--seed N] [--jobs N]
-//!             [--json PATH]
-//! ```
+//! `mallacc-fleet`. Flags: [`USAGE`].
 //!
 //! Runs request-driven service-traffic scenarios on the multi-core
 //! simulator and reports, per scenario, strong/weak scaling curves and
@@ -22,6 +16,11 @@ use std::path::PathBuf;
 use crate::cli::{self, CommonFlags, CommonSpec, ScaleFlag};
 use mallacc::SimMode;
 use mallacc_fleet::{json_doc, render_report, run_fleet, FleetConfig, Scenario};
+
+/// Command line of `repro fleet`.
+pub const USAGE: &str = "repro fleet [--smoke] [--full] [--cores A,B,...] \
+    [--scenario NAME]... [--requests N] [--weak-requests N] [--seed N] [--jobs N] \
+    [--sim full|sampled[:W:D:P[:S]]] [--json PATH]";
 
 /// Parsed `repro fleet` arguments.
 #[derive(Debug, Clone)]
@@ -80,25 +79,10 @@ impl FleetArgs {
             }
             match args[i].as_str() {
                 "--cores" => {
-                    let spec = cli::value(args, &mut i, "--cores")?;
-                    let mut cores = Vec::new();
-                    for part in spec.split(',') {
-                        let c: usize = part
-                            .trim()
-                            .parse()
-                            .map_err(|_| format!("--cores: bad core count {part:?}"))?;
-                        if c == 0 {
-                            return Err("--cores: core counts must be >= 1".to_string());
-                        }
-                        if c > 64 {
-                            return Err("--cores: core counts must be <= 64".to_string());
-                        }
-                        cores.push(c);
-                    }
-                    if cores.is_empty() {
-                        return Err("--cores needs at least one value".to_string());
-                    }
-                    parsed.cores = Some(cores);
+                    parsed.cores = Some(cli::counts(
+                        cli::value(args, &mut i, "--cores")?,
+                        "--cores",
+                    )?);
                 }
                 "--scenario" => parsed
                     .scenarios
@@ -163,15 +147,7 @@ impl FleetArgs {
         } else {
             self.scenarios
                 .iter()
-                .map(|name| {
-                    Scenario::by_name(name).ok_or_else(|| {
-                        let known: Vec<&str> = Scenario::all().iter().map(|s| s.name).collect();
-                        format!(
-                            "unknown scenario {name:?} (available: {})",
-                            known.join(", ")
-                        )
-                    })
-                })
+                .map(|name| cli::scenario(name))
                 .collect::<Result<_, _>>()?
         };
         let default = if self.smoke {
@@ -191,8 +167,7 @@ impl FleetArgs {
     }
 }
 
-/// Runs `repro fleet` and returns `(exit code, report text)`. Split from
-/// [`fleet`] so tests and the golden snapshot can capture the output.
+/// Runs `repro fleet` and returns `(exit code, report text)`.
 pub fn fleet_report(args: &FleetArgs) -> (i32, String) {
     let config = match args.config() {
         Ok(config) => config,
@@ -201,27 +176,11 @@ pub fn fleet_report(args: &FleetArgs) -> (i32, String) {
     let result = run_fleet(&config);
     let mut out = render_report(&result);
     if let Some(path) = &args.json {
-        if let Err(e) = std::fs::write(path, json_doc(&result).render_pretty()) {
-            eprintln!("repro fleet: writing {}: {e}", path.display());
+        if !cli::write_json("fleet", path, &json_doc(&result), &mut out) {
             return (1, out);
         }
-        out.push_str(&format!("\nwrote {}", path.display()));
     }
     (0, out)
-}
-
-/// Runs `repro fleet`; returns the process exit code.
-pub fn fleet(args: &[String]) -> i32 {
-    let parsed = match FleetArgs::parse(args) {
-        Ok(parsed) => parsed,
-        Err(e) => {
-            eprintln!("repro fleet: {e}");
-            return 2;
-        }
-    };
-    let (code, text) = fleet_report(&parsed);
-    println!("{text}");
-    code
 }
 
 #[cfg(test)]

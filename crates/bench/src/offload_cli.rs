@@ -1,12 +1,5 @@
 //! The `repro offload` subcommand: the SpeedMalloc-style allocation
-//! offload helper core vs. Mallacc, head to head.
-//!
-//! ```text
-//! repro offload [--smoke] [--full] [--substrate NAME] [--workload NAME]...
-//!               [--scenario NAME]... [--depths A,B,...] [--cores A,B,...]
-//!               [--calls N] [--warmup N] [--requests N] [--seed N]
-//!               [--jobs N] [--sim full|sampled[:W:D:P[:S]]] [--json PATH]
-//! ```
+//! offload helper core vs. Mallacc, head to head. Flags: [`USAGE`].
 //!
 //! `--substrate` picks the allocator every section runs on (tcmalloc,
 //! jemalloc, rpmalloc, or the per-CPU tcmalloc variant); the default is
@@ -29,16 +22,24 @@
 //! 4. **Area vs. speedup Pareto** — each accelerator's mean improvement
 //!    against its silicon cost from the core/offload area models, with
 //!    the frontier and knee marked.
+//!
+//! `HeadToHead` is the single-core duel `repro substrate` runs too.
 
 use std::path::PathBuf;
 
 use crate::cli::{self, run_indexed, CommonFlags, CommonSpec, ScaleFlag};
 use mallacc::{offload_area_um2, AreaEstimate, Mode, OffloadConfig, SimMode};
-use mallacc_multicore::MulticoreSim;
+use mallacc_explore::run_mt_stream;
 use mallacc_stats::table::Table;
 use mallacc_stats::{knee_index, pareto_frontier, Json};
-use mallacc_substrate::{AnySim, ShardedMt, SubstrateKind};
-use mallacc_workloads::{AnyWorkload, SimBackend};
+use mallacc_substrate::{AnySim, SubstrateKind};
+use mallacc_workloads::AnyWorkload;
+
+/// Command line of `repro offload`.
+pub const USAGE: &str = "repro offload [--smoke] [--full] [--substrate NAME] \
+    [--workload NAME]... [--scenario NAME]... [--depths A,B,...] [--cores A,B,...] \
+    [--calls N] [--warmup N] [--requests N] [--seed N] [--jobs N] \
+    [--sim full|sampled[:W:D:P[:S]]] [--json PATH]";
 
 /// Parsed `repro offload` arguments.
 #[derive(Debug, Clone)]
@@ -130,23 +131,6 @@ impl OffloadArgs {
         let (mut calls, mut warmup, mut requests) = (None, None, None);
         let mut sim = None;
         let mut i = 0;
-        let list = |spec: String, flag: &str, max: usize| -> Result<Vec<usize>, String> {
-            let mut out = Vec::new();
-            for part in spec.split(',') {
-                let v: usize = part
-                    .trim()
-                    .parse()
-                    .map_err(|_| format!("{flag}: bad value {part:?}"))?;
-                if v == 0 || v > max {
-                    return Err(format!("{flag}: values must be in 1..={max}"));
-                }
-                out.push(v);
-            }
-            if out.is_empty() {
-                return Err(format!("{flag} needs at least one value"));
-            }
-            Ok(out)
-        };
         while i < args.len() {
             if cli::take_common(args, &mut i, &CommonSpec::ALL, &mut common)? {
                 i += 1;
@@ -154,20 +138,21 @@ impl OffloadArgs {
             }
             match args[i].as_str() {
                 "--substrate" => {
-                    let name = cli::value(args, &mut i, "--substrate")?;
-                    substrate = Some(SubstrateKind::by_name(&name).ok_or_else(|| {
-                        format!(
-                            "unknown substrate {name:?} (use tcmalloc/jemalloc/rpmalloc/percpu)"
-                        )
-                    })?);
+                    substrate = Some(cli::substrate(&cli::value(args, &mut i, "--substrate")?)?);
                 }
                 "--workload" => workloads.push(cli::value(args, &mut i, "--workload")?),
                 "--scenario" => scenarios.push(cli::value(args, &mut i, "--scenario")?),
                 "--depths" => {
-                    depths = Some(list(cli::value(args, &mut i, "--depths")?, "--depths", 64)?);
+                    depths = Some(cli::counts(
+                        cli::value(args, &mut i, "--depths")?,
+                        "--depths",
+                    )?);
                 }
                 "--cores" => {
-                    cores = Some(list(cli::value(args, &mut i, "--cores")?, "--cores", 64)?);
+                    cores = Some(cli::counts(
+                        cli::value(args, &mut i, "--cores")?,
+                        "--cores",
+                    )?);
                 }
                 "--calls" => {
                     calls =
@@ -232,114 +217,133 @@ impl OffloadArgs {
             return Err("--calls and --requests must be at least 1".to_string());
         }
         for name in &parsed.workloads {
-            if AnyWorkload::by_name(name).is_none() {
-                return Err(format!(
-                    "unknown workload {name:?} (available: {})",
-                    AnyWorkload::all_names().join(", ")
-                ));
-            }
+            cli::workload(name)?;
         }
         for name in &parsed.scenarios {
-            if mallacc_fleet::Scenario::by_name(name).is_none() {
-                let known: Vec<&str> = mallacc_fleet::Scenario::all()
-                    .iter()
-                    .map(|s| s.name)
-                    .collect();
-                return Err(format!(
-                    "unknown scenario {name:?} (available: {})",
-                    known.join(", ")
-                ));
-            }
+            cli::scenario(name)?;
         }
         Ok(parsed)
     }
 }
 
-/// The four machine variants every section compares, in table order.
-fn modes() -> [(Mode, &'static str); 4] {
+/// The four machine variants every head-to-head compares, in table
+/// order: baseline, Mallacc, offload, and offload with a malloc cache.
+fn modes() -> [Mode; 4] {
     [
-        (Mode::Baseline, "baseline"),
-        (Mode::mallacc_default(), "mallacc"),
-        (Mode::offload_default(), "offload"),
-        (Mode::offload_both(), "both"),
+        Mode::Baseline,
+        Mode::mallacc_default(),
+        Mode::offload_default(),
+        Mode::offload_both(),
     ]
 }
 
-/// Allocator cycles of one single-core workload run under one mode.
-fn single_core_cycles(workload: &AnyWorkload, mode: Mode, args: &OffloadArgs) -> f64 {
-    let warm = workload.trace(args.warmup, args.seed);
-    let measure = workload.trace(args.calls, args.seed.wrapping_add(1));
-    let mut sim = AnySim::new(args.substrate, mode);
-    sim.set_sampling(args.sim.plan());
-    let run = |sim: &mut dyn SimBackend, trace: &mallacc_workloads::Trace| {
-        let s = trace.replay_on(sim);
-        s.allocator_cycles()
-    };
-    run(&mut sim, &warm);
-    run(&mut sim, &measure)
+/// A fresh `substrate` simulator under `mode` that has replayed `warmup`
+/// calls of `workload` and then `calls` measured ones, with the measured
+/// calls' allocator cycles.
+fn warm_then_measure(
+    substrate: SubstrateKind,
+    mode: Mode,
+    workload: &AnyWorkload,
+    warmup: usize,
+    calls: usize,
+    seed: u64,
+    sim: SimMode,
+) -> (AnySim, f64) {
+    let mut s = AnySim::new(substrate, mode);
+    s.set_sampling(sim.plan());
+    workload.trace(warmup, seed).replay_on(&mut s);
+    let measure = workload.trace(calls, seed.wrapping_add(1));
+    let cycles = measure.replay_on(&mut s).allocator_cycles();
+    (s, cycles)
 }
 
-/// One head-to-head row: a workload's cycles under all four variants.
-#[derive(Debug, Clone)]
-struct HeadToHead {
-    workload: String,
-    cycles: [f64; 4],
-}
+/// Allocator cycles of one run under each of the four [`modes`], and
+/// the verdict of the Mallacc-vs-offload duel.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct HeadToHead(pub(crate) [f64; 4]);
 
 impl HeadToHead {
+    /// `workload` on `substrate` under each mode, warmed and measured by
+    /// [`warm_then_measure`].
+    pub(crate) fn single_core(
+        substrate: SubstrateKind,
+        workload: &AnyWorkload,
+        warmup: usize,
+        calls: usize,
+        seed: u64,
+        sim: SimMode,
+    ) -> Self {
+        HeadToHead(
+            modes().map(|mode| {
+                warm_then_measure(substrate, mode, workload, warmup, calls, seed, sim).1
+            }),
+        )
+    }
+
     /// Improvement over baseline, percent, for variant `i` of [`modes`].
-    fn improvement_pct(&self, i: usize) -> f64 {
-        if self.cycles[0] > 0.0 {
-            100.0 * (1.0 - self.cycles[i] / self.cycles[0])
+    pub(crate) fn improvement_pct(&self, i: usize) -> f64 {
+        if self.0[0] > 0.0 {
+            100.0 * (1.0 - self.0[i] / self.0[0])
         } else {
             0.0
         }
     }
 
     /// Which accelerator wins the Mallacc-vs-offload duel.
-    fn winner(&self) -> &'static str {
-        if self.cycles[2] < self.cycles[1] {
+    pub(crate) fn winner(&self) -> &'static str {
+        if self.0[2] < self.0[1] {
             "offload"
         } else {
             "mallacc"
         }
     }
+
+    /// The `mallacc`, `offload`, `both` and `winner` table cells.
+    pub(crate) fn cells(&self) -> [String; 4] {
+        [
+            format!("{:+.1}%", self.improvement_pct(1)),
+            format!("{:+.1}%", self.improvement_pct(2)),
+            format!("{:+.1}%", self.improvement_pct(3)),
+            self.winner().to_string(),
+        ]
+    }
+
+    /// The JSON fields of [`cells`](Self::cells).
+    pub(crate) fn json_fields(&self) -> [(&'static str, Json); 4] {
+        [
+            ("mallacc_improvement_pct", self.improvement_pct(1).into()),
+            ("offload_improvement_pct", self.improvement_pct(2).into()),
+            ("both_improvement_pct", self.improvement_pct(3).into()),
+            ("winner", self.winner().into()),
+        ]
+    }
 }
 
 fn head_to_head_section(args: &OffloadArgs) -> (String, Json, Vec<HeadToHead>) {
     let rows: Vec<HeadToHead> = run_indexed(args.workloads.len() as u64, args.jobs, |i| {
-        let name = &args.workloads[i as usize];
-        let workload = AnyWorkload::by_name(name).expect("validated at parse time");
-        let mut cycles = [0.0; 4];
-        for (slot, (mode, _)) in cycles.iter_mut().zip(modes()) {
-            *slot = single_core_cycles(&workload, mode, args);
-        }
-        HeadToHead {
-            workload: name.clone(),
-            cycles,
-        }
+        let workload =
+            AnyWorkload::by_name(&args.workloads[i as usize]).expect("validated at parse time");
+        HeadToHead::single_core(
+            args.substrate,
+            &workload,
+            args.warmup,
+            args.calls,
+            args.seed,
+            args.sim,
+        )
     });
     let mut t = Table::new(&[
         "workload", "base cyc", "mallacc", "offload", "both", "winner",
     ]);
     let mut json_rows = Vec::new();
-    for r in &rows {
-        t.row_owned(vec![
-            r.workload.clone(),
-            format!("{:.0}", r.cycles[0]),
-            format!("{:+.1}%", r.improvement_pct(1)),
-            format!("{:+.1}%", r.improvement_pct(2)),
-            format!("{:+.1}%", r.improvement_pct(3)),
-            r.winner().to_string(),
-        ]);
-        json_rows.push(Json::obj([
-            ("workload", Json::from(r.workload.as_str())),
-            ("base_cycles", Json::from(r.cycles[0])),
-            ("mallacc_improvement_pct", Json::from(r.improvement_pct(1))),
-            ("offload_improvement_pct", Json::from(r.improvement_pct(2))),
-            ("both_improvement_pct", Json::from(r.improvement_pct(3))),
-            ("winner", Json::from(r.winner())),
-        ]));
+    for (workload, r) in args.workloads.iter().zip(&rows) {
+        let row = [workload.clone(), format!("{:.0}", r.0[0])];
+        t.row_owned(row.into_iter().chain(r.cells()).collect());
+        let fields = [
+            ("workload", Json::from(workload.as_str())),
+            ("base_cycles", Json::from(r.0[0])),
+        ];
+        json_rows.push(Json::obj(fields.into_iter().chain(r.json_fields())));
     }
     let offload_wins = rows.iter().filter(|r| r.winner() == "offload").count();
     let text = format!(
@@ -375,17 +379,20 @@ fn depth_sweep_section(args: &OffloadArgs) -> (String, Json) {
             let workload = AnyWorkload::by_name(probe).expect("validated at parse time");
             let mut cfg = OffloadConfig::speedmalloc_default();
             cfg.queue_depth = depth;
-            let mut sim = AnySim::new(args.substrate, Mode::Offload(cfg));
-            sim.set_sampling(args.sim.plan());
-            workload.trace(args.warmup, args.seed).replay_on(&mut sim);
-            let s = workload
-                .trace(args.calls, args.seed.wrapping_add(1))
-                .replay_on(&mut sim);
+            let (sim, cycles) = warm_then_measure(
+                args.substrate,
+                Mode::Offload(cfg),
+                &workload,
+                args.warmup,
+                args.calls,
+                args.seed,
+                args.sim,
+            );
             let stats = sim.offload_stats().expect("offload mode has a queue");
             (
                 probe.clone(),
                 depth,
-                s.allocator_cycles(),
+                cycles,
                 stats.queue_full_stalls,
                 stats.stall_cycles,
             )
@@ -419,7 +426,7 @@ fn depth_sweep_section(args: &OffloadArgs) -> (String, Json) {
 }
 
 fn fleet_section(args: &OffloadArgs) -> (String, Json) {
-    let cells: Vec<(String, usize, [f64; 4])> = run_indexed(
+    let cells: Vec<(String, usize, HeadToHead)> = run_indexed(
         (args.scenarios.len() * args.cores.len()) as u64,
         args.jobs,
         |i| {
@@ -427,29 +434,12 @@ fn fleet_section(args: &OffloadArgs) -> (String, Json) {
             let cores = args.cores[i as usize % args.cores.len()];
             let scenario =
                 mallacc_fleet::Scenario::by_name(scenario_name).expect("validated at parse time");
-            let mut per_call = [0.0; 4];
-            for (slot, (mode, _)) in per_call.iter_mut().zip(modes()) {
-                let mut stream = scenario.stream(cores, args.requests, args.seed);
-                // TCMalloc streams through the shared-heap multi-core
-                // simulator; the other substrates run as per-core sharded
-                // heaps with cross-core frees routed to the owning shard.
-                *slot = if args.substrate == SubstrateKind::TcMalloc {
-                    let totals = MulticoreSim::new(mode, cores)
-                        .with_sim(args.sim)
-                        .run_stream(&mut stream)
-                        .aggregate();
-                    let calls = (totals.malloc_calls + totals.free_calls).max(1);
-                    (totals.malloc_cycles + totals.free_cycles) as f64 / calls as f64
-                } else {
-                    let mut sim = ShardedMt::new(args.substrate, mode, cores);
-                    sim.set_sampling(args.sim.plan());
-                    sim.run_stream(&mut stream);
-                    let totals = sim.totals();
-                    let calls = (totals.malloc_calls + totals.free_calls).max(1);
-                    totals.allocator_cycles() as f64 / calls as f64
-                };
-            }
-            (scenario_name.clone(), cores, per_call)
+            let per_call = modes().map(|mode| {
+                let stream = scenario.stream(cores, args.requests, args.seed);
+                let (cycles, calls) = run_mt_stream(args.substrate, mode, cores, args.sim, stream);
+                cycles as f64 / calls.max(1) as f64
+            });
+            (scenario_name.clone(), cores, HeadToHead(per_call))
         },
     );
     let mut t = Table::new(&[
@@ -462,31 +452,19 @@ fn fleet_section(args: &OffloadArgs) -> (String, Json) {
         "winner",
     ]);
     let mut json_rows = Vec::new();
-    for (scenario, cores, per_call) in &cells {
-        let impr = |i: usize| 100.0 * (1.0 - per_call[i] / per_call[0].max(f64::MIN_POSITIVE));
-        let winner = if per_call[2] < per_call[1] {
-            "offload"
-        } else {
-            "mallacc"
-        };
-        t.row_owned(vec![
+    for (scenario, cores, h) in &cells {
+        let row = [
             scenario.clone(),
             cores.to_string(),
-            format!("{:.1}", per_call[0]),
-            format!("{:+.1}%", impr(1)),
-            format!("{:+.1}%", impr(2)),
-            format!("{:+.1}%", impr(3)),
-            winner.to_string(),
-        ]);
-        json_rows.push(Json::obj([
+            format!("{:.1}", h.0[0]),
+        ];
+        t.row_owned(row.into_iter().chain(h.cells()).collect());
+        let fields = [
             ("scenario", Json::from(scenario.as_str())),
             ("cores", Json::from(*cores)),
-            ("base_cycles_per_call", Json::from(per_call[0])),
-            ("mallacc_improvement_pct", Json::from(impr(1))),
-            ("offload_improvement_pct", Json::from(impr(2))),
-            ("both_improvement_pct", Json::from(impr(3))),
-            ("winner", Json::from(winner)),
-        ]));
+            ("base_cycles_per_call", Json::from(h.0[0])),
+        ];
+        json_rows.push(Json::obj(fields.into_iter().chain(h.json_fields())));
     }
     let text = format!(
         "== fleet scenario streams (per-call cycles, all cores) ==\n{}",
@@ -548,9 +526,7 @@ fn pareto_section(rows: &[HeadToHead]) -> (String, Json) {
     (text, Json::obj([("designs", Json::Arr(json_rows))]))
 }
 
-/// Runs `repro offload` and returns `(exit code, report text)`. Split
-/// from [`offload`] so tests and the golden snapshot can capture the
-/// output.
+/// Runs `repro offload` and returns `(exit code, report text)`.
 pub fn offload_report(args: &OffloadArgs) -> (i32, String) {
     let mut out = format!(
         "repro offload: substrate {}, {} workloads x 4 variants, calls {}, requests {}, seed {}\n\n",
@@ -590,27 +566,11 @@ pub fn offload_report(args: &OffloadArgs) -> (i32, String) {
             ("fleet", fleet_json),
             ("pareto", pareto_json),
         ]);
-        if let Err(e) = std::fs::write(path, doc.render_pretty()) {
-            eprintln!("repro offload: writing {}: {e}", path.display());
+        if !cli::write_json("offload", path, &doc, &mut out) {
             return (1, out);
         }
-        out.push_str(&format!("\nwrote {}", path.display()));
     }
     (0, out)
-}
-
-/// Runs `repro offload`; returns the process exit code.
-pub fn offload(args: &[String]) -> i32 {
-    let parsed = match OffloadArgs::parse(args) {
-        Ok(parsed) => parsed,
-        Err(e) => {
-            eprintln!("repro offload: {e}");
-            return 2;
-        }
-    };
-    let (code, text) = offload_report(&parsed);
-    println!("{text}");
-    code
 }
 
 #[cfg(test)]

@@ -1,10 +1,6 @@
 //! The `repro profile` subcommand: per-operation cycle attribution for
 //! baseline vs. Mallacc configurations, driven by `mallacc-prof`.
-//!
-//! ```text
-//! repro profile [--smoke] [--quick] [--pairs N] [--warmup N] [--seed N]
-//!               [--jobs N] [--uops N] [--trace PATH] [--json PATH]
-//! ```
+//! Flags: [`USAGE`].
 //!
 //! Prints the paper's Figure 2-style breakdown — where the cycles of a
 //! warm fast-path malloc/free go — as stall-reason and allocator-component
@@ -15,7 +11,7 @@
 
 use std::path::PathBuf;
 
-use crate::cli::{self, CommonFlags, CommonSpec, ScaleFlag};
+use crate::cli::{self, run_indexed, CommonFlags, CommonSpec, ScaleFlag};
 use mallacc::{Mode, StallReason};
 use mallacc_prof::chrome::{chrome_trace, validate_chrome_trace};
 use mallacc_prof::mt::profile_multicore;
@@ -27,6 +23,10 @@ use mallacc_prof::Profiler;
 use mallacc_stats::table::Table;
 use mallacc_stats::Json;
 use mallacc_workloads::MtTrace;
+
+/// Command line of `repro profile`.
+pub const USAGE: &str = "repro profile [--smoke] [--quick] [--pairs N] [--warmup N] \
+    [--mt-calls N] [--seed N] [--jobs N] [--uops N] [--trace PATH] [--json PATH]";
 
 /// Parsed `repro profile` arguments.
 #[derive(Debug, Clone)]
@@ -149,34 +149,15 @@ fn modes() -> [(Mode, &'static str); 3] {
     ]
 }
 
-/// Runs the per-mode fast-path kernels, optionally in parallel. The
-/// output is identical for every `jobs` value: each mode's simulation is
-/// fully independent and internally deterministic, and results are
-/// collected in fixed mode order.
+/// Runs the per-mode fast-path kernels, in parallel across `jobs`
+/// workers. Each mode's simulation is independent and deterministic, so
+/// the output is identical for every `jobs` value.
 fn run_modes(args: &ProfileArgs) -> Vec<(ModeProfile, Box<Profiler>)> {
     let runs = modes();
-    if args.jobs > 1 {
-        let mut slots: Vec<Option<(ModeProfile, Box<Profiler>)>> =
-            (0..runs.len()).map(|_| None).collect();
-        std::thread::scope(|s| {
-            for (slot, (mode, label)) in slots.iter_mut().zip(runs) {
-                s.spawn(move || {
-                    *slot = Some(profile_fastpath(
-                        mode,
-                        label,
-                        args.pairs,
-                        args.warmup,
-                        args.uops,
-                    ));
-                });
-            }
-        });
-        slots.into_iter().map(|s| s.expect("thread ran")).collect()
-    } else {
-        runs.iter()
-            .map(|(mode, label)| profile_fastpath(*mode, label, args.pairs, args.warmup, args.uops))
-            .collect()
-    }
+    run_indexed(runs.len() as u64, args.jobs, |i| {
+        let (mode, label) = runs[i as usize];
+        profile_fastpath(mode, label, args.pairs, args.warmup, args.uops)
+    })
 }
 
 fn render_mt_section(args: &ProfileArgs) -> (String, Json) {
@@ -222,8 +203,7 @@ fn render_mt_section(args: &ProfileArgs) -> (String, Json) {
     (text, json)
 }
 
-/// Runs `repro profile` and returns `(exit code, report text)`. Split
-/// from [`profile`] so tests can capture the output.
+/// Runs `repro profile` and returns `(exit code, report text)`.
 pub fn profile_report(args: &ProfileArgs) -> (i32, String) {
     let results = run_modes(args);
     let profiles: Vec<&ModeProfile> = results.iter().map(|(p, _)| p).collect();
@@ -274,11 +254,9 @@ pub fn profile_report(args: &ProfileArgs) -> (i32, String) {
             eprintln!("repro profile: emitted trace failed validation: {e}");
             return (1, out);
         }
-        if let Err(e) = std::fs::write(path, doc.render_pretty()) {
-            eprintln!("repro profile: writing {}: {e}", path.display());
+        if !cli::write_json("profile", path, &doc, &mut out) {
             return (1, out);
         }
-        out.push_str(&format!("\nwrote {}", path.display()));
     }
     if let Some(path) = &args.json {
         let doc = Json::obj([
@@ -298,27 +276,11 @@ pub fn profile_report(args: &ProfileArgs) -> (i32, String) {
             ),
             ("mt", mt_json),
         ]);
-        if let Err(e) = std::fs::write(path, doc.render_pretty()) {
-            eprintln!("repro profile: writing {}: {e}", path.display());
+        if !cli::write_json("profile", path, &doc, &mut out) {
             return (1, out);
         }
-        out.push_str(&format!("\nwrote {}", path.display()));
     }
     (0, out)
-}
-
-/// Runs `repro profile`; returns the process exit code.
-pub fn profile(args: &[String]) -> i32 {
-    let parsed = match ProfileArgs::parse(args) {
-        Ok(parsed) => parsed,
-        Err(e) => {
-            eprintln!("repro profile: {e}");
-            return 2;
-        }
-    };
-    let (code, text) = profile_report(&parsed);
-    println!("{text}");
-    code
 }
 
 #[cfg(test)]

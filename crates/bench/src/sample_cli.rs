@@ -1,10 +1,5 @@
-//! The `repro sample` subcommand: sampled-vs-full simulation error report.
-//!
-//! ```text
-//! repro sample [--smoke] [--full] [--substrate NAME] [--workload NAME]...
-//!              [--mallocs N] [--plan W:D:P[:S]] [--seed N] [--jobs N]
-//!              [--json PATH]
-//! ```
+//! The `repro sample` subcommand: sampled-vs-full simulation error
+//! report. Flags: [`USAGE`].
 //!
 //! `--substrate` picks the allocator under test (tcmalloc, jemalloc,
 //! rpmalloc, or the per-CPU tcmalloc variant); the sampled-execution
@@ -42,6 +37,11 @@ use mallacc_stats::table::Table;
 use mallacc_stats::{mean_ci95, tol, Json};
 use mallacc_substrate::{AnySim, SubstrateKind};
 use mallacc_workloads::AnyWorkload;
+
+/// Command line of `repro sample`.
+pub const USAGE: &str = "repro sample [--smoke] [--full] [--substrate NAME] \
+    [--workload NAME]... [--mallocs N] [--plan W:D:P[:S]] [--seed N] [--jobs N] \
+    [--json PATH]";
 
 /// Parsed `repro sample` arguments.
 #[derive(Debug, Clone)]
@@ -91,18 +91,11 @@ impl SampleArgs {
             }
             match args[i].as_str() {
                 "--substrate" => {
-                    let name = cli::value(args, &mut i, "--substrate")?;
-                    parsed.substrate = SubstrateKind::by_name(&name).ok_or_else(|| {
-                        format!(
-                            "unknown substrate {name:?} (use tcmalloc/jemalloc/rpmalloc/percpu)"
-                        )
-                    })?;
+                    parsed.substrate = cli::substrate(&cli::value(args, &mut i, "--substrate")?)?;
                 }
                 "--workload" => {
                     let name = cli::value(args, &mut i, "--workload")?;
-                    if AnyWorkload::by_name(&name).is_none() {
-                        return Err(format!("unknown workload {name:?}"));
-                    }
+                    cli::workload(&name)?;
                     parsed.workloads.push(name);
                 }
                 "--mallocs" => {
@@ -238,8 +231,7 @@ fn run_row(args: &SampleArgs, workload: &str, mode_ix: usize) -> Row {
     }
 }
 
-/// Runs `repro sample` and returns `(exit code, report text)`. Split from
-/// [`sample`] so tests can capture the output.
+/// Runs `repro sample` and returns `(exit code, report text)`.
 pub fn sample_report(args: &SampleArgs) -> (i32, String) {
     let names = args.workload_names();
     let rows: Vec<Row> = run_indexed((names.len() * MODES.len()) as u64, args.jobs, |i| {
@@ -335,27 +327,11 @@ pub fn sample_report(args: &SampleArgs) -> (i32, String) {
             ("max_abs_error_pct", Json::from(max_abs)),
             ("pass", Json::from(pass)),
         ]);
-        if let Err(e) = std::fs::write(path, doc.render_pretty()) {
-            eprintln!("repro sample: writing {}: {e}", path.display());
+        if !cli::write_json("sample", path, &doc, &mut out) {
             return (1, out);
         }
-        out.push_str(&format!("\nwrote {}", path.display()));
     }
     (if pass { 0 } else { 1 }, out)
-}
-
-/// Runs `repro sample`; returns the process exit code.
-pub fn sample(args: &[String]) -> i32 {
-    let parsed = match SampleArgs::parse(args) {
-        Ok(parsed) => parsed,
-        Err(e) => {
-            eprintln!("repro sample: {e}");
-            return 2;
-        }
-    };
-    let (code, text) = sample_report(&parsed);
-    println!("{text}");
-    code
 }
 
 #[cfg(test)]

@@ -1,12 +1,5 @@
 //! The `repro substrate` subcommand: the Mallacc-vs-offload-vs-both
-//! head-to-head across every allocator substrate.
-//!
-//! ```text
-//! repro substrate [--smoke] [--full] [--workload NAME]...
-//!                 [--substrate NAME]... [--calls N] [--warmup N]
-//!                 [--seed N] [--jobs N] [--sim full|sampled[:W:D:P[:S]]]
-//!                 [--json PATH]
-//! ```
+//! head-to-head across every allocator substrate. Flags: [`USAGE`].
 //!
 //! The paper evaluates the malloc cache on TCMalloc only and argues the
 //! design generalises because it keys on requested size, not on any
@@ -31,11 +24,17 @@
 use std::path::PathBuf;
 
 use crate::cli::{self, run_indexed, CommonFlags, CommonSpec, ScaleFlag};
-use mallacc::{Mode, SimMode};
+use crate::offload_cli::HeadToHead;
+use mallacc::SimMode;
 use mallacc_stats::table::Table;
 use mallacc_stats::Json;
-use mallacc_substrate::{AnySim, SubstrateKind};
+use mallacc_substrate::SubstrateKind;
 use mallacc_workloads::AnyWorkload;
+
+/// Command line of `repro substrate`.
+pub const USAGE: &str = "repro substrate [--smoke] [--full] [--substrate NAME]... \
+    [--workload NAME]... [--calls N] [--warmup N] [--seed N] [--jobs N] \
+    [--sim full|sampled[:W:D:P[:S]]] [--json PATH]";
 
 /// Parsed `repro substrate` arguments.
 #[derive(Debug, Clone)]
@@ -111,13 +110,7 @@ impl SubstrateArgs {
             }
             match args[i].as_str() {
                 "--substrate" => {
-                    let name = cli::value(args, &mut i, "--substrate")?;
-                    let kind = SubstrateKind::by_name(&name).ok_or_else(|| {
-                        format!(
-                            "unknown substrate {name:?} (use tcmalloc/jemalloc/rpmalloc/percpu)"
-                        )
-                    })?;
-                    substrates.push(kind);
+                    substrates.push(cli::substrate(&cli::value(args, &mut i, "--substrate")?)?);
                 }
                 "--workload" => workloads.push(cli::value(args, &mut i, "--workload")?),
                 "--calls" => {
@@ -165,69 +158,18 @@ impl SubstrateArgs {
             return Err("--calls must be at least 1".to_string());
         }
         for name in &parsed.workloads {
-            if AnyWorkload::by_name(name).is_none() {
-                return Err(format!(
-                    "unknown workload {name:?} (available: {})",
-                    AnyWorkload::all_names().join(", ")
-                ));
-            }
+            cli::workload(name)?;
         }
         Ok(parsed)
     }
 }
 
-/// The four machine variants every cell compares, in table order.
-fn modes() -> [(Mode, &'static str); 4] {
-    [
-        (Mode::Baseline, "baseline"),
-        (Mode::mallacc_default(), "mallacc"),
-        (Mode::offload_default(), "offload"),
-        (Mode::offload_both(), "both"),
-    ]
-}
-
-/// One head-to-head cell: a `substrate × workload` pair's allocator
-/// cycles under all four variants.
+/// One head-to-head cell: a `substrate × workload` pair.
 #[derive(Debug, Clone)]
 struct Cell {
     substrate: SubstrateKind,
     workload: String,
-    cycles: [f64; 4],
-}
-
-impl Cell {
-    /// Improvement over baseline, percent, for variant `i` of [`modes`].
-    fn improvement_pct(&self, i: usize) -> f64 {
-        if self.cycles[0] > 0.0 {
-            100.0 * (1.0 - self.cycles[i] / self.cycles[0])
-        } else {
-            0.0
-        }
-    }
-
-    /// Which accelerator wins the Mallacc-vs-offload duel.
-    fn winner(&self) -> &'static str {
-        if self.cycles[2] < self.cycles[1] {
-            "offload"
-        } else {
-            "mallacc"
-        }
-    }
-}
-
-/// Allocator cycles of one workload run on one substrate under one mode.
-fn cell_cycles(
-    substrate: SubstrateKind,
-    workload: &AnyWorkload,
-    mode: Mode,
-    args: &SubstrateArgs,
-) -> f64 {
-    let warm = workload.trace(args.warmup, args.seed);
-    let measure = workload.trace(args.calls, args.seed.wrapping_add(1));
-    let mut sim = AnySim::new(substrate, mode);
-    sim.set_sampling(args.sim.plan());
-    warm.replay_on(&mut sim);
-    measure.replay_on(&mut sim).allocator_cycles()
+    h2h: HeadToHead,
 }
 
 fn run_cells(args: &SubstrateArgs) -> Vec<Cell> {
@@ -236,14 +178,18 @@ fn run_cells(args: &SubstrateArgs) -> Vec<Cell> {
         let substrate = args.substrates[i as usize / args.workloads.len()];
         let name = &args.workloads[i as usize % args.workloads.len()];
         let workload = AnyWorkload::by_name(name).expect("validated at parse time");
-        let mut cycles = [0.0; 4];
-        for (slot, (mode, _)) in cycles.iter_mut().zip(modes()) {
-            *slot = cell_cycles(substrate, &workload, mode, args);
-        }
+        let h2h = HeadToHead::single_core(
+            substrate,
+            &workload,
+            args.warmup,
+            args.calls,
+            args.seed,
+            args.sim,
+        );
         Cell {
             substrate,
             workload: name.clone(),
-            cycles,
+            h2h,
         }
     })
 }
@@ -260,24 +206,19 @@ fn head_to_head_section(cells: &[Cell]) -> (String, Json) {
     ]);
     let mut json_rows = Vec::new();
     for c in cells {
-        t.row_owned(vec![
+        let base = c.h2h.0[0];
+        let row = [
             c.substrate.name().to_string(),
             c.workload.clone(),
-            format!("{:.0}", c.cycles[0]),
-            format!("{:+.1}%", c.improvement_pct(1)),
-            format!("{:+.1}%", c.improvement_pct(2)),
-            format!("{:+.1}%", c.improvement_pct(3)),
-            c.winner().to_string(),
-        ]);
-        json_rows.push(Json::obj([
+            format!("{base:.0}"),
+        ];
+        t.row_owned(row.into_iter().chain(c.h2h.cells()).collect());
+        let fields = [
             ("substrate", Json::from(c.substrate.name())),
             ("workload", Json::from(c.workload.as_str())),
-            ("base_cycles", Json::from(c.cycles[0])),
-            ("mallacc_improvement_pct", Json::from(c.improvement_pct(1))),
-            ("offload_improvement_pct", Json::from(c.improvement_pct(2))),
-            ("both_improvement_pct", Json::from(c.improvement_pct(3))),
-            ("winner", Json::from(c.winner())),
-        ]));
+            ("base_cycles", Json::from(base)),
+        ];
+        json_rows.push(Json::obj(fields.into_iter().chain(c.h2h.json_fields())));
     }
     let text = format!(
         "== per-substrate head-to-head (improvement vs. that substrate's baseline) ==\n{}",
@@ -302,7 +243,7 @@ fn summary_section(args: &SubstrateArgs, cells: &[Cell]) -> (String, Json) {
             if rows.is_empty() {
                 0.0
             } else {
-                rows.iter().map(|c| c.improvement_pct(i)).sum::<f64>() / rows.len() as f64
+                rows.iter().map(|c| c.h2h.improvement_pct(i)).sum::<f64>() / rows.len() as f64
             }
         };
         let (m, o, b) = (mean(1), mean(2), mean(3));
@@ -335,9 +276,7 @@ fn summary_section(args: &SubstrateArgs, cells: &[Cell]) -> (String, Json) {
     (text, Json::obj([("rows", Json::Arr(json_rows))]))
 }
 
-/// Runs `repro substrate` and returns `(exit code, report text)`. Split
-/// from [`substrate`] so tests and the golden snapshot can capture the
-/// output.
+/// Runs `repro substrate` and returns `(exit code, report text)`.
 pub fn substrate_report(args: &SubstrateArgs) -> (i32, String) {
     let mut out = format!(
         "repro substrate: {} substrates x {} workloads x 4 variants, calls {}, seed {}\n\n",
@@ -399,27 +338,11 @@ pub fn substrate_report(args: &SubstrateArgs) -> (i32, String) {
             ("summary", sum_json),
             ("pass", Json::from(pass)),
         ]);
-        if let Err(e) = std::fs::write(path, doc.render_pretty()) {
-            eprintln!("repro substrate: writing {}: {e}", path.display());
+        if !cli::write_json("substrate", path, &doc, &mut out) {
             return (1, out);
         }
-        out.push_str(&format!("\nwrote {}", path.display()));
     }
     (if pass { 0 } else { 1 }, out)
-}
-
-/// Runs `repro substrate`; returns the process exit code.
-pub fn substrate(args: &[String]) -> i32 {
-    let parsed = match SubstrateArgs::parse(args) {
-        Ok(parsed) => parsed,
-        Err(e) => {
-            eprintln!("repro substrate: {e}");
-            return 2;
-        }
-    };
-    let (code, text) = substrate_report(&parsed);
-    println!("{text}");
-    code
 }
 
 #[cfg(test)]

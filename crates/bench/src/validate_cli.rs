@@ -1,11 +1,5 @@
 //! The `repro validate` subcommand: simulator validation and conformance,
-//! driven by `mallacc-validate`.
-//!
-//! ```text
-//! repro validate [--smoke] [--full] [--kernel-n N] [--fuzz N] [--laws N]
-//!                [--offload-fuzz N] [--sample-fuzz N] [--substrate-fuzz N]
-//!                [--seed N] [--jobs N] [--json PATH]
-//! ```
+//! driven by `mallacc-validate`. Flags: [`USAGE`].
 //!
 //! Six independent sections, any of which can fail the run (exit 1):
 //!
@@ -47,6 +41,11 @@ use mallacc_validate::{
     CoverageEvent, FuzzReport, KernelOutcome, LawReport, OffloadFuzzReport, SampleFuzzReport,
     SubstrateFuzzReport,
 };
+
+/// Command line of `repro validate`.
+pub const USAGE: &str = "repro validate [--smoke] [--full] [--kernel-n N] [--fuzz N] \
+    [--laws N] [--offload-fuzz N] [--sample-fuzz N] [--substrate-fuzz N] [--seed N] \
+    [--jobs N] [--json PATH]";
 
 /// Parsed `repro validate` arguments.
 #[derive(Debug, Clone)]
@@ -614,8 +613,7 @@ fn substrate_section(args: &ValidateArgs) -> (String, Json, bool, SubstrateFuzzR
     (text, json, pass, report)
 }
 
-/// Runs `repro validate` and returns `(exit code, report text)`. Split
-/// from [`validate`] so tests can capture the output.
+/// Runs `repro validate` and returns `(exit code, report text)`.
 pub fn validate_report(args: &ValidateArgs) -> (i32, String) {
     let mut out = format!(
         "repro validate: kernels n={}, fuzz slots={}, law cases={}/law, offload slots={}, sample slots={}, substrate slots={}, seed {}\n\n",
@@ -673,27 +671,11 @@ pub fn validate_report(args: &ValidateArgs) -> (i32, String) {
             ("substrate", substrate_json),
             ("pass", Json::from(pass)),
         ]);
-        if let Err(e) = std::fs::write(path, doc.render_pretty()) {
-            eprintln!("repro validate: writing {}: {e}", path.display());
+        if !cli::write_json("validate", path, &doc, &mut out) {
             return (1, out);
         }
-        out.push_str(&format!("\nwrote {}", path.display()));
     }
     (if pass { 0 } else { 1 }, out)
-}
-
-/// Runs `repro validate`; returns the process exit code.
-pub fn validate(args: &[String]) -> i32 {
-    let parsed = match ValidateArgs::parse(args) {
-        Ok(parsed) => parsed,
-        Err(e) => {
-            eprintln!("repro validate: {e}");
-            return 2;
-        }
-    };
-    let (code, text) = validate_report(&parsed);
-    println!("{text}");
-    code
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@ use mallacc::{
 use mallacc_multicore::MulticoreSim;
 use mallacc_stats::Json;
 use mallacc_substrate::{AnySim, ShardedMt};
-use mallacc_workloads::{AnyWorkload, MtTrace};
+use mallacc_workloads::{AnyWorkload, MtOp, MtTrace};
 
 /// Which allocator model the point runs on.
 ///
@@ -228,11 +228,8 @@ impl ConfigPoint {
     /// (multi-core microbenchmarks — they have no multi-threaded trace
     /// generator). The engine validates grids before running.
     ///
-    /// TCMalloc multi-core points (including fleet scenarios) run on the
-    /// shared-heap [`MulticoreSim`]; every other substrate runs its cores
-    /// as independent [`ShardedMt`] heaps with cross-core frees routed to
-    /// the owning core (each substrate's own remote-free path prices
-    /// them).
+    /// Multi-core points, fleet scenarios included, run through
+    /// [`run_mt_stream`].
     pub fn run(&self) -> PointResult {
         let accel = self.accel_mode();
         if let Some(name) = self.workload.strip_prefix("fleet:") {
@@ -241,7 +238,7 @@ impl ConfigPoint {
             let requests = self.fleet_requests();
             let run = |mode: Mode| {
                 let stream = scenario.stream(self.cores, requests, self.seed);
-                self.run_mt_stream(mode, stream)
+                run_mt_stream(self.substrate, mode, self.cores, self.sim, stream).0 as f64
             };
             let (base_cycles, accel_cycles) = (run(Mode::Baseline), run(accel));
             return self.result_from(base_cycles, accel_cycles);
@@ -254,7 +251,10 @@ impl ConfigPoint {
             };
             let calls_per_core = (self.scale.calls / self.cores).max(40);
             let trace = MtTrace::scaled(w, self.cores, calls_per_core, self.seed);
-            let run = |mode: Mode| self.run_mt_stream(mode, trace.ops().iter().copied());
+            let run = |mode: Mode| {
+                let stream = trace.ops().iter().copied();
+                run_mt_stream(self.substrate, mode, self.cores, self.sim, stream).0 as f64
+            };
             (run(Mode::Baseline), run(accel))
         } else {
             let warm = workload.trace(self.scale.warmup, self.seed);
@@ -271,28 +271,6 @@ impl ConfigPoint {
         self.result_from(base_cycles, accel_cycles)
     }
 
-    /// Runs one multi-core `(core, op)` stream under `mode` and returns
-    /// total allocator cycles. TCMalloc goes through the shared-heap
-    /// multi-core simulator; the other substrates shard per core.
-    fn run_mt_stream(
-        &self,
-        mode: Mode,
-        stream: impl IntoIterator<Item = (usize, mallacc_workloads::MtOp)>,
-    ) -> f64 {
-        if self.substrate == Substrate::TcMalloc {
-            let totals = MulticoreSim::new(mode, self.cores)
-                .with_sim(self.sim)
-                .run_stream(stream)
-                .aggregate();
-            (totals.malloc_cycles + totals.free_cycles) as f64
-        } else {
-            let mut sim = ShardedMt::new(self.substrate, mode, self.cores);
-            sim.set_sampling(self.sim.plan());
-            sim.run_stream(stream);
-            sim.totals().allocator_cycles() as f64
-        }
-    }
-
     /// Packs raw cycle totals into a [`PointResult`].
     fn result_from(&self, base_cycles: f64, accel_cycles: f64) -> PointResult {
         PointResult {
@@ -306,6 +284,30 @@ impl ConfigPoint {
             area_um2: self.area_um2(),
         }
     }
+}
+
+/// Allocator cycles and calls (malloc + free, summed over cores) of one
+/// multi-core `(core, op)` stream of `substrate` under `mode`. TCMalloc
+/// goes through the shared-heap [`MulticoreSim`]; the other substrates
+/// run their cores as independent [`ShardedMt`] heaps with cross-core
+/// frees routed to the owning core.
+pub fn run_mt_stream(
+    substrate: Substrate,
+    mode: Mode,
+    cores: usize,
+    sim: SimMode,
+    stream: impl IntoIterator<Item = (usize, MtOp)>,
+) -> (u64, u64) {
+    if substrate == Substrate::TcMalloc {
+        let multicore = MulticoreSim::new(mode, cores).with_sim(sim);
+        let t = multicore.run_stream(stream).aggregate();
+        return (t.allocator_cycles(), t.malloc_calls + t.free_calls);
+    }
+    let mut sharded = ShardedMt::new(substrate, mode, cores);
+    sharded.set_sampling(sim.plan());
+    sharded.run_stream(stream);
+    let t = sharded.totals();
+    (t.allocator_cycles(), t.malloc_calls + t.free_calls)
 }
 
 /// The measured outcome of one configuration point.
