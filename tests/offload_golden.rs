@@ -2,69 +2,29 @@
 //! output — the Mallacc-vs-offload head-to-head, queue-depth sweep, fleet
 //! streams and area/speedup Pareto table — must be byte-identical on
 //! every run, on every host, and at every `--jobs` value.
-//!
-//! Snapshots live in `tests/golden/`. When an intentional model or
-//! generator change shifts the report, regenerate with
-//!
-//! ```text
-//! UPDATE_GOLDEN=1 cargo test --test offload_golden
-//! ```
-//!
-//! and review the diff like any other code change — unintentional drift
-//! in the helper-core timing or the head-to-head verdicts fails CI.
+//! `tests/golden/mod.rs` says how to regenerate the snapshot after an
+//! intentional change.
 
-use std::path::PathBuf;
+mod golden;
 
+use std::sync::OnceLock;
+
+use golden::{assert_golden, run_report, Runs};
 use mallacc_bench::offload_cli::{offload_report, OffloadArgs};
 
-fn golden_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
-}
-
-/// Compares `actual` against the named snapshot, regenerating it when
-/// `UPDATE_GOLDEN` is set.
-fn assert_golden(name: &str, actual: &str) {
-    let path = golden_dir().join(name);
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::create_dir_all(golden_dir()).unwrap();
-        std::fs::write(&path, actual).unwrap();
-        return;
-    }
-    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing snapshot {}: {e}\nrun UPDATE_GOLDEN=1 cargo test --test offload_golden",
-            path.display()
-        )
-    });
-    assert!(
-        expected == actual,
-        "offload report drift against {}:\n--- expected ---\n{expected}\n--- actual ---\n{actual}\n\
-         If this change is intentional, regenerate with UPDATE_GOLDEN=1.",
-        path.display()
-    );
-}
-
-fn smoke_args(jobs: usize) -> OffloadArgs {
-    let args: Vec<String> = ["--smoke", "--jobs", &jobs.to_string()]
-        .iter()
-        .map(|a| a.to_string())
-        .collect();
-    OffloadArgs::parse(&args).unwrap()
+fn smoke() -> &'static Runs {
+    static RUNS: OnceLock<Runs> = OnceLock::new();
+    RUNS.get_or_init(|| run_report("--smoke", OffloadArgs::parse, offload_report))
 }
 
 #[test]
 fn smoke_report_matches_snapshot() {
-    let (code, text) = offload_report(&smoke_args(1));
-    assert_eq!(code, 0, "smoke offload run must pass on main:\n{text}");
-    assert_golden("offload_smoke.txt", &text);
+    assert_golden("offload_smoke.txt", smoke().text());
 }
 
 #[test]
 fn jobs_value_does_not_change_a_byte() {
-    let (c1, seq) = offload_report(&smoke_args(1));
-    let (c4, par) = offload_report(&smoke_args(4));
-    assert_eq!((c1, c4), (0, 0));
-    assert_eq!(seq, par, "--jobs must not change the report");
+    smoke().assert_jobs_invariant();
 }
 
 #[test]
@@ -72,7 +32,7 @@ fn smoke_head_to_head_has_wins_on_both_sides() {
     // The acceptance bar of the head-to-head: at least one workload where
     // the offload core beats Mallacc and at least one where it loses,
     // visible in the pinned smoke report itself.
-    let (_, text) = offload_report(&smoke_args(1));
+    let text = smoke().text();
     let verdicts: Vec<&str> = text
         .lines()
         .take_while(|l| !l.starts_with("== offload queue-depth"))

@@ -1,19 +1,13 @@
 //! Golden-trace snapshot tests: the canonical fast-path malloc/free
 //! kernels must produce byte-identical stall breakdowns and Chrome trace
 //! JSON on every run, on every host, and at every `--jobs` value.
-//!
-//! Snapshots live in `tests/golden/`. When an intentional model change
-//! shifts the attribution, regenerate them with
-//!
-//! ```text
-//! UPDATE_GOLDEN=1 cargo test --test profile_golden
-//! ```
-//!
-//! and review the diff like any other code change — the whole point is
-//! that *unintentional* attribution drift fails CI.
+//! `tests/golden/mod.rs` says how to regenerate the snapshots after an
+//! intentional change: the whole point is that *unintentional*
+//! attribution drift fails CI.
 
-use std::path::PathBuf;
+mod golden;
 
+use golden::{assert_golden, run_report};
 use mallacc::Mode;
 use mallacc_bench::profile_cli::{profile_report, ProfileArgs};
 use mallacc_prof::chrome::{chrome_trace, validate_chrome_trace};
@@ -24,33 +18,6 @@ use mallacc_prof::report::{profile_fastpath, render_component_table, render_stal
 const PAIRS: u64 = 32;
 const WARMUP: u64 = 8;
 const UOPS: usize = 48;
-
-fn golden_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
-}
-
-/// Compares `actual` against the named snapshot, regenerating it when
-/// `UPDATE_GOLDEN` is set.
-fn assert_golden(name: &str, actual: &str) {
-    let path = golden_dir().join(name);
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::create_dir_all(golden_dir()).unwrap();
-        std::fs::write(&path, actual).unwrap();
-        return;
-    }
-    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing snapshot {}: {e}\nrun UPDATE_GOLDEN=1 cargo test --test profile_golden",
-            path.display()
-        )
-    });
-    assert!(
-        expected == actual,
-        "attribution drift against {}:\n--- expected ---\n{expected}\n--- actual ---\n{actual}\n\
-         If this change is intentional, regenerate with UPDATE_GOLDEN=1.",
-        path.display()
-    );
-}
 
 #[test]
 fn baseline_fastpath_stall_breakdown_matches_snapshot() {
@@ -96,18 +63,6 @@ fn repeated_runs_are_byte_identical() {
 
 #[test]
 fn jobs_value_does_not_change_a_byte() {
-    let args = |jobs| ProfileArgs {
-        pairs: PAIRS,
-        warmup: WARMUP,
-        mt_calls: 40,
-        seed: 42,
-        uops: 0,
-        jobs,
-        trace: None,
-        json: None,
-    };
-    let (c1, seq) = profile_report(&args(1));
-    let (c2, par) = profile_report(&args(3));
-    assert_eq!((c1, c2), (0, 0));
-    assert_eq!(seq, par, "--jobs must not change the report");
+    let flags = format!("--pairs {PAIRS} --warmup {WARMUP} --mt-calls 40 --uops 0");
+    run_report(&flags, ProfileArgs::parse, profile_report).assert_jobs_invariant();
 }

@@ -1,67 +1,27 @@
 //! Golden snapshot for the `repro sample --smoke` report: the sampled-vs-
 //! full error table for every macro workload, under the default cadence,
 //! must be byte-identical on every run, on every host, and at every
-//! `--jobs` value.
-//!
-//! Snapshots live in `tests/golden/`. When an intentional engine, plan or
-//! workload change shifts the report, regenerate with
-//!
-//! ```text
-//! UPDATE_GOLDEN=1 cargo test --test sample_golden
-//! ```
-//!
-//! and review the diff like any other code change — unintentional drift
-//! in the sampled CPI extrapolation fails CI.
+//! `--jobs` value. `tests/golden/mod.rs` says how to regenerate the
+//! snapshot after an intentional change.
 
-use std::path::PathBuf;
+mod golden;
 
+use std::sync::OnceLock;
+
+use golden::{assert_golden, run_report, Runs};
 use mallacc_bench::sample_cli::{sample_report, SampleArgs};
 
-fn golden_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
-}
-
-/// Compares `actual` against the named snapshot, regenerating it when
-/// `UPDATE_GOLDEN` is set.
-fn assert_golden(name: &str, actual: &str) {
-    let path = golden_dir().join(name);
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::create_dir_all(golden_dir()).unwrap();
-        std::fs::write(&path, actual).unwrap();
-        return;
-    }
-    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing snapshot {}: {e}\nrun UPDATE_GOLDEN=1 cargo test --test sample_golden",
-            path.display()
-        )
-    });
-    assert!(
-        expected == actual,
-        "sampling drift against {}:\n--- expected ---\n{expected}\n--- actual ---\n{actual}\n\
-         If this change is intentional, regenerate with UPDATE_GOLDEN=1.",
-        path.display()
-    );
-}
-
-fn smoke_args(jobs: usize) -> SampleArgs {
-    SampleArgs {
-        jobs,
-        ..SampleArgs::default()
-    }
+fn smoke() -> &'static Runs {
+    static RUNS: OnceLock<Runs> = OnceLock::new();
+    RUNS.get_or_init(|| run_report("--smoke", SampleArgs::parse, sample_report))
 }
 
 #[test]
 fn smoke_report_matches_snapshot_and_passes() {
-    let (code, text) = sample_report(&smoke_args(1));
-    assert_eq!(code, 0, "smoke sampling must pass on main:\n{text}");
-    assert_golden("sample_smoke.txt", &text);
+    assert_golden("sample_smoke.txt", smoke().text());
 }
 
 #[test]
 fn jobs_value_does_not_change_a_byte() {
-    let (c1, seq) = sample_report(&smoke_args(1));
-    let (c4, par) = sample_report(&smoke_args(4));
-    assert_eq!((c1, c4), (0, 0));
-    assert_eq!(seq, par, "--jobs must not change the report");
+    smoke().assert_jobs_invariant();
 }

@@ -1,60 +1,23 @@
 //! Golden snapshot for the `repro validate --smoke` report: the full text
 //! output must be byte-identical on every run, on every host, and at
-//! every `--jobs` value.
-//!
-//! Snapshots live in `tests/golden/`. When an intentional model or
-//! generator change shifts the report, regenerate with
-//!
-//! ```text
-//! UPDATE_GOLDEN=1 cargo test --test validate_golden
-//! ```
-//!
-//! and review the diff like any other code change — unintentional drift
-//! in the oracle numbers or the fuzz corpus fails CI.
+//! every `--jobs` value. `tests/golden/mod.rs` says how to regenerate the
+//! snapshots after an intentional change.
 
-use std::path::PathBuf;
+mod golden;
 
+use std::sync::OnceLock;
+
+use golden::{assert_golden, run_report, Runs};
 use mallacc_bench::validate_cli::{validate_report, ValidateArgs};
 
-fn golden_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
-}
-
-/// Compares `actual` against the named snapshot, regenerating it when
-/// `UPDATE_GOLDEN` is set.
-fn assert_golden(name: &str, actual: &str) {
-    let path = golden_dir().join(name);
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::create_dir_all(golden_dir()).unwrap();
-        std::fs::write(&path, actual).unwrap();
-        return;
-    }
-    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing snapshot {}: {e}\nrun UPDATE_GOLDEN=1 cargo test --test validate_golden",
-            path.display()
-        )
-    });
-    assert!(
-        expected == actual,
-        "validation drift against {}:\n--- expected ---\n{expected}\n--- actual ---\n{actual}\n\
-         If this change is intentional, regenerate with UPDATE_GOLDEN=1.",
-        path.display()
-    );
-}
-
-fn smoke_args(jobs: usize) -> ValidateArgs {
-    ValidateArgs {
-        jobs,
-        ..ValidateArgs::default()
-    }
+fn smoke() -> &'static Runs {
+    static RUNS: OnceLock<Runs> = OnceLock::new();
+    RUNS.get_or_init(|| run_report("--smoke", ValidateArgs::parse, validate_report))
 }
 
 #[test]
 fn smoke_report_matches_snapshot_and_passes() {
-    let (code, text) = validate_report(&smoke_args(1));
-    assert_eq!(code, 0, "smoke validation must pass on main:\n{text}");
-    assert_golden("validate_smoke.txt", &text);
+    assert_golden("validate_smoke.txt", smoke().text());
 }
 
 #[test]
@@ -62,9 +25,8 @@ fn substrate_table_matches_snapshot() {
     // The substrate-conformance section gets its own snapshot so drift
     // in the allocator-law corpus is visible independently of the
     // (much larger) full report.
-    let (code, text) = validate_report(&smoke_args(1));
-    assert_eq!(code, 0, "{text}");
-    let section: String = text
+    let section = smoke()
+        .text()
         .split("== ")
         .find(|s| s.starts_with("substrate conformance"))
         .map(|s| format!("== {s}"))
@@ -74,8 +36,5 @@ fn substrate_table_matches_snapshot() {
 
 #[test]
 fn jobs_value_does_not_change_a_byte() {
-    let (c1, seq) = validate_report(&smoke_args(1));
-    let (c4, par) = validate_report(&smoke_args(4));
-    assert_eq!((c1, c4), (0, 0));
-    assert_eq!(seq, par, "--jobs must not change the report");
+    smoke().assert_jobs_invariant();
 }
