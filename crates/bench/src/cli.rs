@@ -17,7 +17,8 @@
 //! * [`run`] / [`write_json`] — the parse → report → print entry point
 //!   and the `--json` write every report shares;
 //! * [`run_indexed`] — the strided-worker slot runner behind every
-//!   "byte-identical across `--jobs`" report.
+//!   "byte-identical across `--jobs`" report, `repro fleet`'s included
+//!   (re-exported from [`mallacc_stats::par`]).
 //!
 //! The shared flags are *collected*, not applied: each CLI applies
 //! `scale` first and explicit overrides after, so `--smoke --fuzz 7`
@@ -26,6 +27,7 @@
 use std::path::{Path, PathBuf};
 
 use mallacc_fleet::Scenario;
+pub use mallacc_stats::par::run_indexed;
 use mallacc_stats::Json;
 use mallacc_substrate::SubstrateKind;
 use mallacc_workloads::AnyWorkload;
@@ -223,47 +225,6 @@ pub fn take_common(
     Ok(true)
 }
 
-/// Runs `total` independent slots, optionally across `jobs` workers, and
-/// merges results in slot order. Each slot's result must be a pure
-/// function of its index, so the merged output is identical for every
-/// `jobs` value — the invariant behind every jobs-invariance golden.
-pub fn run_indexed<T: Send>(total: u64, jobs: usize, f: impl Fn(u64) -> T + Sync) -> Vec<T> {
-    let total = total as usize;
-    if jobs <= 1 || total <= 1 {
-        return (0..total as u64).map(f).collect();
-    }
-    let workers = jobs.min(total);
-    // Worker w takes indices w, w+workers, w+2*workers, … and keeps its
-    // results tagged by index; the merge below restores slot order.
-    let per_worker: Vec<Vec<(usize, T)>> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let f = &f;
-                s.spawn(move || {
-                    (w..total)
-                        .step_by(workers)
-                        .map(|i| (i, f(i as u64)))
-                        .collect()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
-            .collect()
-    });
-    let mut slots: Vec<Option<T>> = (0..total).map(|_| None).collect();
-    for chunk in per_worker {
-        for (i, value) in chunk {
-            slots[i] = Some(value);
-        }
-    }
-    slots
-        .into_iter()
-        .map(|s| s.expect("every slot ran"))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -395,15 +356,5 @@ mod tests {
             include_str!("validate_cli.rs"),
             validate_cli::ValidateArgs::parse,
         );
-    }
-
-    #[test]
-    fn run_indexed_is_jobs_invariant() {
-        let f = |i: u64| i * i + 1;
-        let serial = run_indexed(23, 1, f);
-        for jobs in [2, 3, 8, 64] {
-            assert_eq!(run_indexed(23, jobs, f), serial, "jobs={jobs}");
-        }
-        assert!(run_indexed(0, 4, f).is_empty());
     }
 }

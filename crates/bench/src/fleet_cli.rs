@@ -25,8 +25,8 @@ pub const USAGE: &str = "repro fleet [--smoke] [--full] [--cores A,B,...] \
 /// Parsed `repro fleet` arguments.
 #[derive(Debug, Clone)]
 pub struct FleetArgs {
-    /// Scenario names to run (empty = the whole catalogue).
-    pub scenarios: Vec<String>,
+    /// Scenarios to run (empty = the whole catalogue).
+    pub scenarios: Vec<&'static Scenario>,
     /// Core counts to sweep (`None` = the scale's default).
     pub cores: Option<Vec<usize>>,
     /// Total requests of every strong-scaling cell.
@@ -84,9 +84,11 @@ impl FleetArgs {
                         "--cores",
                     )?);
                 }
-                "--scenario" => parsed
-                    .scenarios
-                    .push(cli::value(args, &mut i, "--scenario")?),
+                "--scenario" => {
+                    parsed
+                        .scenarios
+                        .push(cli::scenario(&cli::value(args, &mut i, "--scenario")?)?)
+                }
                 "--sim" => {
                     parsed.sim = SimMode::parse(&cli::value(args, &mut i, "--sim")?)?;
                 }
@@ -140,40 +142,32 @@ impl FleetArgs {
         Ok(parsed)
     }
 
-    /// Resolves the arguments into an engine configuration.
-    fn config(&self) -> Result<FleetConfig, String> {
-        let scenarios: Vec<&'static Scenario> = if self.scenarios.is_empty() {
-            Scenario::all().iter().collect()
-        } else {
-            self.scenarios
-                .iter()
-                .map(|name| cli::scenario(name))
-                .collect::<Result<_, _>>()?
-        };
+    /// The engine configuration the arguments describe.
+    fn config(&self) -> FleetConfig {
         let default = if self.smoke {
             FleetConfig::smoke(self.seed, self.jobs)
         } else {
             FleetConfig::full(self.seed, self.jobs)
         };
-        Ok(FleetConfig {
-            scenarios,
+        FleetConfig {
+            scenarios: if self.scenarios.is_empty() {
+                default.scenarios
+            } else {
+                self.scenarios.clone()
+            },
             core_counts: self.cores.clone().unwrap_or(default.core_counts),
             strong_requests: self.strong_requests,
             weak_requests_per_core: self.weak_requests_per_core,
             seed: self.seed,
             jobs: self.jobs,
             sim: self.sim,
-        })
+        }
     }
 }
 
 /// Runs `repro fleet` and returns `(exit code, report text)`.
 pub fn fleet_report(args: &FleetArgs) -> (i32, String) {
-    let config = match args.config() {
-        Ok(config) => config,
-        Err(e) => return (2, format!("repro fleet: {e}")),
-    };
-    let result = run_fleet(&config);
+    let result = run_fleet(&args.config());
     let mut out = render_report(&result);
     if let Some(path) = &args.json {
         if !cli::write_json("fleet", path, &json_doc(&result), &mut out) {
@@ -193,7 +187,7 @@ mod tests {
 
     fn tiny() -> FleetArgs {
         FleetArgs {
-            scenarios: vec!["rpc-fanout".to_string()],
+            scenarios: vec![cli::scenario("rpc-fanout").unwrap()],
             cores: Some(vec![1, 2]),
             strong_requests: 24,
             weak_requests_per_core: 8,
@@ -219,7 +213,8 @@ mod tests {
         ]))
         .unwrap();
         assert_eq!(b.cores.as_deref(), Some(&[1, 4, 16][..]));
-        assert_eq!(b.scenarios, vec!["tenant-mix"]);
+        assert_eq!(b.scenarios.len(), 1);
+        assert_eq!(b.scenarios[0].name, "tenant-mix");
         assert_eq!(b.seed, 7);
 
         let wide = FleetArgs::parse(&s(&["--cores", "1,32,64"])).unwrap();
@@ -235,14 +230,9 @@ mod tests {
 
     #[test]
     fn unknown_scenario_lists_the_catalogue() {
-        let a = FleetArgs {
-            scenarios: vec!["no-such".to_string()],
-            ..tiny()
-        };
-        let (code, text) = fleet_report(&a);
-        assert_eq!(code, 2);
-        assert!(text.contains("unknown scenario"), "{text}");
-        assert!(text.contains("rpc-fanout"), "{text}");
+        let e = FleetArgs::parse(&s(&["--scenario", "no-such"])).unwrap_err();
+        assert!(e.contains("unknown scenario"), "{e}");
+        assert!(e.contains("rpc-fanout"), "{e}");
     }
 
     #[test]

@@ -97,7 +97,7 @@ pub struct CacheStats {
     pub hits: u64,
     /// Accesses that did not.
     pub misses: u64,
-    /// Valid lines displaced by fills.
+    /// Valid lines displaced by misses into full sets.
     pub evictions: u64,
     /// Lines invalidated by the antagonist hook or a flush.
     pub invalidations: u64,
@@ -124,20 +124,53 @@ const VALID: u64 = 1 << 63;
 const DIRTY: u64 = 1 << 62;
 const FLAGS: u64 = VALID | DIRTY;
 
+/// The outcome of one [`SetAssocCache::access`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Lookup {
+    /// The line was resident.
+    Hit,
+    /// The line was not resident and has been installed.
+    Miss {
+        /// The base address of the line the install displaced from a full
+        /// set, if any.
+        evicted: Option<Addr>,
+    },
+}
+
+impl Lookup {
+    /// Whether the line was resident.
+    #[inline]
+    pub fn is_hit(self) -> bool {
+        self == Lookup::Hit
+    }
+}
+
+/// Writes `word` into way 0 of `set`, moves ways `0..way` down one way and
+/// returns the word way `way` held. A plain element loop: for the handful
+/// of ways a set moves, it beats both `rotate_right` and `copy_within`.
+#[inline]
+fn push_front(set: &mut [u64], way: usize, word: u64) -> u64 {
+    let mut carry = word;
+    for w in &mut set[..=way] {
+        carry = std::mem::replace(w, carry);
+    }
+    carry
+}
+
 /// One set-associative, true-LRU cache level.
 ///
 /// Every set keeps its recency order in the positions of its ways: way 0
 /// holds the most recently used line, the valid lines are packed at the
 /// front, and empty ways follow them. A hit moves its line to way 0; a
-/// fill inserts at way 0 and, in a full set, evicts the last way; an
-/// invalidation closes the gap it leaves. A lookup therefore stops at the
-/// first empty way, and the least recently used lines of a set are the
+/// miss installs its line at way 0 and, in a full set, evicts the last way;
+/// an invalidation closes the gap it leaves. A lookup therefore stops at
+/// the first empty way, and the least recently used lines of a set are the
 /// tail of its valid prefix.
 ///
 /// # Example
 ///
 /// ```
-/// use mallacc_cache::{CacheConfig, SetAssocCache};
+/// use mallacc_cache::{CacheConfig, Lookup, SetAssocCache};
 ///
 /// let mut c = SetAssocCache::new(CacheConfig {
 ///     size_bytes: 1024,
@@ -146,8 +179,9 @@ const FLAGS: u64 = VALID | DIRTY;
 ///     hit_latency: 4,
 /// });
 /// assert!(!c.probe(0));
-/// c.fill(0, false);
+/// assert_eq!(c.access(0, false), Lookup::Miss { evicted: None });
 /// assert!(c.probe(0));
+/// assert_eq!(c.access(0, false), Lookup::Hit);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SetAssocCache {
@@ -243,29 +277,48 @@ impl SetAssocCache {
         }
     }
 
-    /// Looks up `addr`; on a hit, makes its line the most recently used of
-    /// its set and returns `true`. Counts a hit or a miss.
-    #[inline]
-    pub fn access(&mut self, addr: Addr, write: bool) -> bool {
+    /// Looks up `addr` and makes its line the most recently used of its set,
+    /// installing it on a miss. Counts a hit or a miss, and an eviction when
+    /// the miss displaced a line from a full set.
+    ///
+    /// One scan serves both cases. It stops at the line, at the first empty
+    /// way or at the end of a full set; the lines in front of that way then
+    /// move down one way and the accessed line takes way 0, dirty on a
+    /// write. A miss into a full set pushes out its last way, the least
+    /// recently used line.
+    // Forced inline: a hierarchy walk calls this for up to five levels, and
+    // the out-of-line call the compiler chose cost more than the shift.
+    #[inline(always)]
+    pub fn access(&mut self, addr: Addr, write: bool) -> Lookup {
         let (set_idx, tag) = self.index_and_tag(addr);
         let want = tag | VALID;
+        let dirty = if write { DIRTY } else { 0 };
         let range = self.set_range(set_idx);
         let set = &mut self.tags[range];
-        for i in 0..set.len() {
-            if set[i] & !DIRTY == want {
-                set[..=i].rotate_right(1);
-                if write {
-                    set[0] |= DIRTY;
-                }
+        let mut way = 0;
+        while way < set.len() {
+            let t = set[way];
+            if t & !DIRTY == want {
+                push_front(set, way, t | dirty);
                 self.stats.hits += 1;
-                return true;
+                return Lookup::Hit;
             }
-            if set[i] == 0 {
+            if t == 0 {
                 break;
             }
+            way += 1;
         }
         self.stats.misses += 1;
-        false
+        if way < set.len() {
+            push_front(set, way, want | dirty);
+            return Lookup::Miss { evicted: None };
+        }
+        let old = push_front(set, way - 1, want | dirty);
+        self.stats.evictions += 1;
+        let old_block = ((old & !FLAGS) << self.set_bits) | set_idx as u64;
+        Lookup::Miss {
+            evicted: Some(old_block << self.line_shift),
+        }
     }
 
     /// Checks residency without perturbing the recency order or statistics.
@@ -275,38 +328,6 @@ impl SetAssocCache {
         self.tags[self.set_range(set_idx)]
             .iter()
             .any(|&t| t & !DIRTY == want)
-    }
-
-    /// Installs the line containing `addr` as the most recently used of its
-    /// set, evicting the least recently used line if the set is full.
-    /// Returns the evicted line's base address, if any.
-    ///
-    /// The line must not be resident: a second copy would break both the
-    /// recency order and the one-way-per-line lookup. Every caller fills
-    /// only right after an [`SetAssocCache::access`] to the same line
-    /// missed. Debug builds check it.
-    pub fn fill(&mut self, addr: Addr, write: bool) -> Option<Addr> {
-        debug_assert!(!self.probe(addr), "fill of resident line {addr:#x}");
-        let (set_idx, tag) = self.index_and_tag(addr);
-        let range = self.set_range(set_idx);
-        let set = &mut self.tags[range];
-        // A full set evicts its last (LRU) way; any other fills its first
-        // empty way.
-        let last = set.len() - 1;
-        let victim = if set[last] != 0 {
-            last
-        } else {
-            set.iter().position(|&t| t == 0).unwrap_or(last)
-        };
-        let old = set[victim];
-        set[..=victim].rotate_right(1);
-        set[0] = tag | VALID | if write { DIRTY } else { 0 };
-        if old == 0 {
-            return None;
-        }
-        self.stats.evictions += 1;
-        let old_block = ((old & !FLAGS) << self.set_bits) | set_idx as u64;
-        Some(old_block << self.line_shift)
     }
 
     /// Invalidates `addr`'s line if resident. Returns whether it was.
@@ -405,13 +426,12 @@ mod tests {
     #[test]
     fn miss_then_hit_same_line() {
         let mut c = tiny();
-        assert!(!c.access(100, false));
-        c.fill(100, false);
+        assert!(!c.access(100, false).is_hit());
         // Same 64-byte line.
-        assert!(c.access(127, false));
-        assert!(c.access(64, false));
+        assert!(c.access(127, false).is_hit());
+        assert!(c.access(64, false).is_hit());
         // Next line misses.
-        assert!(!c.access(128, false));
+        assert!(!c.access(128, false).is_hit());
         assert_eq!(c.stats().hits, 2);
         assert_eq!(c.stats().misses, 2);
     }
@@ -420,29 +440,50 @@ mod tests {
     fn lru_eviction_order() {
         let mut c = tiny();
         // Three conflicting lines in set 0 (stride = sets * line = 256).
-        c.fill(0, false);
-        c.fill(256, false);
+        c.access(0, false);
+        c.access(256, false);
         // Touch line 0 so 256 becomes LRU.
-        assert!(c.access(0, false));
-        let evicted = c.fill(512, false);
-        assert_eq!(evicted, Some(256));
+        assert!(c.access(0, false).is_hit());
+        let evicted = c.access(512, false);
+        assert_eq!(evicted, Lookup::Miss { evicted: Some(256) });
         assert!(c.probe(0));
         assert!(!c.probe(256));
         assert!(c.probe(512));
     }
 
     #[test]
-    fn fill_prefers_invalid_ways() {
+    fn hit_shifts_the_lines_in_front_of_it() {
+        // One 4-way set: after a, b, c, d its order is d c b a. A hit on b
+        // gives b d c a, so the next two misses evict a, then c; a swap
+        // with way 0 would give b c d a and evict d second.
+        let mut c = SetAssocCache::new(CacheConfig {
+            size_bytes: 256,
+            line_bytes: 64,
+            associativity: 4,
+            hit_latency: 1,
+        });
+        for line in 0..4 {
+            c.access(line * 64, false);
+        }
+        assert!(c.access(64, true).is_hit());
+        assert_eq!(c.access(256, false), Lookup::Miss { evicted: Some(0) });
+        assert_eq!(c.access(320, false), Lookup::Miss { evicted: Some(128) });
+        assert!(c.probe(64) && c.probe(192));
+    }
+
+    #[test]
+    fn miss_prefers_invalid_ways() {
         let mut c = tiny();
-        c.fill(0, false);
-        assert_eq!(c.fill(256, false), None); // second way free
+        c.access(0, false);
+        // Second way free.
+        assert_eq!(c.access(256, false), Lookup::Miss { evicted: None });
         assert_eq!(c.resident_lines(), 2);
     }
 
     #[test]
     fn invalidate_specific_line() {
         let mut c = tiny();
-        c.fill(0, false);
+        c.access(0, false);
         assert!(c.invalidate(0));
         assert!(!c.invalidate(0));
         assert!(!c.probe(0));
@@ -452,8 +493,8 @@ mod tests {
     #[test]
     fn antagonist_evicts_lru_half() {
         let mut c = tiny();
-        c.fill(0, false);
-        c.fill(256, false);
+        c.access(0, false);
+        c.access(256, false);
         c.access(256, false); // 0 is now LRU in set 0
         c.evict_lru_fraction(0.5);
         assert!(!c.probe(0), "LRU way should be evicted");
@@ -463,7 +504,7 @@ mod tests {
     #[test]
     fn antagonist_zero_fraction_is_noop() {
         let mut c = tiny();
-        c.fill(0, false);
+        c.access(0, false);
         c.evict_lru_fraction(0.0);
         assert!(c.probe(0));
     }
@@ -472,7 +513,7 @@ mod tests {
     fn flush_empties_cache() {
         let mut c = tiny();
         for i in 0..8u64 {
-            c.fill(i * 64, false);
+            c.access(i * 64, false);
         }
         assert_eq!(c.resident_lines(), 8);
         c.flush();
@@ -482,12 +523,12 @@ mod tests {
     #[test]
     fn probe_does_not_disturb_lru() {
         let mut c = tiny();
-        c.fill(0, false);
-        c.fill(256, false);
+        c.access(0, false);
+        c.access(256, false);
         // Probing 0 must NOT make it MRU.
         assert!(c.probe(0));
-        let evicted = c.fill(512, false);
-        assert_eq!(evicted, Some(0));
+        let evicted = c.access(512, false);
+        assert_eq!(evicted, Lookup::Miss { evicted: Some(0) });
     }
 
     #[test]
@@ -566,16 +607,21 @@ mod tests {
 
     #[test]
     fn eviction_starts_exactly_at_the_associativity_boundary() {
-        // 2-way set: the first `associativity` conflicting fills must not
-        // evict anything; fill number associativity+1 must evict exactly
+        // 2-way set: the first `associativity` conflicting misses must not
+        // evict anything; miss number associativity+1 must evict exactly
         // one line, and it must be the LRU one.
         let mut c = tiny();
-        assert_eq!(c.fill(0, false), None);
-        assert_eq!(c.fill(256, false), None, "boundary fill must not evict");
+        let none = Lookup::Miss { evicted: None };
+        assert_eq!(c.access(0, false), none);
+        assert_eq!(c.access(256, false), none, "boundary miss must not evict");
         assert_eq!(c.stats().evictions, 0);
         assert_eq!(c.resident_lines(), 2);
-        let evicted = c.fill(512, false);
-        assert_eq!(evicted, Some(0), "one past the boundary evicts the LRU");
+        let evicted = c.access(512, false);
+        assert_eq!(
+            evicted,
+            Lookup::Miss { evicted: Some(0) },
+            "one past the boundary evicts the LRU"
+        );
         assert_eq!(c.stats().evictions, 1);
         assert_eq!(c.resident_lines(), 2, "occupancy is capped at the ways");
     }
@@ -584,7 +630,7 @@ mod tests {
     fn distinct_sets_do_not_conflict() {
         let mut c = tiny();
         for i in 0..4u64 {
-            c.fill(i * 64, false);
+            c.access(i * 64, false);
         }
         for i in 0..4u64 {
             assert!(c.probe(i * 64), "set {i} lost its line");

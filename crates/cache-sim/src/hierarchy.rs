@@ -139,45 +139,37 @@ impl Hierarchy {
     /// Performs one access, updating residency/LRU and returning its
     /// latency and the servicing level. Misses fill every level above the
     /// servicing one (write-allocate).
+    ///
+    /// Each level is walked once: [`SetAssocCache::access`] looks the line
+    /// up and, on a miss, installs it before the next level is probed. The
+    /// levels are separate arrays, so this leaves the same state as filling
+    /// the missed levels after the servicing one answers.
     pub fn access(&mut self, addr: Addr, kind: AccessKind) -> AccessResult {
         let write = kind == AccessKind::Write;
         // Address translation first: a DTLB miss adds STLB or page-walk
         // latency to whatever the data access costs.
         let xlat = self.tlb.translate(addr);
-        if self.l1.access(addr, write) {
-            return AccessResult {
-                latency: self.config.l1.hit_latency + xlat,
-                level: Level::L1,
-            };
-        }
-        if self.l2.access(addr, write) {
-            self.l1.fill(addr, write);
-            return AccessResult {
-                latency: self.config.l2.hit_latency + xlat,
-                level: Level::L2,
-            };
-        }
-        // The access reaches the L3 level: record it for the shared-L3
-        // epoch merge if logging is on (hit or miss — the master must see
-        // both to keep its LRU state faithful).
-        if let Some(log) = &mut self.l3_log {
-            log.push(L3Access { addr, write });
-        }
-        if self.l3.access(addr, write) {
-            self.l2.fill(addr, write);
-            self.l1.fill(addr, write);
-            return AccessResult {
-                latency: self.config.l3.hit_latency + xlat,
-                level: Level::L3,
-            };
-        }
-        self.memory_accesses += 1;
-        self.l3.fill(addr, write);
-        self.l2.fill(addr, write);
-        self.l1.fill(addr, write);
+        let (latency, level) = if self.l1.access(addr, write).is_hit() {
+            (self.config.l1.hit_latency, Level::L1)
+        } else if self.l2.access(addr, write).is_hit() {
+            (self.config.l2.hit_latency, Level::L2)
+        } else {
+            // The access reaches the L3 level: record it for the shared-L3
+            // epoch merge if logging is on (hit or miss — the master must
+            // see both to keep its LRU state faithful).
+            if let Some(log) = &mut self.l3_log {
+                log.push(L3Access { addr, write });
+            }
+            if self.l3.access(addr, write).is_hit() {
+                (self.config.l3.hit_latency, Level::L3)
+            } else {
+                self.memory_accesses += 1;
+                (self.config.memory_latency, Level::Memory)
+            }
+        };
         AccessResult {
-            latency: self.config.memory_latency + xlat,
-            level: Level::Memory,
+            latency: latency + xlat,
+            level,
         }
     }
 

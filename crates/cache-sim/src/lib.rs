@@ -34,7 +34,7 @@ mod hierarchy;
 mod shared;
 mod tlb;
 
-pub use cache::{CacheConfig, CacheStats, GeometryError, SetAssocCache};
+pub use cache::{CacheConfig, CacheStats, GeometryError, Lookup, SetAssocCache};
 pub use hierarchy::{AccessKind, AccessResult, Hierarchy, HierarchyConfig, Level};
 pub use shared::{L3Access, SharedL3};
 pub use tlb::{Tlb, TlbConfig, TlbStats};

@@ -90,9 +90,7 @@ impl SharedL3 {
     pub fn commit(&mut self, log: &[L3Access]) {
         for a in log {
             self.touched.push(self.master.set_of(a.addr));
-            if !self.master.access(a.addr, a.write) {
-                self.master.fill(a.addr, a.write);
-            }
+            self.master.access(a.addr, a.write);
         }
         self.committed_accesses += log.len() as u64;
         self.commits += 1;

@@ -130,20 +130,18 @@ impl Tlb {
     }
 
     /// Translates `addr`, returning the extra access latency (0 on an L1
-    /// hit) and updating residency.
+    /// hit) and updating residency. A miss installs the page in every level
+    /// it missed, one scan per level.
     pub fn translate(&mut self, addr: Addr) -> u32 {
-        if self.l1.access(addr, false) {
+        if self.l1.access(addr, false).is_hit() {
             self.stats.l1_hits += 1;
             return 0;
         }
-        if self.l2.access(addr, false) {
+        if self.l2.access(addr, false).is_hit() {
             self.stats.l2_hits += 1;
-            self.l1.fill(addr, false);
             return self.config.l2_latency;
         }
         self.stats.walks += 1;
-        self.l2.fill(addr, false);
-        self.l1.fill(addr, false);
         self.config.walk_latency
     }
 

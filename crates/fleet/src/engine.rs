@@ -12,6 +12,7 @@
 
 use mallacc::{Mode, SimMode};
 use mallacc_multicore::{latency_sinks, take_latencies, MulticoreSim};
+use mallacc_stats::par::run_indexed;
 use mallacc_stats::Cdf;
 
 use crate::scenario::Scenario;
@@ -274,37 +275,6 @@ fn run_cell(
     }
 }
 
-/// Runs `total` independent slots on `jobs` worker threads with strided
-/// assignment, merging in slot order. The output is a pure function of
-/// each slot index, so `jobs` never changes the result.
-fn run_indexed<T: Send>(total: usize, jobs: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
-    let jobs = jobs.clamp(1, total.max(1));
-    let mut slots: Vec<Option<T>> = (0..total).map(|_| None).collect();
-    if jobs <= 1 {
-        for (i, slot) in slots.iter_mut().enumerate() {
-            *slot = Some(f(i));
-        }
-    } else {
-        let chunks: Vec<(usize, &mut Option<T>)> = slots.iter_mut().enumerate().collect();
-        let mut per_worker: Vec<Vec<(usize, &mut Option<T>)>> =
-            (0..jobs).map(|_| Vec::new()).collect();
-        for (k, item) in chunks.into_iter().enumerate() {
-            per_worker[k % jobs].push(item);
-        }
-        let f = &f;
-        std::thread::scope(|s| {
-            for work in per_worker {
-                s.spawn(move || {
-                    for (i, slot) in work {
-                        *slot = Some(f(i));
-                    }
-                });
-            }
-        });
-    }
-    slots.into_iter().map(|s| s.expect("slot filled")).collect()
-}
-
 /// Runs the whole sweep. Deterministic: the result is a pure function of
 /// `config` minus `jobs`.
 ///
@@ -322,8 +292,8 @@ pub fn run_fleet(config: &FleetConfig) -> FleetResult {
             }
         }
     }
-    let cells = run_indexed(coords.len(), config.jobs, |i| {
-        let (scenario, cores, scaling) = coords[i];
+    let cells = run_indexed(coords.len() as u64, config.jobs, |i| {
+        let (scenario, cores, scaling) = coords[i as usize];
         run_cell(scenario, cores, scaling, config)
     });
     FleetResult {

@@ -22,21 +22,14 @@
 //! depends on any other core's progress through it.
 
 use mallacc::{CallRecord, MallocCacheStats, MallocSim, Mode, SimMode, SimTotals, TraceSink};
-use mallacc_cache::{Addr, CacheStats, SharedL3};
+use mallacc_cache::{CacheStats, SharedL3};
 use mallacc_tcmalloc::TcMallocConfig;
-use mallacc_workloads::{MtOp, MtTrace};
+use mallacc_workloads::{AppWalk, MtOp, MtTrace};
 
 use crate::capture::{capture_stream, CoreEvent};
 
 /// Default events each core replays between L3 synchronisation barriers.
 pub const DEFAULT_EPOCH_EVENTS: usize = 256;
-
-/// Base of a core's private application working set. Keeping per-core app
-/// traffic in disjoint ranges means cores fight for L3 *capacity* (the real
-/// effect) without false sharing of simulated lines.
-fn app_base(core: usize) -> Addr {
-    0x7000_0000 + core as u64 * 0x1000_0000
-}
 
 /// The N-core simulator: functional capture plus epoch-parallel replay.
 ///
@@ -127,13 +120,12 @@ impl MtRunResult {
     }
 }
 
-/// One core's replay state (engine + stream cursor + app-touch cursor).
+/// One core's replay state (engine + stream cursor + working-set walk).
 struct CoreReplay {
     sim: MallocSim,
     stream: Vec<CoreEvent>,
     pos: usize,
-    touch_cursor: u64,
-    app_base: Addr,
+    walk: AppWalk,
 }
 
 impl CoreReplay {
@@ -165,14 +157,9 @@ impl CoreReplay {
                 CoreEvent::AppTouch {
                     lines,
                     working_set_lines,
-                } => {
-                    let ws = u64::from(*working_set_lines).max(1);
-                    let addrs: Vec<Addr> = (0..u64::from(*lines))
-                        .map(|i| self.app_base + ((self.touch_cursor + i) % ws) * 64)
-                        .collect();
-                    self.touch_cursor = (self.touch_cursor + u64::from(*lines)) % ws;
-                    self.sim.app_touch(&addrs);
-                }
+                } => self
+                    .sim
+                    .app_touch(self.walk.touch(*lines, *working_set_lines)),
                 CoreEvent::McInvalidate { cls } => self.sim.invalidate_mc_list(*cls),
             }
             self.pos += 1;
@@ -317,8 +304,7 @@ impl MulticoreSim {
                     sim,
                     stream,
                     pos: 0,
-                    touch_cursor: 0,
-                    app_base: app_base(core),
+                    walk: AppWalk::for_core(core),
                 }
             })
             .collect();

@@ -19,7 +19,9 @@
 //! * [`pareto`] — two-objective dominance, Pareto frontiers and knee
 //!   selection for the design-space exploration subsystem;
 //! * [`tol`] — the shared tolerance bands used by the validation subsystem
-//!   and the differential allocator tests, documented in one place.
+//!   and the differential allocator tests, documented in one place;
+//! * [`par`] — the slot runner that fans a report's independent cells out
+//!   over `--jobs` worker threads and merges them in slot order.
 //!
 //! # Example
 //!
@@ -44,6 +46,7 @@ mod cdf;
 mod ci;
 mod hist;
 pub mod json;
+pub mod par;
 pub mod pareto;
 mod special;
 mod summary;

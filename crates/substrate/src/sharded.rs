@@ -17,7 +17,7 @@ use std::collections::HashMap;
 use mallacc::Mode;
 use mallacc_cache::Addr;
 use mallacc_ooo::SamplingPlan;
-use mallacc_workloads::{MtOp, SimBackend};
+use mallacc_workloads::{AppWalk, MtOp, SimBackend};
 
 use crate::anysim::AnySim;
 use crate::kind::SubstrateKind;
@@ -48,13 +48,6 @@ impl ShardedTotals {
     }
 }
 
-/// Per-core application-touch state (mirrors the multicore simulator's
-/// working-set walk so `AppTouch` resolves to the same addresses).
-#[derive(Debug, Clone, Copy, Default)]
-struct TouchState {
-    cursor: u64,
-}
-
 /// The sharded multi-core runner: `cores` independent [`AnySim`]s over
 /// one logical heap namespace, consuming `(core, MtOp)` streams.
 ///
@@ -73,7 +66,8 @@ struct TouchState {
 #[derive(Debug)]
 pub struct ShardedMt {
     cores: Vec<AnySim>,
-    touch: Vec<TouchState>,
+    /// Each core's working-set walk, the one the multicore simulator uses.
+    walks: Vec<AppWalk>,
     owner: HashMap<u64, (usize, Addr)>,
     totals: ShardedTotals,
 }
@@ -88,7 +82,7 @@ impl ShardedMt {
         assert!(cores > 0, "need at least one core");
         Self {
             cores: (0..cores).map(|_| AnySim::new(kind, mode)).collect(),
-            touch: vec![TouchState::default(); cores],
+            walks: (0..cores).map(AppWalk::for_core).collect(),
             owner: HashMap::new(),
             totals: ShardedTotals {
                 per_core_cycles: vec![0; cores],
@@ -166,14 +160,8 @@ impl ShardedMt {
                 lines,
                 working_set_lines,
             } => {
-                let base = 0x7000_0000 + core as u64 * 0x1000_0000;
-                let ws = u64::from(working_set_lines).max(1);
-                let cur = self.touch[core].cursor;
-                let addrs: Vec<Addr> = (0..u64::from(lines))
-                    .map(|i| base + ((cur + i) % ws) * 64)
-                    .collect();
-                self.touch[core].cursor = (cur + u64::from(lines)) % ws;
-                self.cores[core].backend_app_touch(&addrs);
+                let addrs = self.walks[core].touch(lines, working_set_lines);
+                self.cores[core].backend_app_touch(addrs);
             }
         }
     }

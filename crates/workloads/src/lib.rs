@@ -36,7 +36,7 @@ mod trace_io;
 pub use macrob::{MacroWorkload, SizePalette};
 pub use micro::Microbenchmark;
 pub use mt::{MtOp, MtTrace};
-pub use ops::{GenericStats, Op, RunStats, SimBackend, Trace};
+pub use ops::{AppWalk, GenericStats, Op, RunStats, SimBackend, Trace};
 pub use resolve::{resolve_or_list, AnyWorkload};
 pub use trace_io::{
     from_text, to_text, write_mt_ops, write_ops, MtOpReader, OpReader, ParseTraceError,

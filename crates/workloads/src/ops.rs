@@ -119,6 +119,46 @@ pub enum Op {
     },
 }
 
+/// One core's walk over its application working set: the addresses an
+/// [`Op::AppTouch`] (or [`crate::MtOp::AppTouch`]) loads.
+///
+/// Each core's working set lives in its own region, far from the
+/// allocator's structures and the simulated heap, so cores compete for L3
+/// capacity without sharing simulated lines. A touch of `lines` lines
+/// starts where the previous one stopped and wraps over the working set:
+/// line `i` is `base + ((cursor + i) % working_set_lines) * 64`. The walk
+/// keeps its address buffer, so a touch allocates nothing once the buffer
+/// has grown.
+#[derive(Debug, Clone)]
+pub struct AppWalk {
+    base: u64,
+    cursor: u64,
+    addrs: Vec<u64>,
+}
+
+impl AppWalk {
+    /// The walk of core `core`'s working set, from its start.
+    pub fn for_core(core: usize) -> Self {
+        Self {
+            base: 0x7000_0000 + core as u64 * 0x1000_0000,
+            cursor: 0,
+            addrs: Vec::new(),
+        }
+    }
+
+    /// The addresses of the next `lines`-line touch of a
+    /// `working_set_lines`-line working set (0 counts as 1), in load order.
+    pub fn touch(&mut self, lines: u16, working_set_lines: u32) -> &[u64] {
+        let ws = u64::from(working_set_lines.max(1));
+        let cursor = self.cursor;
+        self.addrs.clear();
+        self.addrs
+            .extend((0..u64::from(lines)).map(|i| self.base + ((cursor + i) % ws) * 64));
+        self.cursor = (cursor + u64::from(lines)) % ws;
+        &self.addrs
+    }
+}
+
 /// A replayable operation sequence.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Trace {
@@ -163,10 +203,7 @@ impl Trace {
     pub fn replay(&self, sim: &mut MallocSim) -> RunStats {
         let mut stats = RunStats::new();
         let mut pool: Vec<u64> = Vec::new();
-        let mut touch_cursor: u64 = 0;
-        // The application's working set lives in its own address region,
-        // far from the allocator's structures and the simulated heap.
-        const APP_BASE: u64 = 0x7000_0000;
+        let mut walk = AppWalk::for_core(0);
         let before = sim.totals();
         for &op in &self.ops {
             match op {
@@ -200,14 +237,7 @@ impl Trace {
                 Op::AppTouch {
                     lines,
                     working_set_lines,
-                } => {
-                    let ws = u64::from(working_set_lines.max(1));
-                    let addrs: Vec<u64> = (0..u64::from(lines))
-                        .map(|i| APP_BASE + ((touch_cursor + i) % ws) * 64)
-                        .collect();
-                    touch_cursor = (touch_cursor + u64::from(lines)) % ws;
-                    sim.app_touch(&addrs);
-                }
+                } => sim.app_touch(walk.touch(lines, working_set_lines)),
             }
         }
         stats.totals = diff_totals(before, sim.totals());
@@ -222,8 +252,7 @@ impl Trace {
     pub fn replay_on<B: SimBackend + ?Sized>(&self, sim: &mut B) -> GenericStats {
         let mut stats = GenericStats::default();
         let mut pool: Vec<u64> = Vec::new();
-        let mut touch_cursor: u64 = 0;
-        const APP_BASE: u64 = 0x7000_0000;
+        let mut walk = AppWalk::for_core(0);
         for &op in &self.ops {
             match op {
                 Op::Malloc { size } => {
@@ -256,14 +285,7 @@ impl Trace {
                 Op::AppTouch {
                     lines,
                     working_set_lines,
-                } => {
-                    let ws = u64::from(working_set_lines.max(1));
-                    let addrs: Vec<u64> = (0..u64::from(lines))
-                        .map(|i| APP_BASE + ((touch_cursor + i) % ws) * 64)
-                        .collect();
-                    touch_cursor = (touch_cursor + u64::from(lines)) % ws;
-                    sim.backend_app_touch(&addrs);
-                }
+                } => sim.backend_app_touch(walk.touch(lines, working_set_lines)),
             }
         }
         stats
@@ -403,6 +425,16 @@ impl RunStats {
 mod tests {
     use super::*;
     use mallacc::Mode;
+
+    #[test]
+    fn app_walk_wraps_over_each_cores_working_set() {
+        let mut walk = AppWalk::for_core(1);
+        let base = 0x8000_0000;
+        assert_eq!(walk.touch(3, 4), [base, base + 64, base + 128]);
+        assert_eq!(walk.touch(3, 4), [base + 192, base, base + 64]);
+        // A working set of 0 lines is one line.
+        assert_eq!(AppWalk::for_core(0).touch(2, 0), [0x7000_0000; 2]);
+    }
 
     #[test]
     fn replay_is_deterministic_within_mode() {

@@ -77,7 +77,7 @@ proptest! {
     #[test]
     fn report_bytes_are_jobs_invariant(p in arb_fleet_params()) {
         let args = |jobs: usize| FleetArgs {
-            scenarios: vec![p.scenario.to_string()],
+            scenarios: vec![Scenario::by_name(p.scenario).unwrap()],
             cores: Some(vec![1, p.cores.clamp(2, 32)]),
             strong_requests: p.requests.max(8),
             weak_requests_per_core: (p.requests / 2).max(4),

@@ -3,7 +3,10 @@
 use proptest::prelude::*;
 
 use mallacc::{AccelConfig, Driver, MallocSim, Mode, SamplingPlan, Substrate, TcSubstrate};
-use mallacc_cache::{CacheConfig, CacheStats, SetAssocCache};
+use mallacc_cache::{
+    AccessKind, AccessResult, CacheConfig, CacheStats, Hierarchy, HierarchyConfig, L3Access, Level,
+    Lookup, SetAssocCache, SharedL3, TlbConfig, TlbStats,
+};
 use mallacc_jemalloc::JeSubstrate;
 use mallacc_prof::Profiler;
 use mallacc_substrate::{PcSubstrate, RpSubstrate, SubstrateKind};
@@ -296,7 +299,7 @@ proptest! {
 /// modulo the run's line universe.
 #[derive(Debug, Clone, Copy)]
 enum CacheOp {
-    /// An access, with a fill on a miss, as every caller does.
+    /// An access, which installs the line on a miss.
     Access {
         line: u64,
         offset: u64,
@@ -418,14 +421,38 @@ impl StampLru {
     fn resident_lines(&self) -> u64 {
         self.slots.iter().filter(|s| s.is_some()).count() as u64
     }
+
+    /// Copies set `set`'s lines from `src`, which has the same geometry,
+    /// restamped on this cache's clock in `src`'s recency order.
+    fn copy_set_from(&mut self, src: &StampLru, set: usize) {
+        let mut ways: Vec<usize> = (set * self.ways..(set + 1) * self.ways).collect();
+        ways.sort_by_key(|&i| src.slots[i].map(|(_, t)| t));
+        for i in ways {
+            self.slots[i] = src.slots[i].map(|(line, _)| {
+                self.clock += 1;
+                (line, self.clock)
+            });
+        }
+    }
+
+    /// An access as the two-step walk made it: a lookup, then a fill on a
+    /// miss.
+    fn access_or_fill(&mut self, line: u64) -> bool {
+        let hit = self.access(line);
+        if !hit {
+            self.fill(line);
+        }
+        hit
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// `SetAssocCache`, which keeps each set in recency order, is
-    /// observably identical to the timestamp-LRU design it replaced: after
-    /// every access (with a fill on a miss), invalidation, antagonist
+    /// `SetAssocCache`, which keeps each set in recency order and installs
+    /// a missed line in the scan that looked it up, is observably identical
+    /// to the timestamp-LRU design it replaced, whose callers filled after
+    /// a missed lookup: after every access, invalidation, antagonist
     /// eviction and flush on 1–8-way, 1–8-set geometries, both report the
     /// same hit, evicted line, invalidation result, statistics, resident
     /// count and residency of every line.
@@ -435,7 +462,6 @@ proptest! {
         set_bits in 0u32..=3,
         ops in arb_cache_ops(),
     ) {
-        const LINE: u64 = 64;
         let sets = 1u64 << set_bits;
         // Two more lines per set than it has ways, so sets overflow.
         let universe = sets * (ways as u64 + 2);
@@ -451,15 +477,14 @@ proptest! {
                 CacheOp::Access { line, offset, write } => {
                     let line = line % universe;
                     let addr = line * LINE + offset;
-                    let hit = cache.access(addr, write);
-                    prop_assert_eq!(hit, oracle.access(line), "{:?}", op);
-                    if !hit {
-                        prop_assert_eq!(
-                            cache.fill(addr, write),
-                            oracle.fill(line).map(|l| l * LINE),
-                            "{:?}", op
-                        );
-                    }
+                    let expected = if oracle.access(line) {
+                        Lookup::Hit
+                    } else {
+                        Lookup::Miss {
+                            evicted: oracle.fill(line).map(|l| l * LINE),
+                        }
+                    };
+                    prop_assert_eq!(cache.access(addr, write), expected, "{:?}", op);
                 }
                 CacheOp::Invalidate { line } => {
                     let line = line % universe;
@@ -486,6 +511,357 @@ proptest! {
                     cache.probe(line * LINE),
                     oracle.find(line).is_some(),
                     "line {} after {:?}", line, op
+                );
+            }
+        }
+    }
+}
+
+/// Bytes per cache line in the hierarchy differential run.
+const LINE: u64 = 64;
+
+/// One level's shape: `ways` ways in each of `1 << set_bits` sets.
+#[derive(Debug, Clone, Copy)]
+struct Shape {
+    ways: usize,
+    set_bits: u32,
+}
+
+impl Shape {
+    fn sets(self) -> u64 {
+        1 << self.set_bits
+    }
+
+    /// Entries in the level.
+    fn entries(self) -> u64 {
+        self.sets() * self.ways as u64
+    }
+
+    /// Two more entries per set than the level holds: a universe this
+    /// large overflows every set.
+    fn overflow(self) -> u64 {
+        self.sets() * (self.ways as u64 + 2)
+    }
+
+    fn cache(self, unit: u64, hit_latency: u32) -> CacheConfig {
+        CacheConfig {
+            size_bytes: self.entries() * unit,
+            line_bytes: unit,
+            associativity: self.ways as u32,
+            hit_latency,
+        }
+    }
+
+    fn oracle(self) -> StampLru {
+        StampLru::new(self.sets(), self.ways)
+    }
+}
+
+fn arb_shape(max_ways: usize) -> impl Strategy<Value = Shape> {
+    (1..=max_ways, 0u32..=2).prop_map(|(ways, set_bits)| Shape { ways, set_bits })
+}
+
+/// A small hierarchy: every cache and TLB level has 1–4 sets, and a page
+/// holds `page_lines` lines so that a few dozen lines span enough pages to
+/// overflow both TLB levels.
+#[derive(Debug, Clone, Copy)]
+struct SmallMachine {
+    l1: Shape,
+    l2: Shape,
+    l3: Shape,
+    dtlb: Shape,
+    stlb: Shape,
+    page_lines: u64,
+}
+
+const L1_LATENCY: u32 = 4;
+const L2_LATENCY: u32 = 12;
+const L3_LATENCY: u32 = 34;
+const MEMORY_LATENCY: u32 = 200;
+const STLB_LATENCY: u32 = 8;
+const WALK_LATENCY: u32 = 30;
+
+impl SmallMachine {
+    fn config(&self) -> HierarchyConfig {
+        HierarchyConfig {
+            l1: self.l1.cache(LINE, L1_LATENCY),
+            l2: self.l2.cache(LINE, L2_LATENCY),
+            l3: self.l3.cache(LINE, L3_LATENCY),
+            memory_latency: MEMORY_LATENCY,
+            tlb: TlbConfig {
+                l1_entries: self.dtlb.entries() as u32,
+                l1_associativity: self.dtlb.ways as u32,
+                l2_entries: self.stlb.entries() as u32,
+                l2_associativity: self.stlb.ways as u32,
+                l2_latency: STLB_LATENCY,
+                walk_latency: WALK_LATENCY,
+                page_bytes: self.page_lines * LINE,
+            },
+        }
+    }
+
+    /// Lines the run draws from: enough to overflow every set of every
+    /// cache and TLB level.
+    fn universe(&self) -> u64 {
+        [
+            self.l1.overflow(),
+            self.l2.overflow(),
+            self.l3.overflow(),
+            self.dtlb.overflow() * self.page_lines,
+            self.stlb.overflow() * self.page_lines,
+        ]
+        .into_iter()
+        .max()
+        .expect("five levels")
+    }
+}
+
+fn arb_small_machine() -> impl Strategy<Value = SmallMachine> {
+    (
+        arb_shape(4),
+        arb_shape(8),
+        arb_shape(16),
+        arb_shape(2),
+        arb_shape(4),
+        0u32..=2,
+    )
+        .prop_map(|(l1, l2, l3, dtlb, stlb, page_bits)| SmallMachine {
+            l1,
+            l2,
+            l3,
+            dtlb,
+            stlb,
+            page_lines: 1 << page_bits,
+        })
+}
+
+/// The hierarchy walk that one scan per level replaced, built from
+/// timestamp-LRU levels: every level is looked up first and the levels
+/// that missed are filled once the servicing level answers.
+struct TwoStepHierarchy {
+    l1: StampLru,
+    l2: StampLru,
+    l3: StampLru,
+    dtlb: StampLru,
+    stlb: StampLru,
+    page_lines: u64,
+    tlb_stats: TlbStats,
+    memory_accesses: u64,
+    /// L3-level accesses since the log was last drained, if logging is on.
+    l3_log: Option<Vec<L3Access>>,
+    /// The shared-L3 master and the sets its commits touched.
+    master: StampLru,
+    touched: Vec<usize>,
+}
+
+impl TwoStepHierarchy {
+    fn new(m: &SmallMachine, logging: bool) -> Self {
+        Self {
+            l1: m.l1.oracle(),
+            l2: m.l2.oracle(),
+            l3: m.l3.oracle(),
+            dtlb: m.dtlb.oracle(),
+            stlb: m.stlb.oracle(),
+            page_lines: m.page_lines,
+            tlb_stats: TlbStats::default(),
+            memory_accesses: 0,
+            l3_log: logging.then(Vec::new),
+            master: m.l3.oracle(),
+            touched: Vec::new(),
+        }
+    }
+
+    fn translate(&mut self, page: u64) -> u32 {
+        if self.dtlb.access(page) {
+            self.tlb_stats.l1_hits += 1;
+            return 0;
+        }
+        if self.stlb.access(page) {
+            self.tlb_stats.l2_hits += 1;
+            self.dtlb.fill(page);
+            return STLB_LATENCY;
+        }
+        self.tlb_stats.walks += 1;
+        self.stlb.fill(page);
+        self.dtlb.fill(page);
+        WALK_LATENCY
+    }
+
+    fn access(&mut self, addr: u64, kind: AccessKind) -> AccessResult {
+        let line = addr / LINE;
+        let xlat = self.translate(line / self.page_lines);
+        let (latency, level) = if self.l1.access(line) {
+            (L1_LATENCY, Level::L1)
+        } else if self.l2.access(line) {
+            self.l1.fill(line);
+            (L2_LATENCY, Level::L2)
+        } else {
+            if let Some(log) = &mut self.l3_log {
+                log.push(L3Access {
+                    addr,
+                    write: kind == AccessKind::Write,
+                });
+            }
+            if self.l3.access(line) {
+                self.l2.fill(line);
+                self.l1.fill(line);
+                (L3_LATENCY, Level::L3)
+            } else {
+                self.memory_accesses += 1;
+                self.l3.fill(line);
+                self.l2.fill(line);
+                self.l1.fill(line);
+                (MEMORY_LATENCY, Level::Memory)
+            }
+        };
+        AccessResult {
+            latency: latency + xlat,
+            level,
+        }
+    }
+
+    fn take_l3_log(&mut self) -> Vec<L3Access> {
+        self.l3_log.as_mut().map(std::mem::take).unwrap_or_default()
+    }
+
+    /// `SharedL3::commit` as the two-step walk made it.
+    fn commit(&mut self, log: &[L3Access]) {
+        for a in log {
+            let line = a.addr / LINE;
+            self.touched.push((line % self.master.sets) as usize);
+            self.master.access_or_fill(line);
+        }
+    }
+
+    /// `Hierarchy::refresh_l3` followed by `SharedL3::clear_touched_sets`.
+    fn refresh_l3(&mut self) {
+        for &set in &self.touched {
+            self.l3.copy_set_from(&self.master, set);
+        }
+        self.touched.clear();
+    }
+
+    fn probe(&self, line: u64) -> Level {
+        if self.l1.find(line).is_some() {
+            Level::L1
+        } else if self.l2.find(line).is_some() {
+            Level::L2
+        } else if self.l3.find(line).is_some() {
+            Level::L3
+        } else {
+            Level::Memory
+        }
+    }
+}
+
+/// One step of a hierarchy differential run. Lines are reduced modulo the
+/// run's line universe.
+#[derive(Debug, Clone, Copy)]
+enum WalkOp {
+    Access {
+        line: u64,
+        offset: u64,
+        kind: AccessKind,
+    },
+    Antagonist {
+        per_mille: u16,
+    },
+    Flush,
+    /// The epoch barrier of a one-core shared L3: drain the log, commit it,
+    /// refresh the replica and clear the touched-set record.
+    SyncL3,
+}
+
+fn arb_walk_ops() -> impl Strategy<Value = Vec<WalkOp>> {
+    let kinds = [AccessKind::Read, AccessKind::Write, AccessKind::Prefetch];
+    let op = prop_oneof![
+        60 => (0u64..1 << 20, 0u64..LINE, 0usize..3).prop_map(move |(line, offset, k)| {
+            WalkOp::Access { line, offset, kind: kinds[k] }
+        }),
+        3 => (0u16..=1000).prop_map(|per_mille| WalkOp::Antagonist { per_mille }),
+        1 => Just(WalkOp::Flush),
+        6 => Just(WalkOp::SyncL3),
+    ];
+    prop::collection::vec(op, 1..200)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `Hierarchy`, which walks each cache and TLB level in one scan that
+    /// looks a line up and installs it on a miss, is observably identical
+    /// to the walk that looked every level up first and filled the missed
+    /// levels afterwards, built from timestamp-LRU levels. Both run the
+    /// same reads, writes, prefetches, antagonist evictions, flushes and
+    /// shared-L3 epoch barriers on a small geometry whose sets overflow at
+    /// every level; after every step they report the same access result,
+    /// cache, TLB and memory statistics, L3 log, shared-L3 statistics and
+    /// level of every line, in the replica and in the master.
+    #[test]
+    fn one_scan_walk_matches_the_two_step_walk(
+        machine in arb_small_machine(),
+        logging in any::<bool>(),
+        ops in arb_walk_ops(),
+    ) {
+        let config = machine.config();
+        let universe = machine.universe();
+        let mut h = Hierarchy::new(config);
+        h.set_l3_logging(logging);
+        let mut shared = SharedL3::new(config.l3);
+        let mut oracle = TwoStepHierarchy::new(&machine, logging);
+        let mut pending: Vec<L3Access> = Vec::new();
+        for op in ops {
+            match op {
+                WalkOp::Access { line, offset, kind } => {
+                    let addr = (line % universe) * LINE + offset;
+                    prop_assert_eq!(h.access(addr, kind), oracle.access(addr, kind), "{:?}", op);
+                }
+                WalkOp::Antagonist { per_mille } => {
+                    let fraction = f64::from(per_mille) / 1000.0;
+                    h.evict_antagonist(fraction);
+                    oracle.l1.evict_lru_fraction(fraction);
+                    oracle.l2.evict_lru_fraction(fraction);
+                }
+                WalkOp::Flush => {
+                    h.flush();
+                    for level in [
+                        &mut oracle.l1,
+                        &mut oracle.l2,
+                        &mut oracle.l3,
+                        &mut oracle.dtlb,
+                        &mut oracle.stlb,
+                    ] {
+                        level.flush();
+                    }
+                }
+                WalkOp::SyncL3 => {
+                    shared.commit(&pending);
+                    oracle.commit(&pending);
+                    pending.clear();
+                    if logging {
+                        h.refresh_l3(&shared);
+                        oracle.refresh_l3();
+                    }
+                    shared.clear_touched_sets();
+                }
+            }
+            let log = h.take_l3_log();
+            prop_assert_eq!(&log, &oracle.take_l3_log(), "{:?}", op);
+            pending.extend(log);
+            prop_assert_eq!(
+                h.stats(),
+                (oracle.l1.stats, oracle.l2.stats, oracle.l3.stats),
+                "{:?}", op
+            );
+            prop_assert_eq!(h.tlb_stats(), oracle.tlb_stats, "{:?}", op);
+            prop_assert_eq!(h.memory_accesses(), oracle.memory_accesses, "{:?}", op);
+            prop_assert_eq!(shared.stats(), oracle.master.stats, "{:?}", op);
+            for line in 0..universe {
+                prop_assert_eq!(h.probe(line * LINE), oracle.probe(line), "line {} after {:?}", line, op);
+                prop_assert_eq!(
+                    shared.master().probe(line * LINE),
+                    oracle.master.find(line).is_some(),
+                    "master line {} after {:?}", line, op
                 );
             }
         }
