@@ -14,11 +14,14 @@
 //! code change here.
 //!
 //! With `--measure`, additionally re-times the pinned sim fixture
-//! in-process (best-of-N, see [`mallacc_bench::sim_fixture`]) and fails
-//! if the measured sampled-over-full speedup has regressed more than
-//! 10 % below the committed ratio. The gate compares *ratios*, never
-//! absolute wall-clock: absolutes drift across hosts, the ratio is a
-//! property of the engine's fast-forward path.
+//! in-process (see [`mallacc_bench::sim_fixture`]) and fails if the
+//! measured sampled-over-full speedup has regressed more than 10 % below
+//! the committed ratio. The committed ratio is a median of per-run
+//! medians, so the measured one is a median too: of the full/sampled
+//! ratios of at least [`MIN_TRIALS`] interleaved trial pairs, each of
+//! which is printed. The gate compares *ratios*, never absolute
+//! wall-clock: absolutes drift across hosts, the ratio is a property of
+//! the engine's fast-forward path.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -28,6 +31,10 @@ use mallacc_stats::json::{self, Json};
 
 /// Fractional speedup-ratio loss tolerated before `--measure` fails.
 const RATIO_REGRESSION_TOL: f64 = 0.10;
+
+/// The fewest trial pairs `--measure` takes the median of: one noisy
+/// pair in nine cannot move it.
+const MIN_TRIALS: usize = 9;
 
 struct Args {
     dir: PathBuf,
@@ -39,7 +46,7 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
     let mut parsed = Args {
         dir: PathBuf::from("."),
         measure: false,
-        trials: 5,
+        trials: MIN_TRIALS,
     };
     let mut i = 0;
     while i < args.len() {
@@ -54,8 +61,8 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
                 i += 1;
                 let v = args.get(i).ok_or("--trials needs a value")?;
                 parsed.trials = v.parse().map_err(|_| format!("bad --trials {v:?}"))?;
-                if parsed.trials == 0 {
-                    return Err("--trials must be at least 1".to_string());
+                if parsed.trials < MIN_TRIALS {
+                    return Err(format!("--trials must be at least {MIN_TRIALS}"));
                 }
             }
             other => return Err(format!("unknown bench_check flag {other:?}")),
@@ -257,7 +264,9 @@ fn check_sim(dir: &Path) -> Result<f64, String> {
     Ok(ratio)
 }
 
-fn run(args: &Args) -> Result<String, String> {
+/// Runs the checks, printing the report as it goes, so the measured
+/// trials are on stdout even when the gate fails.
+fn run(args: &Args) -> Result<(), String> {
     let files = discover(&args.dir)?;
     let mut committed = 0.0;
     for file in &files {
@@ -269,21 +278,25 @@ fn run(args: &Args) -> Result<String, String> {
             other => check_generic(&args.dir, other)?,
         }
     }
-    let mut out = format!(
-        "bench_check: {} baseline files ok (committed sim speedup {committed:.2}x)\n",
+    println!(
+        "bench_check: {} baseline files ok (committed sim speedup {committed:.2}x)",
         files.len()
     );
     if args.measure {
         let m = sim_fixture::quick_speedup(args.trials);
-        out.push_str(&format!(
-            "bench_check: measured full {:.3} ms, sampled {:.3} ms over {} uops \
-             (best of {}) -> speedup {:.2}x\n",
-            m.full_ms,
-            m.sampled_ms,
+        let trials = m.full_ms.iter().zip(&m.sampled_ms).zip(m.ratios());
+        for (i, ((full, sampled), ratio)) in trials.enumerate() {
+            println!(
+                "bench_check: trial {}: full {full:.3} ms, sampled {sampled:.3} ms -> {ratio:.2}x",
+                i + 1
+            );
+        }
+        println!(
+            "bench_check: measured speedup {:.2}x over {} uops (median of {} trial ratios)",
+            m.ratio(),
             m.uops,
-            args.trials,
-            m.ratio()
-        ));
+            args.trials
+        );
         let floor = committed * (1.0 - RATIO_REGRESSION_TOL);
         if m.ratio() < floor {
             return Err(format!(
@@ -294,7 +307,7 @@ fn run(args: &Args) -> Result<String, String> {
             ));
         }
     }
-    Ok(out)
+    Ok(())
 }
 
 fn main() -> ExitCode {
@@ -307,10 +320,7 @@ fn main() -> ExitCode {
         }
     };
     match run(&args) {
-        Ok(report) => {
-            print!("{report}");
-            ExitCode::SUCCESS
-        }
+        Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("bench_check: FAIL: {e}");
             ExitCode::FAILURE
@@ -365,11 +375,13 @@ mod tests {
     #[test]
     fn flags_parse_and_reject_garbage() {
         let s = |v: &[&str]| -> Vec<String> { v.iter().map(|s| s.to_string()).collect() };
-        let a = parse_args(&s(&["--measure", "--trials", "3", "--dir", "x"])).unwrap();
+        let a = parse_args(&s(&["--measure", "--trials", "11", "--dir", "x"])).unwrap();
         assert!(a.measure);
-        assert_eq!(a.trials, 3);
+        assert_eq!(a.trials, 11);
         assert_eq!(a.dir, PathBuf::from("x"));
+        assert_eq!(parse_args(&[]).unwrap().trials, MIN_TRIALS);
         assert!(parse_args(&s(&["--trials", "0"])).is_err());
+        assert!(parse_args(&s(&["--trials", "8"])).is_err());
         assert!(parse_args(&s(&["--wat"])).is_err());
     }
 

@@ -106,50 +106,87 @@ pub fn run_engine(uops: &[Uop], regs: usize, plan: Option<SamplingPlan>) -> u64 
 }
 
 /// A quick in-process measurement of the sampled-over-full engine
-/// speedup: best-of-`trials` wall time for each mode, interleaved so a
-/// host frequency ramp cannot bias one side. Minimum-of-N is the right
-/// statistic here — every source of host noise only ever adds time.
+/// speedup: `trials` pairs of one full and one sampled run, interleaved
+/// so a host frequency ramp cannot bias one side. Each pair yields one
+/// full/sampled ratio, and [`SpeedupSample::ratio`] is their median: the
+/// statistic `BENCH_sim.json` records, a median of per-run medians. Load
+/// from other tenants slows both runs of a pair alike, so the ratio of a
+/// pair is steadier than a ratio of two independently chosen times.
 pub fn quick_speedup(trials: usize) -> SpeedupSample {
     let (uops, regs) = fixture_uops();
     let plan = SamplingPlan::default_plan();
-    let mut best_full = f64::INFINITY;
-    let mut best_sampled = f64::INFINITY;
+    let mut full_ms = Vec::new();
+    let mut sampled_ms = Vec::new();
     for _ in 0..trials.max(1) {
         let t = Instant::now();
         std::hint::black_box(run_engine(&uops, regs, None));
-        best_full = best_full.min(t.elapsed().as_secs_f64());
+        full_ms.push(1e3 * t.elapsed().as_secs_f64());
         let t = Instant::now();
         std::hint::black_box(run_engine(&uops, regs, Some(plan)));
-        best_sampled = best_sampled.min(t.elapsed().as_secs_f64());
+        sampled_ms.push(1e3 * t.elapsed().as_secs_f64());
     }
     SpeedupSample {
         uops: uops.len() as u64,
-        full_ms: 1e3 * best_full,
-        sampled_ms: 1e3 * best_sampled,
+        full_ms,
+        sampled_ms,
     }
 }
 
 /// One [`quick_speedup`] measurement.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct SpeedupSample {
     /// µops pushed per run.
     pub uops: u64,
-    /// Best-of-N wall time of the full detailed run, in milliseconds.
-    pub full_ms: f64,
-    /// Best-of-N wall time of the sampled run, in milliseconds.
-    pub sampled_ms: f64,
+    /// Wall time of each trial's full detailed run, in milliseconds.
+    pub full_ms: Vec<f64>,
+    /// Wall time of each trial's sampled run, in milliseconds.
+    pub sampled_ms: Vec<f64>,
 }
 
 impl SpeedupSample {
-    /// Sampled-over-full speedup ratio (> 1 means sampling is faster).
+    /// Each trial's sampled-over-full speedup (> 1 means sampling is
+    /// faster), in trial order.
+    pub fn ratios(&self) -> Vec<f64> {
+        self.full_ms
+            .iter()
+            .zip(&self.sampled_ms)
+            .map(|(full, sampled)| full / sampled)
+            .collect()
+    }
+
+    /// The median of [`SpeedupSample::ratios`].
     pub fn ratio(&self) -> f64 {
-        self.full_ms / self.sampled_ms
+        let mut r = self.ratios();
+        r.sort_by(f64::total_cmp);
+        let mid = r.len() / 2;
+        if r.len() % 2 == 1 {
+            r[mid]
+        } else {
+            (r[mid - 1] + r[mid]) / 2.0
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn the_ratio_is_the_median_of_the_per_trial_ratios() {
+        let m = SpeedupSample {
+            uops: 1,
+            full_ms: vec![4.0, 9.0, 6.0],
+            sampled_ms: vec![2.0, 3.0, 1.0],
+        };
+        assert_eq!(m.ratios(), [2.0, 3.0, 6.0]);
+        assert_eq!(m.ratio(), 3.0);
+        let even = SpeedupSample {
+            full_ms: vec![4.0, 9.0],
+            sampled_ms: vec![2.0, 3.0],
+            ..m
+        };
+        assert_eq!(even.ratio(), 2.5);
+    }
 
     /// The fixture stream is deterministic and both modes retire every
     /// µop of it — the throughput comparison is element-for-element

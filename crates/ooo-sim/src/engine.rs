@@ -1,7 +1,5 @@
 //! The out-of-order dataflow scheduling engine.
 
-use std::collections::VecDeque;
-
 use mallacc_cache::{AccessKind, AccessResult, Hierarchy};
 
 use crate::sample::{FfClock, Phase, Sampler, SamplingPlan, SamplingReport};
@@ -283,10 +281,19 @@ impl CpiStack {
 pub struct Engine {
     config: CoreConfig,
     mem: Hierarchy,
-    /// Completion cycle of each virtual register (index = Reg.0).
+    /// Completion cycle of each virtual register, at its [`Reg::slot`],
+    /// one past its index. Slot 0 is a sentinel that no µop writes: an
+    /// absent source reads it as cycle 0, so every source is one
+    /// unconditional load.
     reg_complete: Vec<u64>,
-    /// Commit times of the in-flight window, bounded by `rob_size`.
-    rob: VecDeque<u64>,
+    /// Commit times of the last detailed µops: µop `n` sits at slot
+    /// `n & rob_mask`. The ring is a power of two no shorter than
+    /// `rob_size`, so the commit of µop `n - rob_size` is still there
+    /// when µop `n` fetches.
+    rob: Box<[u64]>,
+    rob_mask: u64,
+    /// Detailed µops pushed so far: the ROB sequence number of the next.
+    detailed: u64,
     /// Fetch bookkeeping: cycle and how many µops were fetched in it.
     fetch_cycle: u64,
     fetched_this_cycle: u32,
@@ -330,11 +337,14 @@ impl Engine {
     /// Creates a core with a cold pipeline at cycle 0.
     pub fn new(config: CoreConfig, mem: Hierarchy) -> Self {
         assert!(config.fetch_width >= 1 && config.commit_width >= 1 && config.rob_size >= 1);
+        let ring = (config.rob_size as usize).next_power_of_two();
         Self {
             config,
             mem,
-            reg_complete: Vec::new(),
-            rob: VecDeque::with_capacity(config.rob_size as usize),
+            reg_complete: vec![0],
+            rob: vec![0; ring].into_boxed_slice(),
+            rob_mask: ring as u64 - 1,
+            detailed: 0,
             fetch_cycle: 0,
             fetched_this_cycle: 0,
             fetch_barrier: 0,
@@ -373,7 +383,7 @@ impl Engine {
 
     /// Allocates a fresh virtual register.
     pub fn alloc_reg(&mut self) -> Reg {
-        let r = Reg(self.reg_complete.len() as u32);
+        let r = Reg::new((self.reg_complete.len() - 1) as u32);
         self.reg_complete.push(0);
         r
     }
@@ -446,19 +456,9 @@ impl Engine {
         self.sink.take()
     }
 
-    /// Whether a sink is installed.
-    pub fn has_sink(&self) -> bool {
-        self.sink.is_some()
-    }
-
     /// Sets the component tag stamped on subsequently pushed µops.
     pub fn set_component(&mut self, component: Component) {
         self.component = component;
-    }
-
-    /// The component tag currently in force.
-    pub fn component(&self) -> Component {
-        self.component
     }
 
     /// Notifies the sink that an operation window opens at the current
@@ -519,8 +519,10 @@ impl Engine {
         }
     }
 
+    /// Takes a fetch slot at or after `earliest`, which the caller has
+    /// already raised to `fetch_cycle` and `fetch_barrier`.
     fn fetch_slot(&mut self, earliest: u64) -> u64 {
-        let mut cycle = self.fetch_cycle.max(earliest).max(self.fetch_barrier);
+        let mut cycle = earliest;
         if cycle > self.fetch_cycle {
             self.fetch_cycle = cycle;
             self.fetched_this_cycle = 0;
@@ -633,7 +635,7 @@ impl Engine {
     #[inline(always)]
     fn push_ff(&mut self, uop: Uop) -> UopTiming {
         if let Some(dst) = uop.dst {
-            if dst.0 as usize >= self.reg_complete.len() {
+            if dst.slot() >= self.reg_complete.len() {
                 unallocated(dst);
             }
         }
@@ -676,32 +678,28 @@ impl Engine {
     fn push_detailed(&mut self, uop: Uop) -> UopTiming {
         self.stats.uops += 1;
 
-        // ROB gating: the window holds at most rob_size µops; fetching a new
-        // one must wait for the oldest in-flight µop to commit.
-        let rob_gate = if self.rob.len() >= self.config.rob_size as usize {
-            self.rob.pop_front().expect("rob non-empty")
-        } else {
-            0
-        };
-        // How far ROB occupancy pushed fetch beyond where the front end
-        // would otherwise be — the ROB-full slice of the stall breakdown.
-        let rob_delay = rob_gate.saturating_sub(self.fetch_cycle.max(self.fetch_barrier));
+        // ROB gating: the window holds at most rob_size µops, so µop n
+        // fetches no earlier than µop n - rob_size commits. Until the
+        // window first fills, the ring slot read here has never been
+        // written (the ring is at least rob_size long) and reads 0.
+        let n = self.detailed;
+        self.detailed += 1;
+        let gate_slot = n.wrapping_sub(u64::from(self.config.rob_size)) & self.rob_mask;
+        let rob_gate = self.rob[gate_slot as usize];
+        let front = self.fetch_cycle.max(self.fetch_barrier);
+        let fetch = self.fetch_slot(front.max(rob_gate));
 
-        let fetch = self.fetch_slot(rob_gate);
-
-        // Dataflow readiness: sources plus front-end depth.
-        let mut ready = fetch + self.config.frontend_latency as u64;
-        for src in uop.srcs.iter().flatten() {
-            let t = self.reg_complete[src.0 as usize];
-            ready = ready.max(t);
+        // Dataflow readiness: sources plus front-end depth. An absent
+        // source reads the sentinel slot.
+        let frontend_done = fetch + u64::from(self.config.frontend_latency);
+        let mut ready = frontend_done;
+        for src in uop.srcs {
+            ready = ready.max(self.reg_complete[src.map_or(0, Reg::slot)]);
         }
 
         let mut mem = None;
-        let (complete, commit_gate) = match uop.kind {
-            OpKind::Alu { latency } => {
-                let c = ready + latency as u64;
-                (c, c)
-            }
+        let complete = match uop.kind {
+            OpKind::Alu { latency } => ready + u64::from(latency),
             OpKind::Load { addr } => {
                 self.stats.loads += 1;
                 // Memory dependence: a load cannot see data before the last
@@ -712,29 +710,25 @@ impl Engine {
                 let issue = self.load_ports.issue_at(ready, LOAD_PORTS as u8);
                 let r = self.mem.access(addr, AccessKind::Read);
                 mem = Some(r);
-                let c = issue + r.latency as u64;
-                (c, c)
+                issue + u64::from(r.latency)
             }
             OpKind::Store { addr } => {
                 self.stats.stores += 1;
                 let issue = self.store_ports.issue_at(ready, STORE_PORTS as u8);
-                let r = self.mem.access(addr, AccessKind::Write);
-                mem = Some(r);
+                mem = Some(self.mem.access(addr, AccessKind::Write));
                 // Senior store queue: the store completes and may retire one
                 // cycle after its operands are ready; the cache update
                 // happens in the background.
                 let c = issue + 1;
                 self.store_complete.insert(addr >> DEP_LINE_SHIFT, c);
-                (c, c)
+                c
             }
             OpKind::Prefetch { addr } => {
                 self.stats.prefetches += 1;
                 let issue = self.load_ports.issue_at(ready, LOAD_PORTS as u8);
-                let r = self.mem.access(addr, AccessKind::Prefetch);
-                mem = Some(r);
+                mem = Some(self.mem.access(addr, AccessKind::Prefetch));
                 // Like a store: commits without waiting for the data.
-                let c = issue + 1;
-                (c, c)
+                issue + 1
             }
             OpKind::Branch {
                 mispredicted,
@@ -753,59 +747,39 @@ impl Engine {
                     self.fetch_cycle = fetch + 1;
                     self.fetched_this_cycle = 0;
                 }
-                (c, c)
+                c
             }
         };
 
         if let Some(dst) = uop.dst {
-            self.reg_complete[dst.0 as usize] = complete;
+            self.reg_complete[dst.slot()] = complete;
         }
 
         // In-order commit: cannot retire before the previous µop, nor before
         // this µop's own completion.
         let prev_commit = self.last_commit;
-        let commit = self.commit_slot(commit_gate.max(prev_commit));
+        let commit = self.commit_slot(complete.max(prev_commit));
         self.last_commit = commit;
-        self.rob.push_back(commit);
+        self.rob[(n & self.rob_mask) as usize] = commit;
 
-        // Stall attribution: the cycles this µop moved retirement forward,
-        // charged to whatever bound it. The stalled window (completion
-        // trailing the previous retirement) is covered by walking the µop's
-        // own timeline backwards from completion — execution/memory, then
-        // the wait for operands, then ROB gating, then the front end — each
-        // phase capped by what is left, so the slices sum to `advance`
-        // exactly. The remainder is width-limited useful work.
-        let advance = commit.saturating_sub(prev_commit);
-        let mut stall = StallBreakdown::new();
-        if advance > 0 {
-            let stalled = commit_gate.saturating_sub(prev_commit).min(advance);
-            stall.add(StallReason::Base, advance - stalled);
-            let mut rest = stalled;
-            let take = |span: u64, rest: &mut u64| -> u64 {
-                let t = span.min(*rest);
-                *rest -= t;
-                t
-            };
-            let exec = take(complete.saturating_sub(ready), &mut rest);
-            let exec_reason = match (uop.kind, mem) {
-                (OpKind::Load { .. }, Some(m)) => StallReason::for_level(m.level),
-                _ => StallReason::Execute,
-            };
-            stall.add(exec_reason, exec);
-            let frontend_done = fetch + self.config.frontend_latency as u64;
-            let dataflow = take(ready.saturating_sub(frontend_done), &mut rest);
-            stall.add(StallReason::Dataflow, dataflow);
-            stall.add(StallReason::RobFull, take(rob_delay, &mut rest));
-            stall.add(StallReason::Frontend, rest);
+        // Stall attribution: the cycles this µop moved retirement forward
+        // (`advance`, never negative: commit is in order), charged to
+        // whatever bound them. The stalled part, completion trailing the
+        // previous retirement, is covered by walking the µop's own
+        // timeline backwards from completion: its execution (memory for a
+        // load) as far as that reaches, then the front end. The remainder
+        // is width-limited useful work. `complete >= ready` always holds.
+        let advance = commit - prev_commit;
+        let stalled = complete.saturating_sub(prev_commit).min(advance);
+        let exec = (complete - ready).min(stalled);
+        let is_load = matches!(uop.kind, OpKind::Load { .. });
+        self.cpi.base += advance - stalled;
+        if is_load {
+            self.cpi.memory += exec;
+        } else {
+            self.cpi.execute += exec;
         }
-        // The CPI stack is the coarse projection of the same breakdown, so
-        // the two can never drift apart.
-        self.cpi.base += stall.get(StallReason::Base);
-        self.cpi.memory += stall.memory();
-        self.cpi.execute += stall.get(StallReason::Execute);
-        self.cpi.frontend += stall.get(StallReason::Dataflow)
-            + stall.get(StallReason::RobFull)
-            + stall.get(StallReason::Frontend);
+        self.cpi.frontend += stalled - exec;
 
         let timing = UopTiming {
             fetch,
@@ -817,6 +791,28 @@ impl Engine {
         let seq = self.retired;
         self.retired += 1;
         if let Some(sink) = &mut self.sink {
+            // The sink's finer breakdown splits the front-end share into
+            // the wait for operands, ROB gating and the front end proper,
+            // each capped by what is left, and the memory share by level.
+            // It projects onto exactly the CPI slices charged above.
+            let mut stall = StallBreakdown::new();
+            stall.add(StallReason::Base, advance - stalled);
+            let exec_reason = match mem {
+                Some(m) if is_load => StallReason::for_level(m.level),
+                _ => StallReason::Execute,
+            };
+            stall.add(exec_reason, exec);
+            let mut rest = stalled - exec;
+            let rob_delay = rob_gate.saturating_sub(front);
+            for (reason, span) in [
+                (StallReason::Dataflow, ready - frontend_done),
+                (StallReason::RobFull, rob_delay),
+            ] {
+                let t = span.min(rest);
+                rest -= t;
+                stall.add(reason, t);
+            }
+            stall.add(StallReason::Frontend, rest);
             sink.on_retire(&UopEvent {
                 seq,
                 kind: uop.kind,
@@ -1130,8 +1126,47 @@ mod tests {
             cpu.now(),
             "per-µop breakdowns plus skips must cover every elapsed cycle"
         );
-        // The coarse CPI stack is a projection of the same breakdown.
+        // The CPI stack, charged directly, covers the same cycles.
         assert_eq!(cpu.cpi_stack().total() + sink.idle, cpu.now());
+    }
+
+    /// The CPI stack is charged straight from each µop's timeline, and the
+    /// sink's breakdown is built from the same timeline only when a sink
+    /// is attached. Projected slice by slice, the breakdowns must add up
+    /// to exactly the CPI stack, on any ROB size.
+    #[test]
+    fn stall_breakdowns_project_onto_the_cpi_stack() {
+        #[derive(Debug, Default)]
+        struct ProjectSink(CpiStack);
+        impl crate::trace::TraceSink for ProjectSink {
+            fn on_retire(&mut self, event: &crate::trace::UopEvent) {
+                let s = &event.stall;
+                self.0.base += s.get(StallReason::Base);
+                self.0.memory += s.memory();
+                self.0.execute += s.get(StallReason::Execute);
+                self.0.frontend += s.get(StallReason::Dataflow)
+                    + s.get(StallReason::RobFull)
+                    + s.get(StallReason::Frontend);
+            }
+            fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
+                self
+            }
+        }
+        for rob_size in [3, 192] {
+            let mut cpu = Engine::new(
+                CoreConfig {
+                    rob_size,
+                    ..CoreConfig::haswell()
+                },
+                Hierarchy::default(),
+            );
+            cpu.set_sink(Box::new(ProjectSink::default()));
+            mixed_stream(&mut cpu);
+            let sink = cpu.take_sink().unwrap().into_any();
+            let projected = sink.downcast::<ProjectSink>().unwrap().0;
+            assert_eq!(projected, cpu.cpi_stack(), "rob_size {rob_size}");
+            assert!(projected.memory > 0 && projected.execute > 0 && projected.frontend > 0);
+        }
     }
 
     #[test]

@@ -11,10 +11,12 @@
 //! Figure 2-style "where do the ~20 cycles go" analysis a first-class
 //! report instead of an eyeballed estimate.
 //!
-//! When no sink is installed the engine skips the event plumbing entirely;
-//! attaching a sink is observation-only and can never change simulated
-//! timing (the attribution arithmetic runs either way, because the CPI
-//! stack is derived from it).
+//! The engine charges the CPI stack straight from each µop's timeline and
+//! builds the breakdown only when a sink is installed, as the sink's
+//! input; projected onto the CPI slices, the breakdowns sum to exactly
+//! the CPI stack. Without a sink the engine skips the event plumbing
+//! entirely, and attaching one is observation-only: it can never change
+//! simulated timing.
 
 use std::any::Any;
 use std::fmt::Debug;

@@ -1,5 +1,7 @@
 //! The micro-op vocabulary the core model executes.
 
+use std::num::NonZeroU32;
+
 use mallacc_cache::Addr;
 
 /// A virtual (SSA) register name.
@@ -8,18 +10,31 @@ use mallacc_cache::Addr;
 /// written exactly once, so a register's completion time fully describes its
 /// dependency — no renaming or false-hazard tracking is needed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct Reg(pub(crate) u32);
+pub struct Reg(NonZeroU32);
 
 impl Reg {
+    /// Register `index`. It is stored as `index + 1`, so `None` is the
+    /// zero niche of `Option<Reg>`, and the stored value is the register's
+    /// slot in the engine's completion table, whose slot 0 is the
+    /// sentinel an absent source reads.
+    pub(crate) fn new(index: u32) -> Self {
+        Reg(NonZeroU32::MIN.saturating_add(index))
+    }
+
+    /// The register's completion-table slot: `index + 1`.
+    pub(crate) fn slot(self) -> usize {
+        self.0.get() as usize
+    }
+
     /// The raw register index (useful for debugging traces).
     pub fn index(self) -> u32 {
-        self.0
+        self.0.get() - 1
     }
 }
 
 impl std::fmt::Display for Reg {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "v{}", self.0)
+        write!(f, "v{}", self.index())
     }
 }
 
@@ -205,7 +220,7 @@ mod tests {
 
     #[test]
     fn builders_populate_sources() {
-        let r = |i| Reg(i);
+        let r = Reg::new;
         let u = Uop::alu(2, Some(r(9)), &[r(1), r(2)]);
         assert_eq!(u.srcs, [Some(r(1)), Some(r(2)), None]);
         assert_eq!(u.dst, Some(r(9)));
@@ -215,7 +230,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at most three sources")]
     fn too_many_sources() {
-        let r = |i| Reg(i);
+        let r = Reg::new;
         Uop::alu(1, None, &[r(0), r(1), r(2), r(3)]);
     }
 
@@ -227,6 +242,6 @@ mod tests {
 
     #[test]
     fn display_reg() {
-        assert_eq!(Reg(7).to_string(), "v7");
+        assert_eq!(Reg::new(7).to_string(), "v7");
     }
 }

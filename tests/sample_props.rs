@@ -5,12 +5,17 @@
 //! full detailed run, and the `repro sample` report is byte-identical
 //! for every `--jobs` value.
 //!
-//! At the engine level, a sampled engine is checked µop by µop against
-//! an oracle of the retired fast-forward design: a full-detail engine
-//! re-synced at every fast-forward region, plus per-µop floor-carry
-//! accumulation of the extrapolated cycles. The engine keeps that clock
-//! in closed form and writes no registers while fast-forwarding, and the
-//! oracle pins both as exact. `FF_ORACLE_CASES` sets its case count.
+//! At the engine level, the engine is checked µop by µop against an
+//! oracle of the retired designs, on a randomly drawn core. Its detailed
+//! µops run on `RefEngine`, the retired detailed model: a `VecDeque` ROB,
+//! sources walked as `Option`s, and a CPI stack projected from every µop's
+//! full stall breakdown. Its fast-forward is the retired per-µop design:
+//! the reference re-synced at every fast-forward region, plus per-µop
+//! floor-carry accumulation of the extrapolated cycles. The engine keeps
+//! its ROB in a ring, charges its CPI stack directly, reads absent sources
+//! from a sentinel slot, keeps the fast-forward clock in closed form and
+//! writes no registers while fast-forwarding; the oracle pins all of it as
+//! exact. `FF_ORACLE_CASES` sets its case count.
 //!
 //! Cadences come from the shared
 //! [`mallacc_test_support::arb_sampling_plan`] generator, so this suite
@@ -18,6 +23,7 @@
 //! tests and the sweep-point strategies.
 
 use std::any::Any;
+use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
@@ -27,7 +33,8 @@ use mallacc_bench::sample_cli::{sample_report, SampleArgs};
 use mallacc_cache::{AccessKind, Hierarchy};
 use mallacc_ooo::{
     Component, CoreConfig, CoreStats, CpiStack, Engine, OpKind, OpMeta, Reg, SamplingReport,
-    StallBreakdown, TraceSink, Uop, UopEvent, UopTiming, WindowSample, FF_SCALE,
+    StallBreakdown, StallReason, TraceSink, Uop, UopEvent, UopTiming, WindowSample, FF_SCALE,
+    LOAD_PORTS, STORE_PORTS,
 };
 use mallacc_stats::{mean_ci95, tol};
 use mallacc_test_support::arb_sampling_plan;
@@ -276,8 +283,220 @@ impl TraceSink for Recorder {
     }
 }
 
-fn engine() -> Engine {
-    Engine::new(CoreConfig::haswell(), Hierarchy::default())
+/// A per-cycle issue-port budget as a plain map from cycle to µops
+/// issued, never pruned. The engine's cycle-tagged ring claims to be
+/// exactly this; scans start at most 1,000 cycles behind the latest cycle
+/// issued, as in the engine.
+#[derive(Default)]
+struct RefPorts {
+    used: HashMap<u64, usize>,
+    watermark: u64,
+}
+
+impl RefPorts {
+    fn issue_at(&mut self, ready: u64, cap: usize) -> u64 {
+        let mut cycle = ready.max(self.watermark.saturating_sub(1_000));
+        while self.used.get(&cycle).is_some_and(|&n| n >= cap) {
+            cycle += 1;
+        }
+        *self.used.entry(cycle).or_default() += 1;
+        self.watermark = self.watermark.max(cycle);
+        cycle
+    }
+}
+
+/// The retired detailed model, as a test-side reference: a `VecDeque` of
+/// in-flight commit times for the ROB, sources walked as `Option`s, and a
+/// CPI stack projected from each µop's full [`StallBreakdown`], which
+/// `push` returns with the timing. Store forwarding and the issue ports
+/// are plain maps. It has no sampler and no sink; the oracle around it
+/// counts the execution statistics.
+struct RefEngine {
+    config: CoreConfig,
+    mem: Hierarchy,
+    /// Completion cycle of each register, at index `Reg::index`.
+    reg_complete: Vec<u64>,
+    rob: VecDeque<u64>,
+    fetch_cycle: u64,
+    fetched_this_cycle: u32,
+    fetch_barrier: u64,
+    commit_cycle: u64,
+    committed_this_cycle: u32,
+    last_commit: u64,
+    /// Completion of the last store to each cache line.
+    store_complete: HashMap<u64, u64>,
+    load_ports: RefPorts,
+    store_ports: RefPorts,
+    cpi: CpiStack,
+}
+
+impl RefEngine {
+    fn new(config: CoreConfig) -> Self {
+        Self {
+            config,
+            mem: Hierarchy::default(),
+            reg_complete: Vec::new(),
+            rob: VecDeque::new(),
+            fetch_cycle: 0,
+            fetched_this_cycle: 0,
+            fetch_barrier: 0,
+            commit_cycle: 0,
+            committed_this_cycle: 0,
+            last_commit: 0,
+            store_complete: HashMap::new(),
+            load_ports: RefPorts::default(),
+            store_ports: RefPorts::default(),
+            cpi: CpiStack::default(),
+        }
+    }
+
+    fn alloc_reg(&mut self) -> u32 {
+        self.reg_complete.push(0);
+        self.reg_complete.len() as u32 - 1
+    }
+
+    fn fetch_slot(&mut self, earliest: u64) -> u64 {
+        let mut cycle = self.fetch_cycle.max(earliest).max(self.fetch_barrier);
+        if cycle > self.fetch_cycle {
+            self.fetch_cycle = cycle;
+            self.fetched_this_cycle = 0;
+        }
+        if self.fetched_this_cycle >= self.config.fetch_width {
+            cycle += 1;
+            self.fetch_cycle = cycle;
+            self.fetched_this_cycle = 0;
+        }
+        self.fetched_this_cycle += 1;
+        cycle
+    }
+
+    fn commit_slot(&mut self, earliest: u64) -> u64 {
+        let mut cycle = self.commit_cycle.max(earliest);
+        if cycle > self.commit_cycle {
+            self.commit_cycle = cycle;
+            self.committed_this_cycle = 0;
+        }
+        if self.committed_this_cycle >= self.config.commit_width {
+            cycle += 1;
+            self.commit_cycle = cycle;
+            self.committed_this_cycle = 0;
+        }
+        self.committed_this_cycle += 1;
+        cycle
+    }
+
+    fn push(&mut self, uop: &Uop) -> (UopTiming, StallBreakdown) {
+        let rob_gate = if self.rob.len() >= self.config.rob_size as usize {
+            self.rob.pop_front().expect("rob non-empty")
+        } else {
+            0
+        };
+        let rob_delay = rob_gate.saturating_sub(self.fetch_cycle.max(self.fetch_barrier));
+        let fetch = self.fetch_slot(rob_gate);
+
+        let mut ready = fetch + self.config.frontend_latency as u64;
+        for src in uop.srcs.iter().flatten() {
+            ready = ready.max(self.reg_complete[src.index() as usize]);
+        }
+
+        let mut mem = None;
+        let complete = match uop.kind {
+            OpKind::Alu { latency } => ready + latency as u64,
+            OpKind::Load { addr } => {
+                if let Some(&s) = self.store_complete.get(&(addr >> 6)) {
+                    ready = ready.max(s);
+                }
+                let issue = self.load_ports.issue_at(ready, LOAD_PORTS);
+                let r = self.mem.access(addr, AccessKind::Read);
+                mem = Some(r);
+                issue + r.latency as u64
+            }
+            OpKind::Store { addr } => {
+                let issue = self.store_ports.issue_at(ready, STORE_PORTS);
+                mem = Some(self.mem.access(addr, AccessKind::Write));
+                self.store_complete.insert(addr >> 6, issue + 1);
+                issue + 1
+            }
+            OpKind::Prefetch { addr } => {
+                let issue = self.load_ports.issue_at(ready, LOAD_PORTS);
+                mem = Some(self.mem.access(addr, AccessKind::Prefetch));
+                issue + 1
+            }
+            OpKind::Branch {
+                mispredicted,
+                taken,
+                penalty,
+            } => {
+                let c = ready + 1;
+                if mispredicted {
+                    let pen = penalty.unwrap_or(self.config.mispredict_penalty);
+                    self.fetch_barrier = self.fetch_barrier.max(c + pen as u64);
+                } else if taken {
+                    self.fetch_cycle = fetch + 1;
+                    self.fetched_this_cycle = 0;
+                }
+                c
+            }
+        };
+        if let Some(dst) = uop.dst {
+            self.reg_complete[dst.index() as usize] = complete;
+        }
+
+        let prev_commit = self.last_commit;
+        let commit = self.commit_slot(complete.max(prev_commit));
+        self.last_commit = commit;
+        self.rob.push_back(commit);
+
+        let advance = commit.saturating_sub(prev_commit);
+        let mut stall = StallBreakdown::new();
+        if advance > 0 {
+            let stalled = complete.saturating_sub(prev_commit).min(advance);
+            stall.add(StallReason::Base, advance - stalled);
+            let mut rest = stalled;
+            let mut take = |reason, span: u64| {
+                let t = span.min(rest);
+                rest -= t;
+                stall.add(reason, t);
+            };
+            let exec_reason = match (uop.kind, mem) {
+                (OpKind::Load { .. }, Some(m)) => StallReason::for_level(m.level),
+                _ => StallReason::Execute,
+            };
+            take(exec_reason, complete.saturating_sub(ready));
+            let frontend_done = fetch + self.config.frontend_latency as u64;
+            take(StallReason::Dataflow, ready.saturating_sub(frontend_done));
+            take(StallReason::RobFull, rob_delay);
+            stall.add(StallReason::Frontend, rest);
+        }
+        self.cpi.base += stall.get(StallReason::Base);
+        self.cpi.memory += stall.memory();
+        self.cpi.execute += stall.get(StallReason::Execute);
+        self.cpi.frontend += stall.get(StallReason::Dataflow)
+            + stall.get(StallReason::RobFull)
+            + stall.get(StallReason::Frontend);
+
+        let timing = UopTiming {
+            fetch,
+            ready,
+            complete,
+            commit,
+            mem,
+        };
+        (timing, stall)
+    }
+
+    fn skip_to_cycle(&mut self, cycle: u64) {
+        if cycle > self.fetch_cycle {
+            self.fetch_cycle = cycle;
+            self.fetched_this_cycle = 0;
+        }
+        self.fetch_barrier = self.fetch_barrier.max(cycle);
+        self.last_commit = self.last_commit.max(cycle);
+        if cycle > self.commit_cycle {
+            self.commit_cycle = cycle;
+            self.committed_this_cycle = 0;
+        }
+    }
 }
 
 fn count(stats: &mut CoreStats, kind: OpKind) {
@@ -318,17 +537,15 @@ enum Step {
 
 /// The retired fast-forward design, as a test-side model.
 ///
-/// Detailed µops run on `full`, an engine without sampling. Wherever the
-/// retired design closed a fast-forward region, `skip_to_cycle` re-syncs
-/// `full` to the fast-forward clock, which is all a region did to the
-/// pipeline. Fast-forwarded µops access `full`'s hierarchy and step one
-/// floor-carry accumulator per CPI slice, per µop. The rates come from
-/// each measured window's `cpi_stack()` deltas; the model knows the plan,
-/// so it knows where each window sits.
+/// Detailed µops run on `full`, the [`RefEngine`]. Wherever the retired
+/// design closed a fast-forward region, `skip_to_cycle` re-syncs `full` to
+/// the fast-forward clock, which is all a region did to the pipeline.
+/// Fast-forwarded µops access `full`'s hierarchy and step one floor-carry
+/// accumulator per CPI slice, per µop. The rates come from each measured
+/// window's CPI-stack deltas; the model knows the plan, so it knows where
+/// each window sits.
 struct Oracle {
-    full: Engine,
-    /// `full`'s own sink, the source of each detailed µop's breakdown.
-    full_log: Log,
+    full: RefEngine,
     plan: Option<SamplingPlan>,
     startup_left: u64,
     pos: u64,
@@ -354,13 +571,9 @@ struct Oracle {
 }
 
 impl Oracle {
-    fn new() -> Self {
-        let full_log = Log::default();
-        let mut full = engine();
-        full.set_sink(Box::new(Recorder(full_log.clone())));
+    fn new(config: CoreConfig) -> Self {
         Self {
-            full,
-            full_log,
+            full: RefEngine::new(config),
             plan: None,
             startup_left: 0,
             pos: 0,
@@ -381,7 +594,7 @@ impl Oracle {
         }
     }
 
-    fn alloc_reg(&mut self) -> Reg {
+    fn alloc_reg(&mut self) -> u32 {
         self.ff_written.push(None);
         self.full.alloc_reg()
     }
@@ -448,14 +661,10 @@ impl Oracle {
         if let Step::Measured { .. } = step {
             self.window_start.get_or_insert(self.cpi);
         }
-        let before = slices(self.full.cpi_stack());
-        let t = self.full.push(uop.clone());
-        let after = slices(self.full.cpi_stack());
+        let before = slices(self.full.cpi);
+        let (t, stall) = self.full.push(uop);
+        let after = slices(self.full.cpi);
         add_slices(&mut self.cpi, std::array::from_fn(|i| after[i] - before[i]));
-        let stall = match self.full_log.lock().unwrap().drain(..).next_back() {
-            Some(Ev::Retire(_, _, _, timing, stall)) if timing == t => stall,
-            other => panic!("reference engine retired {other:?} for {t:?}"),
-        };
         // The no-register-write proof: no value a fast-forwarded producer
         // would have written can raise this µop's ready time.
         for src in uop.srcs.iter().flatten() {
@@ -493,7 +702,7 @@ impl Oracle {
 
     /// The retired per-µop fast-forward step.
     fn push_ff(&mut self, uop: &Uop) -> UopTiming {
-        let mut access = |addr, kind| Some(self.full.mem_mut().access(addr, kind));
+        let mut access = |addr, kind| Some(self.full.mem.access(addr, kind));
         let mem = match uop.kind {
             OpKind::Load { addr } => access(addr, AccessKind::Read),
             OpKind::Store { addr } => access(addr, AccessKind::Write),
@@ -564,7 +773,6 @@ impl Oracle {
 
     fn set_component(&mut self, c: Component) {
         self.component = c;
-        self.full.set_component(c);
     }
 }
 
@@ -580,18 +788,21 @@ struct Lockstep {
 }
 
 impl Lockstep {
-    fn new(plan: SamplingPlan, seed: u64) -> Self {
+    /// Starts both on `config`, sampled under `plan` or, if `sampled` is
+    /// false, in full detail; `plan` is still the one plan changes pick.
+    fn new(config: CoreConfig, plan: SamplingPlan, sampled: bool, seed: u64) -> Self {
         let mut h = Self {
-            cpu: engine(),
+            cpu: Engine::new(config, Hierarchy::default()),
             log: Log::default(),
-            oracle: Oracle::new(),
+            oracle: Oracle::new(config),
             regs: Vec::new(),
             rng: TestRng::seed_from_u64(seed),
             plan,
             op_start: 0,
         };
-        h.cpu.set_sampling(Some(plan));
-        h.oracle.set_sampling(Some(plan));
+        let start = sampled.then_some(plan);
+        h.cpu.set_sampling(start);
+        h.oracle.set_sampling(start);
         if h.rng.below(2) == 0 {
             h.set_sink(true);
         }
@@ -600,7 +811,11 @@ impl Lockstep {
 
     fn alloc(&mut self) -> Reg {
         let r = self.cpu.alloc_reg();
-        assert_eq!(r, self.oracle.alloc_reg(), "register names diverged");
+        assert_eq!(
+            r.index(),
+            self.oracle.alloc_reg(),
+            "register names diverged"
+        );
         self.regs.push(r);
         r
     }
@@ -755,7 +970,7 @@ impl Lockstep {
         self.set_sink(false);
         self.check()?;
         prop_assert!(
-            self.cpu.mem() == self.oracle.full.mem(),
+            *self.cpu.mem() == self.oracle.full.mem,
             "cache hierarchy diverged"
         );
         Ok(())
@@ -782,10 +997,31 @@ fn arb_oracle_plan() -> impl Strategy<Value = SamplingPlan> {
     ]
 }
 
+/// Cores for the oracle: any ROB from 1 to 320 entries, powers of two and
+/// tiny windows drawn more often, fetch and commit 1–6 wide, a front end
+/// 0–8 cycles deep and a 0–20-cycle mispredict penalty.
+fn arb_core_config() -> impl Strategy<Value = CoreConfig> {
+    let rob = prop_oneof![
+        2 => 1u32..=320,
+        1 => 1u32..=8,
+        1 => (0u32..=8).prop_map(|k| 1 << k),
+    ];
+    (rob, 1u32..=6, 1u32..=6, 0u32..=8, 0u32..=20).prop_map(
+        |(rob_size, fetch_width, commit_width, frontend_latency, mispredict_penalty)| CoreConfig {
+            fetch_width,
+            commit_width,
+            rob_size,
+            mispredict_penalty,
+            frontend_latency,
+        },
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(ff_oracle_cases()))]
 
-    /// A sampled engine is exactly the retired design: after every µop
+    /// The engine is exactly the retired designs on any core, sampled
+    /// or, in one case of four, starting in full detail: after every µop
     /// and every interleaved call (time skips, operation windows, sink
     /// changes, plan changes), `now`, `cpi_stack`, `stats`,
     /// `skipped_cycles`, `sampling_report`, the returned `UopTiming` and
@@ -795,10 +1031,12 @@ proptest! {
     fn fast_forward_matches_the_per_uop_oracle(
         plan in arb_oracle_plan(),
         seed in any::<u64>(),
+        config in arb_core_config(),
+        sampled in prop_oneof![3 => Just(true), 1 => Just(false)],
     ) {
         // Long enough to leave the startup interval and cross two periods.
         let steps = (plan.startup_uops + 2 * plan.period + 64).min(30_000);
-        Lockstep::new(plan, seed).run(steps)?;
+        Lockstep::new(config, plan, sampled, seed).run(steps)?;
     }
 }
 
@@ -809,7 +1047,7 @@ proptest! {
 #[test]
 fn a_huge_window_rate_over_a_long_region_matches_the_oracle() -> Result<(), TestCaseError> {
     let plan = SamplingPlan::new(0, 1, 6_000).unwrap().with_startup(0);
-    let mut h = Lockstep::new(plan, 1);
+    let mut h = Lockstep::new(CoreConfig::haswell(), plan, true, 1);
     let d = h.alloc();
     h.push(Uop::alu(u32::MAX, Some(d), &[]))?;
     for _ in 0..5_500 {
