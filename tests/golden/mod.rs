@@ -1,8 +1,10 @@
 //! The one snapshot comparer and report runner behind every
 //! `tests/*_golden.rs` binary. Snapshots live beside this file in
 //! `tests/golden/`: every report must match its snapshot byte for byte,
-//! on every run and every host, and print the same bytes at `--jobs 1`
-//! and `--jobs 4`.
+//! on every run and every host. Reports with a `--jobs` flag go through
+//! [`run_report`] and must also print the same bytes at `--jobs 1` and
+//! `--jobs 4`; the paper figures run serially, so `paper_golden` calls
+//! [`assert_golden`] directly.
 //!
 //! When an intentional model or generator change shifts a report,
 //! regenerate the snapshots with
