@@ -161,7 +161,7 @@ pub fn render_table2(rows: &[Table2Row], scale: Scale) -> String {
     }
     format!(
         "Table 2 — full program speedup over {} trials\n{}",
-        Scale::default().trials.max(scale.trials),
+        scale.trials,
         t.render()
     )
 }
@@ -241,6 +241,7 @@ mod tests {
             trials: 2,
             seed: 0,
         });
+        assert!(s.starts_with("Table 2 — full program speedup over 2 trials\n"));
         for w in MacroWorkload::all() {
             assert!(s.contains(w.name));
         }
