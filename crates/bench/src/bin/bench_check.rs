@@ -26,6 +26,7 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
+use mallacc_bench::cli::{self, Command, Flag};
 use mallacc_bench::sim_fixture;
 use mallacc_stats::json::{self, Json};
 
@@ -36,6 +37,17 @@ const RATIO_REGRESSION_TOL: f64 = 0.10;
 /// pair in nine cannot move it.
 const MIN_TRIALS: usize = 9;
 
+/// Command line of `bench_check`.
+const COMMAND: Command = Command {
+    name: "bench_check",
+    head: "bench_check",
+    flags: &[
+        Flag::value("--dir", "PATH"),
+        Flag::switch("--measure"),
+        Flag::value("--trials", "N"),
+    ],
+};
+
 struct Args {
     dir: PathBuf,
     measure: bool,
@@ -43,33 +55,22 @@ struct Args {
 }
 
 fn parse_args(args: &[String]) -> Result<Args, String> {
-    let mut parsed = Args {
-        dir: PathBuf::from("."),
-        measure: false,
-        trials: MIN_TRIALS,
-    };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--dir" => {
-                i += 1;
-                let v = args.get(i).ok_or("--dir needs a value")?;
-                parsed.dir = PathBuf::from(v);
-            }
-            "--measure" => parsed.measure = true,
-            "--trials" => {
-                i += 1;
-                let v = args.get(i).ok_or("--trials needs a value")?;
-                parsed.trials = v.parse().map_err(|_| format!("bad --trials {v:?}"))?;
-                if parsed.trials < MIN_TRIALS {
-                    return Err(format!("--trials must be at least {MIN_TRIALS}"));
-                }
-            }
-            other => return Err(format!("unknown bench_check flag {other:?}")),
-        }
-        i += 1;
+    let p = COMMAND.parse(args)?;
+    let trials = p
+        .get("--trials", |_, v| {
+            v.parse().map_err(|_| format!("bad --trials {v:?}"))
+        })?
+        .unwrap_or(MIN_TRIALS);
+    if trials < MIN_TRIALS {
+        return Err(format!("--trials must be at least {MIN_TRIALS}"));
     }
-    Ok(parsed)
+    Ok(Args {
+        dir: p
+            .get("--dir", cli::path)?
+            .unwrap_or_else(|| PathBuf::from(".")),
+        measure: p.has("--measure"),
+        trials,
+    })
 }
 
 fn need<'a>(doc: &'a Json, key: &str, file: &str) -> Result<&'a Json, String> {

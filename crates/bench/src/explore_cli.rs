@@ -1,15 +1,28 @@
 //! The `repro explore` subcommand: design-space sweeps over the
 //! accelerator configuration, driven by `mallacc-explore`. Flags:
-//! [`USAGE`].
+//! [`COMMAND`].
 
 use std::path::PathBuf;
 
-use crate::cli::{self, CommonFlags, CommonSpec, ScaleFlag};
+use crate::cli::{self, Command, Flag};
 use mallacc_explore::{run_sweep, ParamGrid, RunScale, SweepOptions};
 
 /// Command line of `repro explore`.
-pub const USAGE: &str = "repro explore [--smoke] [--grid SPEC] [--preset NAME] [--quick] \
-    [--seed N] [--jobs N] [--memo PATH] [--out PATH] [--assert-memo-frac F]";
+pub const COMMAND: Command = Command {
+    name: "explore",
+    head: "repro explore",
+    flags: &[
+        Flag::switch("--smoke"),
+        Flag::value("--grid", "SPEC"),
+        Flag::value("--preset", "NAME"),
+        Flag::switch("--quick"),
+        Flag::value("--seed", "N"),
+        Flag::value("--jobs", "N"),
+        Flag::value("--memo", "PATH"),
+        Flag::value("--out", "PATH"),
+        Flag::value("--assert-memo-frac", "F"),
+    ],
+};
 
 /// Parsed `repro explore` arguments.
 #[derive(Debug, Clone, Default)]
@@ -28,104 +41,69 @@ pub struct ExploreArgs {
 }
 
 impl ExploreArgs {
-    /// Parses the argument list after `explore`. Shared flags are
-    /// collected via [`crate::cli`] and applied after the loop, so an
-    /// explicit `--grid`/`--preset` wins over `--smoke` regardless of
-    /// flag order.
+    /// Parses the argument list after `explore`. The grid is `--smoke`'s,
+    /// then `--preset`'s, then `--grid`'s, whichever are given, with
+    /// `--quick` and `--seed` applied on top.
     pub fn parse(args: &[String]) -> Result<ExploreArgs, String> {
-        let mut parsed = ExploreArgs {
-            grid: ParamGrid::default(),
-            ..ExploreArgs::default()
+        let p = COMMAND.parse(args)?;
+        let mut grid = if p.has("--smoke") {
+            ParamGrid::smoke()
+        } else {
+            ParamGrid::default()
         };
-        let mut common = CommonFlags::default();
-        let mut quick = false;
-        let mut grid_spec: Option<String> = None;
-        let mut preset: Option<String> = None;
-        let mut i = 0;
-        while i < args.len() {
-            if cli::take_common(args, &mut i, &CommonSpec::SMOKE_SEED_JOBS, &mut common)? {
-                i += 1;
-                continue;
-            }
-            match args[i].as_str() {
-                "--grid" => grid_spec = Some(cli::value(args, &mut i, "--grid")?),
-                "--preset" => preset = Some(cli::value(args, &mut i, "--preset")?),
-                "--quick" => quick = true,
-                "--memo" => parsed.memo = Some(PathBuf::from(cli::value(args, &mut i, "--memo")?)),
-                "--out" => parsed.out = Some(PathBuf::from(cli::value(args, &mut i, "--out")?)),
-                "--assert-memo-frac" => {
-                    parsed.assert_memo_frac = Some(
-                        cli::value(args, &mut i, "--assert-memo-frac")?
-                            .parse::<f64>()
-                            .map_err(|_| "--assert-memo-frac needs a number".to_string())?,
-                    );
-                }
-                other => return Err(format!("unknown explore flag {other:?}")),
-            }
-            i += 1;
+        p.set("--preset", &mut grid, |_, name| match name {
+            "micro-entries" => Ok(ParamGrid::micro_entries()),
+            name => Err(format!("unknown preset {name:?}; available: micro-entries")),
+        })?;
+        p.set("--grid", &mut grid, |_, spec| ParamGrid::parse(spec))?;
+        if p.has("--quick") {
+            grid.scale = RunScale::quick();
         }
-        if common.scale == Some(ScaleFlag::Smoke) {
-            parsed.grid = ParamGrid::smoke();
-        }
-        if let Some(name) = preset {
-            parsed.grid = match name.as_str() {
-                "micro-entries" => ParamGrid::micro_entries(),
-                name => return Err(format!("unknown preset {name:?}; available: micro-entries")),
-            };
-        }
-        if let Some(spec) = grid_spec {
-            parsed.grid = ParamGrid::parse(&spec)?;
-        }
-        if quick {
-            parsed.grid.scale = RunScale::quick();
-        }
-        if let Some(seed) = common.seed {
-            parsed.grid.seed = seed;
-        }
-        if let Some(jobs) = common.jobs {
-            parsed.jobs = jobs;
-        }
-        Ok(parsed)
+        p.set("--seed", &mut grid.seed, cli::int)?;
+        Ok(ExploreArgs {
+            grid,
+            jobs: p.get("--jobs", cli::int)?.unwrap_or_default(),
+            memo: p.get("--memo", cli::path)?,
+            out: p.get("--out", cli::path)?,
+            assert_memo_frac: p.get("--assert-memo-frac", |flag, v| {
+                v.parse().map_err(|_| format!("{flag} needs a number"))
+            })?,
+        })
     }
 }
 
-/// Runs `repro explore`; returns the process exit code.
-pub fn explore(args: &[String]) -> i32 {
-    let parsed = match ExploreArgs::parse(args) {
-        Ok(parsed) => parsed,
-        Err(e) => {
-            eprintln!("repro explore: {e}");
-            return 2;
-        }
-    };
+/// Runs `repro explore` and returns `(exit code, report text)`.
+pub fn explore_report(args: &ExploreArgs) -> (i32, String) {
     let opts = SweepOptions {
-        jobs: parsed.jobs,
-        memo_path: parsed.memo.clone(),
+        jobs: args.jobs,
+        memo_path: args.memo.clone(),
     };
-    let report = match run_sweep(&parsed.grid, &opts) {
+    let report = match run_sweep(&args.grid, &opts) {
         Ok(report) => report,
         Err(e) => {
             eprintln!("repro explore: {e}");
-            return 2;
+            return (2, String::new());
         }
     };
-    print!("{}", report.render());
-    if let Some(out) = &parsed.out {
-        if let Err(e) = std::fs::write(out, report.to_json().render_pretty()) {
-            eprintln!("repro explore: writing {}: {e}", out.display());
-            return 1;
+    // The rendered report ends in a newline; printing the text adds it back.
+    let mut out = report.render();
+    out.pop();
+    if let Some(path) = &args.out {
+        if !cli::write_json("explore", path, &report.to_json(), &mut out) {
+            return (1, out);
         }
-        println!("wrote {}", out.display());
     }
-    if let Some(frac) = parsed.assert_memo_frac {
+    if let Some(frac) = args.assert_memo_frac {
         let got = report.memo_hit_fraction();
         if got < frac {
             eprintln!("repro explore: memo hit fraction {got:.2} below required {frac:.2}");
-            return 1;
+            return (1, out);
         }
-        println!("memo hit fraction {got:.2} ≥ required {frac:.2}");
+        out.push_str(&format!(
+            "\nmemo hit fraction {got:.2} ≥ required {frac:.2}"
+        ));
     }
-    0
+    (0, out)
 }
 
 #[cfg(test)]
@@ -166,14 +144,20 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("repro-explore-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let out = dir.join("report.json");
-        let code = explore(&s(&[
+        let args = ExploreArgs::parse(&s(&[
             "--grid",
             "entries=4",
             "--quick",
             "--out",
             out.to_str().unwrap(),
-        ]));
-        assert_eq!(code, 0);
+        ]))
+        .unwrap();
+        let (code, text) = explore_report(&args);
+        assert_eq!(code, 0, "{text}");
+        assert!(
+            text.ends_with(&format!("\nwrote {}", out.display())),
+            "{text}"
+        );
         let doc = mallacc_stats::json::parse(&std::fs::read_to_string(&out).unwrap()).unwrap();
         assert_eq!(
             doc.get("schema").and_then(mallacc_stats::Json::as_str),

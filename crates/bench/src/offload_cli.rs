@@ -1,5 +1,5 @@
 //! The `repro offload` subcommand: the SpeedMalloc-style allocation
-//! offload helper core vs. Mallacc, head to head. Flags: [`USAGE`].
+//! offload helper core vs. Mallacc, head to head. Flags: [`COMMAND`].
 //!
 //! `--substrate` picks the allocator every section runs on (tcmalloc,
 //! jemalloc, rpmalloc, or the per-CPU tcmalloc variant); the default is
@@ -27,7 +27,7 @@
 
 use std::path::PathBuf;
 
-use crate::cli::{self, run_indexed, CommonFlags, CommonSpec, ScaleFlag};
+use crate::cli::{self, run_indexed, Command, Flag};
 use mallacc::{offload_area_um2, AreaEstimate, Mode, OffloadConfig, SimMode};
 use mallacc_explore::run_mt_stream;
 use mallacc_stats::table::Table;
@@ -36,10 +36,26 @@ use mallacc_substrate::{AnySim, SubstrateKind};
 use mallacc_workloads::AnyWorkload;
 
 /// Command line of `repro offload`.
-pub const USAGE: &str = "repro offload [--smoke] [--full] [--substrate NAME] \
-    [--workload NAME]... [--scenario NAME]... [--depths A,B,...] [--cores A,B,...] \
-    [--calls N] [--warmup N] [--requests N] [--seed N] [--jobs N] \
-    [--sim full|sampled[:W:D:P[:S]]] [--json PATH]";
+pub const COMMAND: Command = Command {
+    name: "offload",
+    head: "repro offload",
+    flags: &[
+        Flag::switch("--smoke"),
+        Flag::switch("--full"),
+        Flag::value("--substrate", "NAME"),
+        Flag::list("--workload", "NAME"),
+        Flag::list("--scenario", "NAME"),
+        Flag::value("--depths", "A,B,..."),
+        Flag::value("--cores", "A,B,..."),
+        Flag::value("--calls", "N"),
+        Flag::value("--warmup", "N"),
+        Flag::value("--requests", "N"),
+        Flag::value("--seed", "N"),
+        Flag::value("--jobs", "N"),
+        Flag::value("--sim", "full|sampled[:W:D:P[:S]]"),
+        Flag::value("--json", "PATH"),
+    ],
+};
 
 /// Parsed `repro offload` arguments.
 #[derive(Debug, Clone)]
@@ -118,111 +134,32 @@ impl OffloadArgs {
         }
     }
 
-    /// Parses the argument list after `offload`. Shared flags are
-    /// collected via [`crate::cli`] and applied after the loop, so
-    /// explicit lists win over `--smoke`/`--full` regardless of flag
-    /// order.
+    /// Parses the argument list after `offload`: the `--smoke` or
+    /// `--full` scale, whichever came last, then the explicit values.
     pub fn parse(args: &[String]) -> Result<OffloadArgs, String> {
-        let mut common = CommonFlags::default();
-        let mut substrate = None;
-        let mut workloads = Vec::new();
-        let mut scenarios = Vec::new();
-        let (mut depths, mut cores) = (None, None);
-        let (mut calls, mut warmup, mut requests) = (None, None, None);
-        let mut sim = None;
-        let mut i = 0;
-        while i < args.len() {
-            if cli::take_common(args, &mut i, &CommonSpec::ALL, &mut common)? {
-                i += 1;
-                continue;
-            }
-            match args[i].as_str() {
-                "--substrate" => {
-                    substrate = Some(cli::substrate(&cli::value(args, &mut i, "--substrate")?)?);
-                }
-                "--workload" => workloads.push(cli::value(args, &mut i, "--workload")?),
-                "--scenario" => scenarios.push(cli::value(args, &mut i, "--scenario")?),
-                "--depths" => {
-                    depths = Some(cli::counts(
-                        cli::value(args, &mut i, "--depths")?,
-                        "--depths",
-                    )?);
-                }
-                "--cores" => {
-                    cores = Some(cli::counts(
-                        cli::value(args, &mut i, "--cores")?,
-                        "--cores",
-                    )?);
-                }
-                "--calls" => {
-                    calls =
-                        Some(cli::int(cli::value(args, &mut i, "--calls")?, "--calls")? as usize);
-                }
-                "--warmup" => {
-                    warmup =
-                        Some(cli::int(cli::value(args, &mut i, "--warmup")?, "--warmup")? as usize);
-                }
-                "--requests" => {
-                    requests = Some(cli::int(
-                        cli::value(args, &mut i, "--requests")?,
-                        "--requests",
-                    )?);
-                }
-                "--sim" => {
-                    sim = Some(SimMode::parse(&cli::value(args, &mut i, "--sim")?)?);
-                }
-                other => return Err(format!("unknown offload flag {other:?}")),
-            }
-            i += 1;
-        }
-        let mut parsed = match common.scale {
-            Some(ScaleFlag::Full) => OffloadArgs::full(),
+        let p = COMMAND.parse(args)?;
+        let mut a = match p.last_of(&["--smoke", "--full"]) {
+            Some("--full") => OffloadArgs::full(),
             _ => OffloadArgs::default(),
         };
-        if let Some(v) = substrate {
-            parsed.substrate = v;
-        }
-        if !workloads.is_empty() {
-            parsed.workloads = workloads;
-        }
-        if !scenarios.is_empty() {
-            parsed.scenarios = scenarios;
-        }
-        if let Some(v) = depths {
-            parsed.depths = v;
-        }
-        if let Some(v) = cores {
-            parsed.cores = v;
-        }
-        if let Some(v) = calls {
-            parsed.calls = v;
-        }
-        if let Some(v) = warmup {
-            parsed.warmup = v;
-        }
-        if let Some(v) = requests {
-            parsed.requests = v;
-        }
-        if let Some(seed) = common.seed {
-            parsed.seed = seed;
-        }
-        if let Some(jobs) = common.jobs {
-            parsed.jobs = jobs;
-        }
-        if let Some(sim) = sim {
-            parsed.sim = sim;
-        }
-        parsed.json = common.json;
-        if parsed.calls == 0 || parsed.requests == 0 {
+        p.set("--substrate", &mut a.substrate, cli::substrate)?;
+        p.set_all("--workload", &mut a.workloads, cli::workload)?;
+        p.set_all("--scenario", &mut a.scenarios, |flag, name| {
+            cli::scenario(flag, name).map(|_| name.to_string())
+        })?;
+        p.set("--depths", &mut a.depths, cli::counts)?;
+        p.set("--cores", &mut a.cores, cli::counts)?;
+        p.set("--calls", &mut a.calls, cli::int)?;
+        p.set("--warmup", &mut a.warmup, cli::int)?;
+        p.set("--requests", &mut a.requests, cli::int)?;
+        p.set("--seed", &mut a.seed, cli::int)?;
+        p.set("--jobs", &mut a.jobs, cli::int)?;
+        p.set("--sim", &mut a.sim, |_, v| SimMode::parse(v))?;
+        a.json = p.get("--json", cli::path)?;
+        if a.calls == 0 || a.requests == 0 {
             return Err("--calls and --requests must be at least 1".to_string());
         }
-        for name in &parsed.workloads {
-            cli::workload(name)?;
-        }
-        for name in &parsed.scenarios {
-            cli::scenario(name)?;
-        }
-        Ok(parsed)
+        Ok(a)
     }
 }
 
@@ -548,8 +485,8 @@ pub fn offload_report(args: &OffloadArgs) -> (i32, String) {
     out.push('\n');
     out.push_str(&pareto_text);
 
-    if let Some(path) = &args.json {
-        let doc = Json::obj([
+    cli::finish("offload", out, true, args.json.as_deref(), || {
+        Json::obj([
             ("schema", Json::from("mallacc-offload/1")),
             ("substrate", Json::from(args.substrate.name())),
             (
@@ -565,12 +502,8 @@ pub fn offload_report(args: &OffloadArgs) -> (i32, String) {
             ("depth_sweep", depth_json),
             ("fleet", fleet_json),
             ("pareto", pareto_json),
-        ]);
-        if !cli::write_json("offload", path, &doc, &mut out) {
-            return (1, out);
-        }
-    }
-    (0, out)
+        ])
+    })
 }
 
 #[cfg(test)]

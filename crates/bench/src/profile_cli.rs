@@ -1,6 +1,6 @@
 //! The `repro profile` subcommand: per-operation cycle attribution for
 //! baseline vs. Mallacc configurations, driven by `mallacc-prof`.
-//! Flags: [`USAGE`].
+//! Flags: [`COMMAND`].
 //!
 //! Prints the paper's Figure 2-style breakdown — where the cycles of a
 //! warm fast-path malloc/free go — as stall-reason and allocator-component
@@ -11,7 +11,7 @@
 
 use std::path::PathBuf;
 
-use crate::cli::{self, run_indexed, CommonFlags, CommonSpec, ScaleFlag};
+use crate::cli::{self, run_indexed, Command, Flag};
 use mallacc::{Mode, StallReason};
 use mallacc_prof::chrome::{chrome_trace, validate_chrome_trace};
 use mallacc_prof::mt::profile_multicore;
@@ -25,8 +25,22 @@ use mallacc_stats::Json;
 use mallacc_workloads::MtTrace;
 
 /// Command line of `repro profile`.
-pub const USAGE: &str = "repro profile [--smoke] [--quick] [--pairs N] [--warmup N] \
-    [--mt-calls N] [--seed N] [--jobs N] [--uops N] [--trace PATH] [--json PATH]";
+pub const COMMAND: Command = Command {
+    name: "profile",
+    head: "repro profile",
+    flags: &[
+        Flag::switch("--smoke"),
+        Flag::switch("--quick"),
+        Flag::value("--pairs", "N"),
+        Flag::value("--warmup", "N"),
+        Flag::value("--mt-calls", "N"),
+        Flag::value("--seed", "N"),
+        Flag::value("--jobs", "N"),
+        Flag::value("--uops", "N"),
+        Flag::value("--trace", "PATH"),
+        Flag::value("--json", "PATH"),
+    ],
+};
 
 /// Parsed `repro profile` arguments.
 #[derive(Debug, Clone)]
@@ -65,78 +79,29 @@ impl Default for ProfileArgs {
 }
 
 impl ProfileArgs {
-    /// Parses the argument list after `profile`. Shared flags are
-    /// collected via [`crate::cli`] and applied after the loop, so
-    /// explicit sizes win over `--smoke`/`--quick` regardless of flag
-    /// order.
+    /// Parses the argument list after `profile`: `--smoke`, then
+    /// `--quick`, then the explicit sizes.
     pub fn parse(args: &[String]) -> Result<ProfileArgs, String> {
-        let mut parsed = ProfileArgs::default();
-        let mut common = CommonFlags::default();
-        let mut quick = false;
-        let (mut pairs, mut warmup, mut mt_calls, mut uops) = (None, None, None, None);
-        let mut i = 0;
-        while i < args.len() {
-            if cli::take_common(args, &mut i, &CommonSpec::NO_FULL, &mut common)? {
-                i += 1;
-                continue;
-            }
-            match args[i].as_str() {
-                "--quick" => quick = true,
-                "--pairs" => {
-                    pairs = Some(cli::int(cli::value(args, &mut i, "--pairs")?, "--pairs")?)
-                }
-                "--warmup" => {
-                    warmup = Some(cli::int(cli::value(args, &mut i, "--warmup")?, "--warmup")?);
-                }
-                "--mt-calls" => {
-                    mt_calls = Some(
-                        cli::int(cli::value(args, &mut i, "--mt-calls")?, "--mt-calls")? as usize,
-                    );
-                }
-                "--uops" => {
-                    uops = Some(cli::int(cli::value(args, &mut i, "--uops")?, "--uops")? as usize);
-                }
-                "--trace" => {
-                    parsed.trace = Some(PathBuf::from(cli::value(args, &mut i, "--trace")?));
-                }
-                other => return Err(format!("unknown profile flag {other:?}")),
-            }
-            i += 1;
+        let p = COMMAND.parse(args)?;
+        let mut a = ProfileArgs::default();
+        if p.has("--smoke") {
+            (a.pairs, a.warmup, a.mt_calls, a.uops) = (200, 50, 60, 128);
         }
-        if common.scale == Some(ScaleFlag::Smoke) {
-            parsed.pairs = 200;
-            parsed.warmup = 50;
-            parsed.mt_calls = 60;
-            parsed.uops = 128;
+        if p.has("--quick") {
+            (a.pairs, a.warmup, a.mt_calls) = (500, 100, 100);
         }
-        if quick {
-            parsed.pairs = 500;
-            parsed.warmup = 100;
-            parsed.mt_calls = 100;
-        }
-        if let Some(v) = pairs {
-            parsed.pairs = v;
-        }
-        if let Some(v) = warmup {
-            parsed.warmup = v;
-        }
-        if let Some(v) = mt_calls {
-            parsed.mt_calls = v;
-        }
-        if let Some(v) = uops {
-            parsed.uops = v;
-        }
-        if let Some(seed) = common.seed {
-            parsed.seed = seed;
-        }
-        if let Some(jobs) = common.jobs {
-            parsed.jobs = jobs;
-        }
-        parsed.json = common.json;
-        if parsed.pairs == 0 {
+        p.set("--pairs", &mut a.pairs, cli::int)?;
+        p.set("--warmup", &mut a.warmup, cli::int)?;
+        p.set("--mt-calls", &mut a.mt_calls, cli::int)?;
+        p.set("--uops", &mut a.uops, cli::int)?;
+        p.set("--seed", &mut a.seed, cli::int)?;
+        p.set("--jobs", &mut a.jobs, cli::int)?;
+        a.trace = p.get("--trace", cli::path)?;
+        a.json = p.get("--json", cli::path)?;
+        if a.pairs == 0 {
             return Err("--pairs must be at least 1".to_string());
         }
-        Ok(parsed)
+        Ok(a)
     }
 }
 
@@ -258,8 +223,8 @@ pub fn profile_report(args: &ProfileArgs) -> (i32, String) {
             return (1, out);
         }
     }
-    if let Some(path) = &args.json {
-        let doc = Json::obj([
+    cli::finish("profile", out, true, args.json.as_deref(), || {
+        Json::obj([
             ("schema", Json::from("mallacc-profile/1")),
             (
                 "scale",
@@ -275,12 +240,8 @@ pub fn profile_report(args: &ProfileArgs) -> (i32, String) {
                 Json::Arr(profiles.iter().map(|p| mode_json(p)).collect()),
             ),
             ("mt", mt_json),
-        ]);
-        if !cli::write_json("profile", path, &doc, &mut out) {
-            return (1, out);
-        }
-    }
-    (0, out)
+        ])
+    })
 }
 
 #[cfg(test)]

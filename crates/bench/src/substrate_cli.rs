@@ -1,5 +1,5 @@
 //! The `repro substrate` subcommand: the Mallacc-vs-offload-vs-both
-//! head-to-head across every allocator substrate. Flags: [`USAGE`].
+//! head-to-head across every allocator substrate. Flags: [`COMMAND`].
 //!
 //! The paper evaluates the malloc cache on TCMalloc only and argues the
 //! design generalises because it keys on requested size, not on any
@@ -23,7 +23,7 @@
 
 use std::path::PathBuf;
 
-use crate::cli::{self, run_indexed, CommonFlags, CommonSpec, ScaleFlag};
+use crate::cli::{self, run_indexed, Command, Flag};
 use crate::offload_cli::HeadToHead;
 use mallacc::SimMode;
 use mallacc_stats::table::Table;
@@ -32,9 +32,22 @@ use mallacc_substrate::SubstrateKind;
 use mallacc_workloads::AnyWorkload;
 
 /// Command line of `repro substrate`.
-pub const USAGE: &str = "repro substrate [--smoke] [--full] [--substrate NAME]... \
-    [--workload NAME]... [--calls N] [--warmup N] [--seed N] [--jobs N] \
-    [--sim full|sampled[:W:D:P[:S]]] [--json PATH]";
+pub const COMMAND: Command = Command {
+    name: "substrate",
+    head: "repro substrate",
+    flags: &[
+        Flag::switch("--smoke"),
+        Flag::switch("--full"),
+        Flag::list("--substrate", "NAME"),
+        Flag::list("--workload", "NAME"),
+        Flag::value("--calls", "N"),
+        Flag::value("--warmup", "N"),
+        Flag::value("--seed", "N"),
+        Flag::value("--jobs", "N"),
+        Flag::value("--sim", "full|sampled[:W:D:P[:S]]"),
+        Flag::value("--json", "PATH"),
+    ],
+};
 
 /// Parsed `repro substrate` arguments.
 #[derive(Debug, Clone)]
@@ -93,74 +106,26 @@ impl SubstrateArgs {
         }
     }
 
-    /// Parses the argument list after `substrate`. Shared flags are
-    /// collected via [`crate::cli`] and applied after the loop, so
-    /// explicit lists win over `--smoke`/`--full` regardless of order.
+    /// Parses the argument list after `substrate`: the `--smoke` or
+    /// `--full` scale, whichever came last, then the explicit values.
     pub fn parse(args: &[String]) -> Result<SubstrateArgs, String> {
-        let mut common = CommonFlags::default();
-        let mut substrates = Vec::new();
-        let mut workloads = Vec::new();
-        let (mut calls, mut warmup) = (None, None);
-        let mut sim = None;
-        let mut i = 0;
-        while i < args.len() {
-            if cli::take_common(args, &mut i, &CommonSpec::ALL, &mut common)? {
-                i += 1;
-                continue;
-            }
-            match args[i].as_str() {
-                "--substrate" => {
-                    substrates.push(cli::substrate(&cli::value(args, &mut i, "--substrate")?)?);
-                }
-                "--workload" => workloads.push(cli::value(args, &mut i, "--workload")?),
-                "--calls" => {
-                    calls =
-                        Some(cli::int(cli::value(args, &mut i, "--calls")?, "--calls")? as usize);
-                }
-                "--warmup" => {
-                    warmup =
-                        Some(cli::int(cli::value(args, &mut i, "--warmup")?, "--warmup")? as usize);
-                }
-                "--sim" => {
-                    sim = Some(SimMode::parse(&cli::value(args, &mut i, "--sim")?)?);
-                }
-                other => return Err(format!("unknown substrate flag {other:?}")),
-            }
-            i += 1;
-        }
-        let mut parsed = match common.scale {
-            Some(ScaleFlag::Full) => SubstrateArgs::full(),
+        let p = COMMAND.parse(args)?;
+        let mut a = match p.last_of(&["--smoke", "--full"]) {
+            Some("--full") => SubstrateArgs::full(),
             _ => SubstrateArgs::default(),
         };
-        if !substrates.is_empty() {
-            parsed.substrates = substrates;
-        }
-        if !workloads.is_empty() {
-            parsed.workloads = workloads;
-        }
-        if let Some(v) = calls {
-            parsed.calls = v;
-        }
-        if let Some(v) = warmup {
-            parsed.warmup = v;
-        }
-        if let Some(seed) = common.seed {
-            parsed.seed = seed;
-        }
-        if let Some(jobs) = common.jobs {
-            parsed.jobs = jobs;
-        }
-        if let Some(sim) = sim {
-            parsed.sim = sim;
-        }
-        parsed.json = common.json;
-        if parsed.calls == 0 {
+        p.set_all("--substrate", &mut a.substrates, cli::substrate)?;
+        p.set_all("--workload", &mut a.workloads, cli::workload)?;
+        p.set("--calls", &mut a.calls, cli::int)?;
+        p.set("--warmup", &mut a.warmup, cli::int)?;
+        p.set("--seed", &mut a.seed, cli::int)?;
+        p.set("--jobs", &mut a.jobs, cli::int)?;
+        p.set("--sim", &mut a.sim, |_, v| SimMode::parse(v))?;
+        a.json = p.get("--json", cli::path)?;
+        if a.calls == 0 {
             return Err("--calls must be at least 1".to_string());
         }
-        for name in &parsed.workloads {
-            cli::workload(name)?;
-        }
-        Ok(parsed)
+        Ok(a)
     }
 }
 
@@ -227,7 +192,18 @@ fn head_to_head_section(cells: &[Cell]) -> (String, Json) {
     (text, Json::obj([("rows", Json::Arr(json_rows))]))
 }
 
-fn summary_section(args: &SubstrateArgs, cells: &[Cell]) -> (String, Json) {
+/// The generality gate: Mallacc's mean improvement on a substrate must
+/// not fall below this many percent. A thin fast path (rpmalloc's
+/// intrusive pop is one hot load + one chase) leaves little to
+/// accelerate, and depth-alternating churn keeps the cached pair
+/// incomplete — the paper's Figure 17 tp effect — so small negatives are
+/// honest; a mean beyond -2% would mean the integration is doing real
+/// damage, not just paying its probes.
+const MALLACC_REGRESSION_PCT: f64 = -2.0;
+
+/// The per-substrate summary, and the substrates whose mean Mallacc
+/// improvement is below [`MALLACC_REGRESSION_PCT`].
+fn summary_section(args: &SubstrateArgs, cells: &[Cell]) -> (String, Json, Vec<&'static str>) {
     let mut t = Table::new(&[
         "substrate",
         "workloads",
@@ -237,6 +213,7 @@ fn summary_section(args: &SubstrateArgs, cells: &[Cell]) -> (String, Json) {
         "best",
     ]);
     let mut json_rows = Vec::new();
+    let mut regressed = Vec::new();
     for &substrate in &args.substrates {
         let rows: Vec<&Cell> = cells.iter().filter(|c| c.substrate == substrate).collect();
         let mean = |i: usize| {
@@ -247,6 +224,9 @@ fn summary_section(args: &SubstrateArgs, cells: &[Cell]) -> (String, Json) {
             }
         };
         let (m, o, b) = (mean(1), mean(2), mean(3));
+        if m < MALLACC_REGRESSION_PCT {
+            regressed.push(substrate.name());
+        }
         let best = [("mallacc", m), ("offload", o), ("both", b)]
             .into_iter()
             .max_by(|a, b| a.1.total_cmp(&b.1))
@@ -273,11 +253,16 @@ fn summary_section(args: &SubstrateArgs, cells: &[Cell]) -> (String, Json) {
         "== per-substrate summary (mean improvement across workloads) ==\n{}",
         t.render()
     );
-    (text, Json::obj([("rows", Json::Arr(json_rows))]))
+    (text, Json::obj([("rows", Json::Arr(json_rows))]), regressed)
 }
 
 /// Runs `repro substrate` and returns `(exit code, report text)`.
 pub fn substrate_report(args: &SubstrateArgs) -> (i32, String) {
+    report_cells(args, &run_cells(args))
+}
+
+/// The `repro substrate` report over the head-to-head `cells`.
+fn report_cells(args: &SubstrateArgs, cells: &[Cell]) -> (i32, String) {
     let mut out = format!(
         "repro substrate: {} substrates x {} workloads x 4 variants, calls {}, seed {}\n\n",
         args.substrates.len(),
@@ -285,34 +270,11 @@ pub fn substrate_report(args: &SubstrateArgs) -> (i32, String) {
         args.calls,
         args.seed
     );
-    let cells = run_cells(args);
-    let (h2h_text, h2h_json) = head_to_head_section(&cells);
-    let (sum_text, sum_json) = summary_section(args, &cells);
+    let (h2h_text, h2h_json) = head_to_head_section(cells);
+    let (sum_text, sum_json, regressed) = summary_section(args, cells);
     out.push_str(&h2h_text);
     out.push('\n');
     out.push_str(&sum_text);
-
-    // The generality gate: Mallacc's mean loss on any substrate must stay
-    // inside the probe-overhead bound. A thin fast path (rpmalloc's
-    // intrusive pop is one hot load + one chase) leaves little to
-    // accelerate, and depth-alternating churn keeps the cached pair
-    // incomplete — the paper's Figure 17 tp effect — so small negatives
-    // are honest; a mean beyond -2% would mean the integration is doing
-    // real damage, not just paying its probes.
-    let regressed: Vec<&str> = sum_json
-        .get("rows")
-        .and_then(Json::as_arr)
-        .map(|rows| {
-            rows.iter()
-                .filter(|r| {
-                    r.get("mean_mallacc_improvement_pct")
-                        .and_then(Json::as_f64)
-                        .is_some_and(|v| v < -2.0)
-                })
-                .filter_map(|r| r.get("substrate").and_then(Json::as_str))
-                .collect()
-        })
-        .unwrap_or_default();
     let pass = regressed.is_empty();
     out.push_str(&format!(
         "\nverdict: {}\n",
@@ -322,9 +284,8 @@ pub fn substrate_report(args: &SubstrateArgs) -> (i32, String) {
             format!("FAIL (mallacc regresses: {})", regressed.join(", "))
         }
     ));
-
-    if let Some(path) = &args.json {
-        let doc = Json::obj([
+    cli::finish("substrate", out, pass, args.json.as_deref(), || {
+        Json::obj([
             ("schema", Json::from("mallacc-substrate/1")),
             (
                 "scale",
@@ -337,12 +298,8 @@ pub fn substrate_report(args: &SubstrateArgs) -> (i32, String) {
             ("head_to_head", h2h_json),
             ("summary", sum_json),
             ("pass", Json::from(pass)),
-        ]);
-        if !cli::write_json("substrate", path, &doc, &mut out) {
-            return (1, out);
-        }
-    }
-    (if pass { 0 } else { 1 }, out)
+        ])
+    })
 }
 
 #[cfg(test)]
@@ -411,6 +368,35 @@ mod tests {
         ] {
             assert!(text.contains(needle), "missing {needle:?}:\n{text}");
         }
+    }
+
+    #[test]
+    fn a_substrate_below_the_bound_fails_the_gate() {
+        // Allocator cycles under baseline, mallacc, offload and both:
+        // mallacc is 3% slower than baseline on rpmalloc, 1% slower on
+        // tcmalloc (inside the bound).
+        let cell = |substrate, mallacc| Cell {
+            substrate,
+            workload: "tp_small".to_string(),
+            h2h: HeadToHead([100.0, mallacc, 90.0, 80.0]),
+        };
+        let args = SubstrateArgs {
+            substrates: vec![SubstrateKind::TcMalloc, SubstrateKind::Rpmalloc],
+            workloads: vec!["tp_small".to_string()],
+            ..SubstrateArgs::default()
+        };
+        let cells = [
+            cell(SubstrateKind::TcMalloc, 101.0),
+            cell(SubstrateKind::Rpmalloc, 103.0),
+        ];
+        let (code, text) = report_cells(&args, &cells);
+        assert_eq!(code, 1, "{text}");
+        assert!(
+            text.ends_with("verdict: FAIL (mallacc regresses: rpmalloc)\n"),
+            "{text}"
+        );
+        let (code, text) = report_cells(&args, &cells[..1]);
+        assert_eq!(code, 0, "{text}");
     }
 
     #[test]

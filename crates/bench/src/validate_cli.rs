@@ -1,5 +1,5 @@
 //! The `repro validate` subcommand: simulator validation and conformance,
-//! driven by `mallacc-validate`. Flags: [`USAGE`].
+//! driven by `mallacc-validate`. Flags: [`COMMAND`].
 //!
 //! Six independent sections, any of which can fail the run (exit 1):
 //!
@@ -31,7 +31,7 @@
 
 use std::path::PathBuf;
 
-use crate::cli::{self, run_indexed, CommonFlags, CommonSpec, ScaleFlag};
+use crate::cli::{self, run_indexed, Command, Flag};
 use mallacc_ooo::SamplingPlan;
 use mallacc_stats::table::Table;
 use mallacc_stats::Json;
@@ -43,9 +43,23 @@ use mallacc_validate::{
 };
 
 /// Command line of `repro validate`.
-pub const USAGE: &str = "repro validate [--smoke] [--full] [--kernel-n N] [--fuzz N] \
-    [--laws N] [--offload-fuzz N] [--sample-fuzz N] [--substrate-fuzz N] [--seed N] \
-    [--jobs N] [--json PATH]";
+pub const COMMAND: Command = Command {
+    name: "validate",
+    head: "repro validate",
+    flags: &[
+        Flag::switch("--smoke"),
+        Flag::switch("--full"),
+        Flag::value("--kernel-n", "N"),
+        Flag::value("--fuzz", "N"),
+        Flag::value("--laws", "N"),
+        Flag::value("--offload-fuzz", "N"),
+        Flag::value("--sample-fuzz", "N"),
+        Flag::value("--substrate-fuzz", "N"),
+        Flag::value("--seed", "N"),
+        Flag::value("--jobs", "N"),
+        Flag::value("--json", "PATH"),
+    ],
+};
 
 /// Parsed `repro validate` arguments.
 #[derive(Debug, Clone)]
@@ -96,117 +110,52 @@ impl Default for ValidateArgs {
 }
 
 impl ValidateArgs {
-    /// Parses the argument list after `validate`. Shared flags are
-    /// collected via [`crate::cli`] and applied after the loop, so
-    /// explicit scales win over `--smoke`/`--full` regardless of flag
-    /// order.
+    /// The full sweep: every scale raised, and every coverage event
+    /// required.
+    pub fn full() -> Self {
+        Self {
+            kernel_n: 20_000,
+            fuzz_slots: 10_000,
+            law_cases: 1_000,
+            offload_slots: 4_000,
+            sample_slots: 600,
+            substrate_slots: 10_000,
+            require_full_coverage: true,
+            ..Self::default()
+        }
+    }
+
+    /// Parses the argument list after `validate`: the `--smoke` or
+    /// `--full` scale, whichever came last, then the explicit values.
     pub fn parse(args: &[String]) -> Result<ValidateArgs, String> {
-        let mut parsed = ValidateArgs::default();
-        let mut common = CommonFlags::default();
-        let (mut kernel_n, mut fuzz_slots, mut law_cases, mut offload_slots) =
-            (None, None, None, None);
-        let (mut sample_slots, mut substrate_slots) = (None, None);
-        let mut i = 0;
-        while i < args.len() {
-            if cli::take_common(args, &mut i, &CommonSpec::ALL, &mut common)? {
-                i += 1;
-                continue;
-            }
-            match args[i].as_str() {
-                "--kernel-n" => {
-                    kernel_n = Some(cli::int(
-                        cli::value(args, &mut i, "--kernel-n")?,
-                        "--kernel-n",
-                    )?);
-                }
-                "--fuzz" => {
-                    fuzz_slots = Some(cli::int(cli::value(args, &mut i, "--fuzz")?, "--fuzz")?);
-                }
-                "--laws" => {
-                    law_cases = Some(cli::int(cli::value(args, &mut i, "--laws")?, "--laws")?);
-                }
-                "--offload-fuzz" => {
-                    offload_slots = Some(cli::int(
-                        cli::value(args, &mut i, "--offload-fuzz")?,
-                        "--offload-fuzz",
-                    )?);
-                }
-                "--sample-fuzz" => {
-                    sample_slots = Some(cli::int(
-                        cli::value(args, &mut i, "--sample-fuzz")?,
-                        "--sample-fuzz",
-                    )?);
-                }
-                "--substrate-fuzz" => {
-                    substrate_slots = Some(cli::int(
-                        cli::value(args, &mut i, "--substrate-fuzz")?,
-                        "--substrate-fuzz",
-                    )?);
-                }
-                other => return Err(format!("unknown validate flag {other:?}")),
-            }
-            i += 1;
-        }
-        match common.scale {
-            Some(ScaleFlag::Smoke) => {
-                parsed.kernel_n = 2_000;
-                parsed.fuzz_slots = 400;
-                parsed.law_cases = 60;
-                parsed.offload_slots = 200;
-                parsed.sample_slots = 120;
-                parsed.substrate_slots = 300;
-                parsed.require_full_coverage = false;
-            }
-            Some(ScaleFlag::Full) => {
-                parsed.kernel_n = 20_000;
-                parsed.fuzz_slots = 10_000;
-                parsed.law_cases = 1_000;
-                parsed.offload_slots = 4_000;
-                parsed.sample_slots = 600;
-                parsed.substrate_slots = 10_000;
-                parsed.require_full_coverage = true;
-            }
-            None => {}
-        }
-        if let Some(v) = kernel_n {
-            parsed.kernel_n = v;
-        }
-        if let Some(v) = fuzz_slots {
-            parsed.fuzz_slots = v;
-        }
-        if let Some(v) = law_cases {
-            parsed.law_cases = v;
-        }
-        if let Some(v) = offload_slots {
-            parsed.offload_slots = v;
-        }
-        if let Some(v) = sample_slots {
-            parsed.sample_slots = v;
-        }
-        if let Some(v) = substrate_slots {
-            parsed.substrate_slots = v;
-        }
-        if let Some(seed) = common.seed {
-            parsed.seed = seed;
-        }
-        if let Some(jobs) = common.jobs {
-            parsed.jobs = jobs;
-        }
-        parsed.json = common.json;
-        if parsed.kernel_n == 0 {
+        let p = COMMAND.parse(args)?;
+        let mut a = match p.last_of(&["--smoke", "--full"]) {
+            Some("--full") => ValidateArgs::full(),
+            _ => ValidateArgs::default(),
+        };
+        p.set("--kernel-n", &mut a.kernel_n, cli::int)?;
+        p.set("--fuzz", &mut a.fuzz_slots, cli::int)?;
+        p.set("--laws", &mut a.law_cases, cli::int)?;
+        p.set("--offload-fuzz", &mut a.offload_slots, cli::int)?;
+        p.set("--sample-fuzz", &mut a.sample_slots, cli::int)?;
+        p.set("--substrate-fuzz", &mut a.substrate_slots, cli::int)?;
+        p.set("--seed", &mut a.seed, cli::int)?;
+        p.set("--jobs", &mut a.jobs, cli::int)?;
+        a.json = p.get("--json", cli::path)?;
+        if a.kernel_n == 0 {
             return Err("--kernel-n must be at least 1".to_string());
         }
-        if parsed.fuzz_slots == 0
-            || parsed.offload_slots == 0
-            || parsed.sample_slots == 0
-            || parsed.substrate_slots == 0
+        if a.fuzz_slots == 0
+            || a.offload_slots == 0
+            || a.sample_slots == 0
+            || a.substrate_slots == 0
         {
             return Err(
                 "--fuzz, --offload-fuzz, --sample-fuzz and --substrate-fuzz must be at least 1"
                     .to_string(),
             );
         }
-        Ok(parsed)
+        Ok(a)
     }
 }
 
@@ -644,8 +593,8 @@ pub fn validate_report(args: &ValidateArgs) -> (i32, String) {
         if pass { "PASS" } else { "FAIL" }
     ));
 
-    if let Some(path) = &args.json {
-        let doc = Json::obj([
+    cli::finish("validate", out, pass, args.json.as_deref(), || {
+        Json::obj([
             ("schema", Json::from("mallacc-validate/1")),
             (
                 "scale",
@@ -670,12 +619,8 @@ pub fn validate_report(args: &ValidateArgs) -> (i32, String) {
             ("sampled", sample_json),
             ("substrate", substrate_json),
             ("pass", Json::from(pass)),
-        ]);
-        if !cli::write_json("validate", path, &doc, &mut out) {
-            return (1, out);
-        }
-    }
-    (if pass { 0 } else { 1 }, out)
+        ])
+    })
 }
 
 #[cfg(test)]

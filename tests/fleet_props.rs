@@ -11,7 +11,7 @@ use std::collections::HashMap;
 use proptest::prelude::*;
 
 use mallacc_bench::fleet_cli::{fleet_report, FleetArgs};
-use mallacc_fleet::{Arrivals, Scenario};
+use mallacc_fleet::{Arrivals, FleetConfig, Scenario};
 use mallacc_test_support::{arb_fleet_params, FleetParams};
 use mallacc_workloads::MtOp;
 
@@ -77,13 +77,14 @@ proptest! {
     #[test]
     fn report_bytes_are_jobs_invariant(p in arb_fleet_params()) {
         let args = |jobs: usize| FleetArgs {
-            scenarios: vec![Scenario::by_name(p.scenario).unwrap()],
-            cores: Some(vec![1, p.cores.clamp(2, 32)]),
-            strong_requests: p.requests.max(8),
-            weak_requests_per_core: (p.requests / 2).max(4),
-            seed: p.seed,
-            jobs,
-            ..FleetArgs::default()
+            config: FleetConfig {
+                scenarios: vec![Scenario::by_name(p.scenario).unwrap()],
+                core_counts: vec![1, p.cores.clamp(2, 32)],
+                strong_requests: p.requests.max(8),
+                weak_requests_per_core: (p.requests / 2).max(4),
+                ..FleetConfig::full(p.seed, jobs)
+            },
+            json: None,
         };
         let (c1, seq) = fleet_report(&args(1));
         let (c4, par) = fleet_report(&args(4));
