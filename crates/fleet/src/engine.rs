@@ -93,11 +93,6 @@ impl FleetConfig {
             sim: SimMode::Full,
         }
     }
-
-    /// Number of cells this configuration enumerates.
-    pub fn cell_count(&self) -> usize {
-        self.scenarios.len() * self.core_counts.len() * 2
-    }
 }
 
 /// One mode's distilled measurements within a cell.

@@ -165,11 +165,6 @@ impl JeMalloc {
         self.stats
     }
 
-    /// Arena statistics.
-    pub fn arena_stats(&self) -> crate::arena::ArenaStats {
-        self.arena.stats()
-    }
-
     /// Live (allocated, unfreed) block count.
     pub fn live_blocks(&self) -> usize {
         self.live.len()

@@ -50,7 +50,6 @@ pub struct MulticoreSim {
     mode: Mode,
     cores: usize,
     epoch_events: usize,
-    alloc_config: TcMallocConfig,
     sim: SimMode,
 }
 
@@ -180,7 +179,6 @@ impl MulticoreSim {
             mode,
             cores,
             epoch_events: DEFAULT_EPOCH_EVENTS,
-            alloc_config: TcMallocConfig::default(),
             sim: SimMode::Full,
         }
     }
@@ -193,12 +191,6 @@ impl MulticoreSim {
     pub fn with_epoch_events(mut self, events: usize) -> Self {
         assert!(events > 0, "epoch must make progress");
         self.epoch_events = events;
-        self
-    }
-
-    /// Overrides the functional allocator's configuration.
-    pub fn with_alloc_config(mut self, config: TcMallocConfig) -> Self {
-        self.alloc_config = config;
         self
     }
 
@@ -282,7 +274,7 @@ impl MulticoreSim {
             sinks.is_empty() || sinks.len() == self.cores,
             "need one sink per core (or none)"
         );
-        let cap = capture_stream(self.cores, ops, self.alloc_config);
+        let cap = capture_stream(self.cores, ops, TcMallocConfig::default());
 
         let mut sink_slots: Vec<Option<Box<dyn TraceSink>>> = if sinks.is_empty() {
             (0..self.cores).map(|_| None).collect()

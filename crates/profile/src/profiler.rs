@@ -5,7 +5,8 @@ use std::any::Any;
 
 use mallacc::{Component, OpKind, OpMeta, StallBreakdown, StallReason, TraceSink, UopEvent};
 
-/// Default cap on retained per-operation records.
+/// Cap on retained per-operation records (aggregates keep exact counts
+/// regardless).
 pub const DEFAULT_MAX_OPS: usize = 1 << 20;
 
 /// One fully-attributed simulated operation (a malloc or free call).
@@ -107,7 +108,6 @@ pub fn kind_label(kind: OpKind) -> &'static str {
 #[derive(Debug)]
 pub struct Profiler {
     tid: u32,
-    max_ops: usize,
     keep_uops: usize,
     in_op: bool,
     cur_stall: StallBreakdown,
@@ -128,7 +128,6 @@ impl Profiler {
     pub fn new(tid: u32) -> Self {
         Self {
             tid,
-            max_ops: DEFAULT_MAX_OPS,
             keep_uops: 0,
             in_op: false,
             cur_stall: StallBreakdown::new(),
@@ -147,13 +146,6 @@ impl Profiler {
     /// Retains up to `n` per-µop samples for trace export.
     pub fn with_uop_samples(mut self, n: usize) -> Self {
         self.keep_uops = n;
-        self
-    }
-
-    /// Caps retained per-operation records at `n` (aggregates keep exact
-    /// counts regardless).
-    pub fn with_max_ops(mut self, n: usize) -> Self {
-        self.max_ops = n;
         self
     }
 
@@ -299,7 +291,7 @@ impl TraceSink for Profiler {
                 components: profile.components,
             }),
         }
-        if self.ops.len() < self.max_ops {
+        if self.ops.len() < DEFAULT_MAX_OPS {
             self.ops.push(profile);
         } else {
             self.dropped_ops += 1;

@@ -220,18 +220,6 @@ impl LogHistogram {
         }
         None
     }
-
-    /// Weighted mean of the recorded samples (exact, not binned).
-    pub fn mean_value(&self) -> f64 {
-        if self.total_count == 0 {
-            0.0
-        } else {
-            // total_weight is Σ value_i when time-weighted; but for generality
-            // we track the exact mean via weight/count only when weights are
-            // the values themselves. Use bins as an approximation otherwise.
-            self.total_weight / self.total_count as f64
-        }
-    }
 }
 
 /// A fixed-width, linearly-binned weighted histogram.

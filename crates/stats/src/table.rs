@@ -6,15 +6,6 @@
 
 use std::fmt::Write as _;
 
-/// Column alignment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Align {
-    /// Left-aligned (labels).
-    Left,
-    /// Right-aligned (numbers).
-    Right,
-}
-
 /// A simple monospace table builder.
 ///
 /// # Example
@@ -32,38 +23,16 @@ pub enum Align {
 pub struct Table {
     headers: Vec<String>,
     rows: Vec<Vec<String>>,
-    aligns: Vec<Align>,
 }
 
 impl Table {
     /// Creates a table with the given column headers. The first column is
     /// left-aligned, the rest right-aligned (label + numbers convention).
     pub fn new(headers: &[&str]) -> Self {
-        let aligns = headers
-            .iter()
-            .enumerate()
-            .map(|(i, _)| if i == 0 { Align::Left } else { Align::Right })
-            .collect();
         Self {
             headers: headers.iter().map(|s| s.to_string()).collect(),
             rows: Vec::new(),
-            aligns,
         }
-    }
-
-    /// Overrides the alignment of each column.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `aligns.len()` differs from the number of columns.
-    pub fn with_aligns(mut self, aligns: &[Align]) -> Self {
-        assert_eq!(
-            aligns.len(),
-            self.headers.len(),
-            "alignment/column count mismatch"
-        );
-        self.aligns = aligns.to_vec();
-        self
     }
 
     /// Appends a row.
@@ -114,17 +83,14 @@ impl Table {
                 }
                 let cell = &cells[i];
                 let pad = widths[i] - cell.chars().count();
-                match self.aligns[i] {
-                    Align::Left => {
-                        out.push_str(cell);
-                        if i + 1 < ncols {
-                            out.extend(std::iter::repeat_n(' ', pad));
-                        }
-                    }
-                    Align::Right => {
+                if i == 0 {
+                    out.push_str(cell);
+                    if ncols > 1 {
                         out.extend(std::iter::repeat_n(' ', pad));
-                        out.push_str(cell);
                     }
+                } else {
+                    out.extend(std::iter::repeat_n(' ', pad));
+                    out.push_str(cell);
                 }
             }
             out.push('\n');

@@ -374,11 +374,6 @@ impl RpMalloc {
         self.spans.get(&rp_layout::span_of(ptr)).map(|s| s.owner)
     }
 
-    /// The class's active span for `thread`.
-    pub fn active_span(&self, thread: usize, class: u16) -> Option<Addr> {
-        self.active[thread][usize::from(class)]
-    }
-
     /// Top two entries of the active span's free list for `(thread,
     /// class)` — what an accelerated pop would return, and the entry
     /// after it.

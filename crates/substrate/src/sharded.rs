@@ -40,12 +40,6 @@ impl ShardedTotals {
     pub fn allocator_cycles(&self) -> u64 {
         self.per_core_cycles.iter().sum()
     }
-
-    /// The busiest core's allocator cycles — the wall-clock bound under
-    /// the no-coupling approximation.
-    pub fn max_core_cycles(&self) -> u64 {
-        self.per_core_cycles.iter().copied().max().unwrap_or(0)
-    }
 }
 
 /// The sharded multi-core runner: `cores` independent [`AnySim`]s over
@@ -91,21 +85,11 @@ impl ShardedMt {
         }
     }
 
-    /// Number of cores.
-    pub fn num_cores(&self) -> usize {
-        self.cores.len()
-    }
-
     /// Switches every core's engine to sampled execution under `plan`.
     pub fn set_sampling(&mut self, plan: Option<SamplingPlan>) {
         for c in &mut self.cores {
             c.set_sampling(plan);
         }
-    }
-
-    /// Live tokens (allocated, not yet freed).
-    pub fn live_tokens(&self) -> usize {
-        self.owner.len()
     }
 
     /// Accumulated totals.

@@ -19,7 +19,7 @@ use crate::layout;
 use crate::page_heap::{PageHeap, SpanId};
 use crate::sampler::Sampler;
 use crate::size_class::{class_index, consts, ClassId, SizeClasses};
-use crate::transfer::{TransferCache, TransferStats};
+use crate::transfer::TransferCache;
 
 /// Which pool ultimately served a malloc call.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -378,11 +378,6 @@ impl TcMalloc {
     /// Objects currently parked in the transfer cache for `cls`.
     pub fn transfer_len(&self, cls: ClassId) -> usize {
         self.transfer[cls.0 as usize].len()
-    }
-
-    /// Transfer-cache statistics for `cls`.
-    pub fn transfer_stats(&self, cls: ClassId) -> TransferStats {
-        self.transfer[cls.0 as usize].stats()
     }
 
     /// Objects currently in the central free list for `cls`.

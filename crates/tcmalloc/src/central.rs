@@ -88,11 +88,6 @@ impl CentralFreeList {
         self.stats
     }
 
-    /// Address of this list's lock-protected header structure.
-    pub fn header_addr(&self) -> Addr {
-        layout::central_list(self.cls)
-    }
-
     /// Fetches up to `n` objects, populating from the page heap if the list
     /// is empty.
     ///

@@ -62,19 +62,6 @@ impl Microbenchmark {
         Self::ALL.into_iter().find(|m| m.name() == name)
     }
 
-    /// Number of size classes the benchmark touches. The paper quotes 25,
-    /// 4 and 8 for the strided ones (13 for the Gaussians); our 2007-era
-    /// class table merges two more classes above 256 B, so `tp` lands on
-    /// 23.
-    pub fn size_classes_used(self) -> usize {
-        match self {
-            Microbenchmark::Tp => 23,
-            Microbenchmark::TpSmall => 4,
-            Microbenchmark::SizedDeletes => 8,
-            _ => 13,
-        }
-    }
-
     /// Generates a deterministic trace with roughly `mallocs` allocations.
     pub fn trace(self, mallocs: usize, seed: u64) -> Trace {
         match self {
