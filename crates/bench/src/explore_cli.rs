@@ -65,8 +65,9 @@ impl ExploreArgs {
             jobs: p.get("--jobs", cli::int)?.unwrap_or_default(),
             memo: p.get("--memo", cli::path)?,
             out: p.get("--out", cli::path)?,
-            assert_memo_frac: p.get("--assert-memo-frac", |flag, v| {
-                v.parse().map_err(|_| format!("{flag} needs a number"))
+            assert_memo_frac: p.get("--assert-memo-frac", |flag, v| match v.parse() {
+                Ok(frac) if (0.0..=1.0).contains(&frac) => Ok(frac),
+                _ => Err(format!("{flag} needs a fraction from 0 to 1, got {v:?}")),
             })?,
         })
     }
@@ -121,6 +122,18 @@ mod tests {
         assert_eq!(a.grid, ParamGrid::smoke());
         assert_eq!(a.jobs, 4);
         assert_eq!(a.assert_memo_frac, Some(0.9));
+    }
+
+    #[test]
+    fn assert_memo_frac_must_be_a_fraction() {
+        let frac = |v: &str| ExploreArgs::parse(&s(&["--assert-memo-frac", v]));
+        for bad in ["nan", "-0.1", "1.5"] {
+            let err = frac(bad).unwrap_err();
+            assert!(err.contains("--assert-memo-frac"), "{bad}: {err}");
+        }
+        for (good, want) in [("0", 0.0), ("1", 1.0), ("0.9", 0.9)] {
+            assert_eq!(frac(good).unwrap().assert_memo_frac, Some(want));
+        }
     }
 
     #[test]

@@ -29,7 +29,8 @@
 //! * [`run_fleet`] / [`FleetConfig`] / [`FleetResult`] — the sweep engine:
 //!   scenario × cores × {strong, weak} cells, each a pure function of the
 //!   seed, farmed to worker threads with `--jobs`-invariant output.
-//! * [`render_report`] / [`render_json`] — deterministic renderers.
+//! * [`render_report`] / [`json_doc`] — the deterministic text report and
+//!   JSON document.
 //!
 //! # Example
 //!
@@ -66,6 +67,6 @@ pub use engine::{
     run_fleet, CellResult, FleetConfig, FleetResult, RunMeasure, Scaling, CORE_COUNTS_FULL,
     CORE_COUNTS_SMOKE, KNEE_THRESHOLD_PCT,
 };
-pub use report::{json_doc, render_json, render_report};
+pub use report::{json_doc, render_report};
 pub use request::{RequestProfile, Tenant, Topology};
 pub use scenario::{Scenario, ScenarioStream};

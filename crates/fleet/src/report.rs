@@ -142,11 +142,6 @@ pub fn json_doc(r: &FleetResult) -> Json {
     ])
 }
 
-/// Renders the machine-readable JSON report as pretty-printed text.
-pub fn render_json(r: &FleetResult) -> String {
-    json_doc(r).render_pretty()
-}
-
 fn measure_json(m: &RunMeasure) -> Json {
     Json::obj([
         ("cycles_per_call", Json::from(m.cycles_per_call)),
@@ -208,12 +203,12 @@ mod tests {
     fn report_is_a_pure_function_of_the_result() {
         let r = small_result();
         assert_eq!(render_report(&r), render_report(&r));
-        assert_eq!(render_json(&r), render_json(&r));
+        assert_eq!(json_doc(&r).render_pretty(), json_doc(&r).render_pretty());
     }
 
     #[test]
     fn json_is_structurally_sound() {
-        let j = render_json(&small_result());
+        let j = json_doc(&small_result()).render_pretty();
         // Cheap structural checks (no JSON parser in-tree): balanced
         // braces/brackets and the expected keys.
         assert_eq!(j.matches('{').count(), j.matches('}').count());

@@ -1,9 +1,10 @@
 //! Phase A: the serial functional pass.
 //!
-//! The globally interleaved [`MtTrace`] is executed, in trace order, on one
-//! shared [`TcMalloc`] with a thread cache per core. Every allocator call is
-//! captured as a per-core [`CoreEvent`] holding everything the timing layer
-//! needs to replay it later without touching the allocator again:
+//! The globally interleaved [`MtTrace`](mallacc_workloads::MtTrace) is
+//! executed, in trace order, on one shared [`TcMalloc`] with a thread cache
+//! per core. Every allocator call is captured as a per-core [`CoreEvent`]
+//! holding everything the timing layer needs to replay it later without
+//! touching the allocator again:
 //!
 //! * the functional [`MallocOutcome`]/[`FreeOutcome`];
 //! * the serving list's post-call `(head, next)` ([`PostList`]) — the
@@ -25,7 +26,7 @@ use mallacc_cache::Addr;
 use mallacc_tcmalloc::{
     AllocStats, ClassId, FreeOutcome, FreePath, MallocOutcome, MallocPath, TcMalloc, TcMallocConfig,
 };
-use mallacc_workloads::{MtOp, MtTrace};
+use mallacc_workloads::MtOp;
 
 /// One event of a core's private replay stream.
 #[derive(Debug, Clone)]
@@ -152,21 +153,11 @@ fn post_list(alloc: &TcMalloc, core: usize, cls: Option<ClassId>) -> PostList {
     }
 }
 
-/// Runs the trace on a shared `cores`-thread allocator and captures the
-/// per-core replay streams.
-///
-/// # Panics
-///
-/// Panics if the trace frees a token it never allocated (malformed trace).
-pub fn capture(trace: &MtTrace, config: TcMallocConfig) -> Capture {
-    capture_stream(trace.cores(), trace.ops().iter().copied(), config)
-}
-
-/// Streaming variant of [`capture`]: consumes `(core, op)` pairs from any
-/// iterator — a generator, a [`MtOpReader`](mallacc_workloads::MtOpReader)
-/// over a trace file — so the full op sequence never has to exist in
-/// memory. The fleet scenario engine feeds million-request service
-/// streams through this entry point.
+/// Runs `(core, op)` pairs from any iterator on a shared `cores`-thread
+/// allocator and captures the per-core replay streams. The iterator may be
+/// a generator, so the full op sequence never has to exist in memory: the
+/// fleet scenario engine feeds million-request service streams through
+/// this entry point.
 ///
 /// # Panics
 ///
@@ -267,12 +258,21 @@ pub fn capture_stream(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mallacc_workloads::MtTrace;
+
+    fn capture_trace(t: &MtTrace) -> Capture {
+        capture_stream(
+            t.cores(),
+            t.ops().iter().copied(),
+            TcMallocConfig::default(),
+        )
+    }
 
     #[test]
     fn capture_is_deterministic() {
         let t = MtTrace::producer_consumer(3, 120, 5);
-        let a = capture(&t, TcMallocConfig::default());
-        let b = capture(&t, TcMallocConfig::default());
+        let a = capture_trace(&t);
+        let b = capture_trace(&t);
         assert_eq!(a.alloc_stats, b.alloc_stats);
         assert_eq!(a.streams.len(), b.streams.len());
         for (x, y) in a.streams.iter().zip(&b.streams) {
@@ -281,32 +281,9 @@ mod tests {
     }
 
     #[test]
-    fn capture_streamed_through_text_io_matches_in_memory() {
-        // Serialise a trace through the chunked MT text format, stream it
-        // back through MtOpReader into capture_stream, and require the
-        // exact capture the in-memory path produces.
-        let t = MtTrace::producer_consumer(3, 90, 11);
-        let direct = capture(&t, TcMallocConfig::default());
-        let bytes = mallacc_workloads::write_mt_ops(t.cores(), t.ops().iter().copied(), Vec::new())
-            .unwrap();
-        let reader = mallacc_workloads::MtOpReader::new(bytes.as_slice()).unwrap();
-        let streamed = capture_stream(
-            reader.cores(),
-            reader.map(|r| r.expect("round-trip parses")),
-            TcMallocConfig::default(),
-        );
-        assert_eq!(direct.alloc_stats, streamed.alloc_stats);
-        assert_eq!(direct.steal_invalidates, streamed.steal_invalidates);
-        assert_eq!(direct.streams.len(), streamed.streams.len());
-        for (a, b) in direct.streams.iter().zip(&streamed.streams) {
-            assert_eq!(a.len(), b.len());
-        }
-    }
-
-    #[test]
     fn remote_frees_are_captured_and_priced() {
         let t = MtTrace::producer_consumer(2, 200, 1);
-        let c = capture(&t, TcMallocConfig::default());
+        let c = capture_trace(&t);
         assert!(c.alloc_stats.remote_frees > 0, "ring must free remotely");
         let some_free_stalled = c.streams.iter().flatten().any(|e| {
             matches!(e, CoreEvent::Free { contention, outcome, .. }
@@ -373,7 +350,7 @@ mod tests {
             ));
         }
         let t = MtTrace::from_ops(2, ops);
-        let c = capture(&t, TcMallocConfig::default());
+        let c = capture_trace(&t);
         assert!(c.alloc_stats.steals > 0, "trace must force a steal");
         assert_eq!(c.steal_invalidates, c.alloc_stats.steals);
         let victims = c.streams[1]
@@ -388,7 +365,7 @@ mod tests {
         // After a CentralRefill, the captured post-list head must be the
         // outcome's `next` (the head after popping the returned object).
         let t = MtTrace::producer_consumer(2, 100, 3);
-        let c = capture(&t, TcMallocConfig::default());
+        let c = capture_trace(&t);
         for e in c.streams.iter().flatten() {
             if let CoreEvent::Malloc { outcome, post, .. } = e {
                 if let MallocPath::CentralRefill { next, .. } = &outcome.path {

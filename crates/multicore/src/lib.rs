@@ -12,13 +12,13 @@
 //!
 //! Simulation is split into two deterministic phases:
 //!
-//! * **Phase A — serial functional capture** ([`capture`]): the globally
-//!   interleaved [`MtTrace`](mallacc_workloads::MtTrace) runs on one shared
-//!   [`TcMalloc`](mallacc_tcmalloc::TcMalloc) with a thread cache per core,
-//!   producing per-core [`CoreEvent`] streams annotated with post-call list
-//!   state and deterministic contention stalls. Cross-core effects that
-//!   change *function* — remote frees, transfer-cache hand-offs, neighbour
-//!   steals — are resolved here, in trace order.
+//! * **Phase A — serial functional capture** ([`capture_stream`]): the
+//!   globally interleaved [`MtTrace`](mallacc_workloads::MtTrace) runs on
+//!   one shared [`TcMalloc`](mallacc_tcmalloc::TcMalloc) with a thread cache
+//!   per core, producing per-core [`CoreEvent`] streams annotated with
+//!   post-call list state and deterministic contention stalls. Cross-core
+//!   effects that change *function* — remote frees, transfer-cache
+//!   hand-offs, neighbour steals — are resolved here, in trace order.
 //! * **Phase B — parallel timing replay** ([`MulticoreSim::run`]): each
 //!   core replays its stream on a private out-of-order engine, L1/L2 and
 //!   malloc cache, running on its own host thread. The cores share one L3
@@ -48,6 +48,6 @@ mod capture;
 mod latency;
 mod sim;
 
-pub use capture::{capture, capture_stream, Capture, CoreEvent};
+pub use capture::{capture_stream, Capture, CoreEvent};
 pub use latency::{latency_sinks, take_latencies, CallLatencySink};
 pub use sim::{CoreReport, MtRunResult, MulticoreSim, DEFAULT_EPOCH_EVENTS};

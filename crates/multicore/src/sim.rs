@@ -9,8 +9,8 @@
 //!    place, copying only the sets the previous barrier's commits touched
 //!    (every other set already matches the master);
 //! 2. *(parallel, `std::thread::scope`)* every core replays up to
-//!    `epoch_events` events against its private replica, logging the
-//!    accesses that reached the L3 level; `cores − 1` spawned workers take
+//!    [`DEFAULT_EPOCH_EVENTS`] events against its private replica, logging
+//!    the accesses that reached the L3 level; `cores − 1` spawned workers take
 //!    the first cores and the calling thread replays the last one, so a
 //!    1-core run spawns nothing;
 //! 3. *(serial, fixed core order)* the logs are committed to the master.
@@ -28,7 +28,7 @@ use mallacc_workloads::{AppWalk, MtOp, MtTrace};
 
 use crate::capture::{capture_stream, CoreEvent};
 
-/// Default events each core replays between L3 synchronisation barriers.
+/// Events each core replays between L3 synchronisation barriers.
 pub const DEFAULT_EPOCH_EVENTS: usize = 256;
 
 /// The N-core simulator: functional capture plus epoch-parallel replay.
@@ -49,7 +49,6 @@ pub const DEFAULT_EPOCH_EVENTS: usize = 256;
 pub struct MulticoreSim {
     mode: Mode,
     cores: usize,
-    epoch_events: usize,
     sim: SimMode,
 }
 
@@ -167,8 +166,8 @@ impl CoreReplay {
 }
 
 impl MulticoreSim {
-    /// A `cores`-core simulator in `mode` with default epoch length and
-    /// allocator configuration.
+    /// A `cores`-core simulator in `mode` with the default allocator
+    /// configuration.
     ///
     /// # Panics
     ///
@@ -178,20 +177,8 @@ impl MulticoreSim {
         Self {
             mode,
             cores,
-            epoch_events: DEFAULT_EPOCH_EVENTS,
             sim: SimMode::Full,
         }
-    }
-
-    /// Overrides the events-per-core-per-epoch synchronisation grain.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `events` is zero.
-    pub fn with_epoch_events(mut self, events: usize) -> Self {
-        assert!(events > 0, "epoch must make progress");
-        self.epoch_events = events;
-        self
     }
 
     /// Selects full detailed or sampled execution for every core's
@@ -315,7 +302,7 @@ impl MulticoreSim {
             // (2) Replay one epoch per core, in parallel, the last core on
             // this thread. Each core only touches its own state, so
             // scheduling cannot change results.
-            let budget = self.epoch_events;
+            let budget = DEFAULT_EPOCH_EVENTS;
             let (last, rest) = replays.split_last_mut().expect("at least one core");
             std::thread::scope(|s| {
                 for r in rest {
@@ -483,10 +470,8 @@ mod tests {
 
     #[test]
     fn epochs_scale_with_trace_length() {
-        let t = MtTrace::producer_consumer(2, 200, 3);
-        let r = MulticoreSim::new(Mode::Baseline, 2)
-            .with_epoch_events(64)
-            .run(&t);
+        let t = MtTrace::producer_consumer(2, 800, 3);
+        let r = MulticoreSim::new(Mode::Baseline, 2).run(&t);
         assert!(r.epochs > 1, "long trace must cross epoch boundaries");
         assert!(r.shared_l3_accesses > 0, "allocator traffic reaches L3");
     }

@@ -3,8 +3,8 @@
 //! The paper's distribution plots (Figures 1, 2, 15, 16) put *call duration in
 //! cycles* on a log-scaled x axis and *time spent in calls* (not call count)
 //! on the y axis. [`LogHistogram`] reproduces that: samples are binned by
-//! `log2` of the cycle count with a configurable number of sub-bins per
-//! octave, and each sample carries a weight (the cycles it contributes).
+//! `log2` of the cycle count with a fixed number of sub-bins per octave,
+//! and each sample carries a weight (the cycles it contributes).
 
 /// One histogram bin: `[lo, hi)` with an accumulated weight and count.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -40,56 +40,34 @@ impl Bin {
 /// // Time-weighted: the slow call dominates.
 /// assert!(pdf.last().unwrap().1 > 90.0);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct LogHistogram {
-    /// Sub-bins per factor-of-two octave.
-    bins_per_octave: u32,
-    /// Bin index -> (weight, count). Index is `floor(log2(x) * bins_per_octave)`.
+    /// Bin index -> (weight, count). Index is
+    /// `floor(log2(x) * DEFAULT_BINS_PER_OCTAVE)`.
     bins: Vec<(f64, u64)>,
     total_weight: f64,
     total_count: u64,
 }
 
-impl Default for LogHistogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl LogHistogram {
-    /// Default sub-bin resolution: 8 bins per octave, enough to resolve the
-    /// paper's 18-vs-13-cycle fast-path shift.
+    /// Sub-bins per factor-of-two octave: enough to resolve the paper's
+    /// 18-vs-13-cycle fast-path shift.
     pub const DEFAULT_BINS_PER_OCTAVE: u32 = 8;
 
-    /// Creates a histogram with the default resolution.
+    /// Creates an empty histogram.
     pub fn new() -> Self {
-        Self::with_resolution(Self::DEFAULT_BINS_PER_OCTAVE)
+        Self::default()
     }
 
-    /// Creates a histogram with `bins_per_octave` sub-bins per factor of two.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bins_per_octave` is zero.
-    pub fn with_resolution(bins_per_octave: u32) -> Self {
-        assert!(bins_per_octave > 0, "need at least one bin per octave");
-        Self {
-            bins_per_octave,
-            bins: Vec::new(),
-            total_weight: 0.0,
-            total_count: 0,
-        }
-    }
-
-    fn bin_index(&self, value: u64) -> usize {
+    fn bin_index(value: u64) -> usize {
         let v = value.max(1) as f64;
-        (v.log2() * self.bins_per_octave as f64).floor() as usize
+        (v.log2() * Self::DEFAULT_BINS_PER_OCTAVE as f64).floor() as usize
     }
 
     /// Records a sample `value` (e.g. a call's duration in cycles) with an
     /// associated `weight` (e.g. the same duration, to weight by time).
     pub fn record(&mut self, value: u64, weight: f64) {
-        let idx = self.bin_index(value);
+        let idx = Self::bin_index(value);
         if idx >= self.bins.len() {
             self.bins.resize(idx + 1, (0.0, 0));
         }
@@ -114,16 +92,8 @@ impl LogHistogram {
         self.total_count
     }
 
-    /// Merges another histogram recorded at the same resolution.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the resolutions differ.
+    /// Merges another histogram into this one.
     pub fn merge(&mut self, other: &LogHistogram) {
-        assert_eq!(
-            self.bins_per_octave, other.bins_per_octave,
-            "cannot merge histograms with different resolutions"
-        );
         if other.bins.len() > self.bins.len() {
             self.bins.resize(other.bins.len(), (0.0, 0));
         }
@@ -137,7 +107,7 @@ impl LogHistogram {
 
     /// Returns the non-empty bins in increasing order of value.
     pub fn bins(&self) -> Vec<Bin> {
-        let k = self.bins_per_octave as f64;
+        let k = Self::DEFAULT_BINS_PER_OCTAVE as f64;
         self.bins
             .iter()
             .enumerate()
@@ -159,21 +129,6 @@ impl LogHistogram {
         self.bins()
             .into_iter()
             .map(|b| (b.mid(), 100.0 * b.weight / self.total_weight))
-            .collect()
-    }
-
-    /// Cumulative weight distribution, in percent: `(bin upper edge, % ≤ edge)`.
-    pub fn cdf_percent(&self) -> Vec<(f64, f64)> {
-        if self.total_weight == 0.0 {
-            return Vec::new();
-        }
-        let mut acc = 0.0;
-        self.bins()
-            .into_iter()
-            .map(|b| {
-                acc += b.weight;
-                (b.hi, 100.0 * acc / self.total_weight)
-            })
             .collect()
     }
 
@@ -222,98 +177,6 @@ impl LogHistogram {
     }
 }
 
-/// A fixed-width, linearly-binned weighted histogram.
-///
-/// Used for the size-class usage distributions (Figure 6), where the x axis
-/// is the small integer "number of size classes".
-///
-/// # Example
-///
-/// ```
-/// use mallacc_stats::LinearHistogram;
-///
-/// let mut h = LinearHistogram::new(1.0);
-/// h.record(3.0, 1.0);
-/// h.record(3.4, 2.0);
-/// assert_eq!(h.bins().len(), 1);
-/// ```
-#[derive(Debug, Clone)]
-pub struct LinearHistogram {
-    width: f64,
-    bins: Vec<(f64, u64)>,
-    total_weight: f64,
-}
-
-impl LinearHistogram {
-    /// Creates a histogram with bins of the given width starting at zero.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `width` is not strictly positive and finite.
-    pub fn new(width: f64) -> Self {
-        assert!(
-            width > 0.0 && width.is_finite(),
-            "invalid bin width {width}"
-        );
-        Self {
-            width,
-            bins: Vec::new(),
-            total_weight: 0.0,
-        }
-    }
-
-    /// Records a non-negative sample with a weight.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `value` is negative or not finite.
-    pub fn record(&mut self, value: f64, weight: f64) {
-        assert!(value >= 0.0 && value.is_finite(), "invalid sample {value}");
-        let idx = (value / self.width).floor() as usize;
-        if idx >= self.bins.len() {
-            self.bins.resize(idx + 1, (0.0, 0));
-        }
-        self.bins[idx].0 += weight;
-        self.bins[idx].1 += 1;
-        self.total_weight += weight;
-    }
-
-    /// Sum of all recorded weights.
-    pub fn total_weight(&self) -> f64 {
-        self.total_weight
-    }
-
-    /// Non-empty bins in increasing order.
-    pub fn bins(&self) -> Vec<Bin> {
-        self.bins
-            .iter()
-            .enumerate()
-            .filter(|(_, (_, c))| *c > 0)
-            .map(|(i, &(weight, count))| Bin {
-                lo: i as f64 * self.width,
-                hi: (i + 1) as f64 * self.width,
-                weight,
-                count,
-            })
-            .collect()
-    }
-
-    /// Cumulative distribution in percent over bin upper edges.
-    pub fn cdf_percent(&self) -> Vec<(f64, f64)> {
-        if self.total_weight == 0.0 {
-            return Vec::new();
-        }
-        let mut acc = 0.0;
-        self.bins()
-            .into_iter()
-            .map(|b| {
-                acc += b.weight;
-                (b.hi, 100.0 * acc / self.total_weight)
-            })
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -340,19 +203,6 @@ mod tests {
         }
         let total: f64 = h.pdf_percent().iter().map(|(_, p)| p).sum();
         assert!((total - 100.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn cdf_is_monotone_and_ends_at_100() {
-        let mut h = LogHistogram::new();
-        for v in 1..500u64 {
-            h.record_time_weighted(v);
-        }
-        let cdf = h.cdf_percent();
-        for w in cdf.windows(2) {
-            assert!(w[1].1 >= w[0].1);
-        }
-        assert!((cdf.last().unwrap().1 - 100.0).abs() < 1e-9);
     }
 
     #[test]
@@ -392,31 +242,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "different resolutions")]
-    fn merge_rejects_mismatched_resolution() {
-        let mut a = LogHistogram::with_resolution(4);
-        let b = LogHistogram::with_resolution(8);
-        a.merge(&b);
-    }
-
-    #[test]
     fn zero_sample_goes_to_first_bin() {
         let mut h = LogHistogram::new();
         h.record(0, 1.0);
         assert_eq!(h.bins()[0].count, 1);
-    }
-
-    #[test]
-    fn linear_histogram_cdf() {
-        let mut h = LinearHistogram::new(1.0);
-        for (v, w) in [(0.5, 50.0), (1.5, 25.0), (4.2, 25.0)] {
-            h.record(v, w);
-        }
-        let cdf = h.cdf_percent();
-        assert_eq!(cdf.len(), 3);
-        assert!((cdf[0].1 - 50.0).abs() < 1e-12);
-        assert!((cdf[1].1 - 75.0).abs() < 1e-12);
-        assert!((cdf[2].1 - 100.0).abs() < 1e-12);
     }
 
     #[test]

@@ -110,12 +110,6 @@ pub fn pct(frac: f64) -> String {
     format!("{:.1}%", frac * 100.0)
 }
 
-/// Formats a fraction as a signed percentage with two decimals, e.g.
-/// `0.0043` → `+0.43%`.
-pub fn pct_signed(frac: f64) -> String {
-    format!("{:+.2}%", frac * 100.0)
-}
-
 /// Formats a cycle count with no decimals.
 pub fn cycles(c: f64) -> String {
     format!("{c:.0}")
@@ -166,8 +160,6 @@ mod tests {
     #[test]
     fn formatting_helpers() {
         assert_eq!(pct(0.412), "41.2%");
-        assert_eq!(pct_signed(0.0043), "+0.43%");
-        assert_eq!(pct_signed(-0.01), "-1.00%");
         assert_eq!(cycles(18.4), "18");
     }
 

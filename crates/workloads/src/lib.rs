@@ -38,7 +38,4 @@ pub use micro::Microbenchmark;
 pub use mt::{MtOp, MtTrace};
 pub use ops::{AppWalk, GenericStats, Op, RunStats, SimBackend, Trace};
 pub use resolve::{resolve_or_list, AnyWorkload};
-pub use trace_io::{
-    from_text, to_text, write_mt_ops, write_ops, MtOpReader, OpReader, ParseTraceError,
-    TraceWriter, CHUNK_OPS,
-};
+pub use trace_io::{from_text, to_text, ParseTraceError};

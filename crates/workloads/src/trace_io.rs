@@ -1,4 +1,4 @@
-//! Plain-text trace serialisation, streamed in bounded-memory chunks.
+//! Plain-text trace serialisation.
 //!
 //! Traces are the unit of reproducibility in this repository: the same
 //! trace replayed on two machines is what makes a speedup comparison
@@ -6,17 +6,7 @@
 //! form so they can be archived alongside results, shipped to other
 //! implementations, or hand-written for regression cases.
 //!
-//! The reader and writer are *chunked streams*: [`TraceWriter`] buffers at
-//! most [`CHUNK_OPS`] rendered operations before flushing, and
-//! [`OpReader`] parses one line at a time from any `BufRead`. Neither ever
-//! materialises the whole trace, so memory stays bounded by the chunk
-//! size regardless of trace length — the property the fleet scenario
-//! engine relies on when it streams million-operation service traces
-//! through disk. The in-memory conveniences [`to_text`]/[`from_text`] are
-//! thin wrappers over the same streaming code paths, and the round-trip
-//! equivalence of the two is pinned by tests.
-//!
-//! Single-core format, one operation per line (`#` starts a comment):
+//! One operation per line (`#` starts a comment):
 //!
 //! ```text
 //! m <size>             # malloc
@@ -27,27 +17,10 @@
 //! run <cycles>         # application compute
 //! touch <lines> <ws>   # application memory traffic
 //! ```
-//!
-//! Multi-threaded format ([`write_mt_ops`]/[`MtOpReader`]): a `cores <N>`
-//! header, then one `(core, op)` per line:
-//!
-//! ```text
-//! cores 4
-//! 0 m <size> <token>   # core 0 mallocs; the block is named by token
-//! 2 f <token> <s|u>    # core 2 frees the token (possibly remotely)
-//! 1 run <cycles>
-//! 3 touch <lines> <ws>
-//! ```
 
 use std::fmt::Write as _;
-use std::io::{self, BufRead, Write};
 
-use crate::mt::MtOp;
 use crate::ops::{Op, Trace};
-
-/// Rendered operations buffered per flush by [`TraceWriter`] — the
-/// bounded-memory chunk grain of the streaming path.
-pub const CHUNK_OPS: usize = 4_096;
 
 /// Error parsing a serialised trace.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -78,7 +51,7 @@ fn sized_flag(s: bool) -> &'static str {
     }
 }
 
-/// Renders one single-core op onto the chunk buffer.
+/// Renders one op as a line of `out`.
 fn fmt_op(out: &mut String, op: &Op) {
     match *op {
         Op::Malloc { size } => {
@@ -108,111 +81,6 @@ fn fmt_op(out: &mut String, op: &Op) {
     }
 }
 
-/// Renders one `(core, op)` of a multi-threaded trace onto the buffer.
-fn fmt_mt_op(out: &mut String, core: usize, op: &MtOp) {
-    match *op {
-        MtOp::Malloc { size, token } => {
-            let _ = writeln!(out, "{core} m {size} {token}");
-        }
-        MtOp::Free { token, sized } => {
-            let _ = writeln!(out, "{core} f {token} {}", sized_flag(sized));
-        }
-        MtOp::AppRun { cycles } => {
-            let _ = writeln!(out, "{core} run {cycles}");
-        }
-        MtOp::AppTouch {
-            lines,
-            working_set_lines,
-        } => {
-            let _ = writeln!(out, "{core} touch {lines} {working_set_lines}");
-        }
-    }
-}
-
-/// A chunked streaming trace writer: buffers at most [`CHUNK_OPS`]
-/// rendered operations before handing them to the underlying `Write`, so
-/// serialising a trace of any length uses bounded memory.
-#[derive(Debug)]
-pub struct TraceWriter<W: Write> {
-    sink: W,
-    buf: String,
-    buffered: usize,
-}
-
-impl<W: Write> TraceWriter<W> {
-    /// Wraps a byte sink.
-    pub fn new(sink: W) -> Self {
-        Self {
-            sink,
-            buf: String::new(),
-            buffered: 0,
-        }
-    }
-
-    fn spill(&mut self) -> io::Result<()> {
-        self.sink.write_all(self.buf.as_bytes())?;
-        self.buf.clear();
-        self.buffered = 0;
-        Ok(())
-    }
-
-    /// Appends one operation, flushing the chunk if it is full.
-    pub fn push(&mut self, op: &Op) -> io::Result<()> {
-        fmt_op(&mut self.buf, op);
-        self.buffered += 1;
-        if self.buffered >= CHUNK_OPS {
-            self.spill()?;
-        }
-        Ok(())
-    }
-
-    /// Flushes the final partial chunk and returns the sink.
-    pub fn finish(mut self) -> io::Result<W> {
-        self.spill()?;
-        self.sink.flush()?;
-        Ok(self.sink)
-    }
-}
-
-/// Streams `ops` to `sink` through a chunked [`TraceWriter`].
-pub fn write_ops<W: Write>(ops: impl IntoIterator<Item = Op>, sink: W) -> io::Result<W> {
-    let mut w = TraceWriter::new(sink);
-    for op in ops {
-        w.push(&op)?;
-    }
-    w.finish()
-}
-
-/// Streams a multi-threaded `(core, op)` sequence to `sink`: the
-/// `cores <N>` header, then one line per op, chunk-buffered like
-/// [`write_ops`].
-///
-/// # Panics
-///
-/// Panics if an op names a core `>= cores`.
-pub fn write_mt_ops<W: Write>(
-    cores: usize,
-    ops: impl IntoIterator<Item = (usize, MtOp)>,
-    mut sink: W,
-) -> io::Result<W> {
-    writeln!(sink, "cores {cores}")?;
-    let mut buf = String::new();
-    let mut buffered = 0usize;
-    for (core, op) in ops {
-        assert!(core < cores, "op names core {core} >= {cores}");
-        fmt_mt_op(&mut buf, core, &op);
-        buffered += 1;
-        if buffered >= CHUNK_OPS {
-            sink.write_all(buf.as_bytes())?;
-            buf.clear();
-            buffered = 0;
-        }
-    }
-    sink.write_all(buf.as_bytes())?;
-    sink.flush()?;
-    Ok(sink)
-}
-
 fn parse_sized(tok: &str) -> Result<bool, String> {
     match tok {
         "s" => Ok(true),
@@ -225,7 +93,7 @@ fn parse_num<T: std::str::FromStr>(tok: &str, what: &str) -> Result<T, String> {
     tok.parse().map_err(|_| format!("invalid {what}: {tok:?}"))
 }
 
-/// Parses one non-empty, comment-stripped single-core line.
+/// Parses one non-empty, comment-stripped line.
 fn parse_op_tokens(kw: &str, args: &[&str]) -> Result<Op, String> {
     match (kw, args) {
         ("m", [size]) => Ok(Op::Malloc {
@@ -263,202 +131,7 @@ fn parse_op_tokens(kw: &str, args: &[&str]) -> Result<Op, String> {
     }
 }
 
-/// A streaming single-core trace reader: yields one [`Op`] per line,
-/// holding only the current line in memory. Comments and blank lines are
-/// skipped; the first malformed line ends the stream with an `Err`.
-#[derive(Debug)]
-pub struct OpReader<R: BufRead> {
-    source: R,
-    line_no: usize,
-    buf: String,
-    failed: bool,
-}
-
-impl<R: BufRead> OpReader<R> {
-    /// Wraps a buffered byte source.
-    pub fn new(source: R) -> Self {
-        Self {
-            source,
-            line_no: 0,
-            buf: String::new(),
-            failed: false,
-        }
-    }
-}
-
-impl<R: BufRead> Iterator for OpReader<R> {
-    type Item = Result<Op, ParseTraceError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.failed {
-            return None;
-        }
-        loop {
-            self.buf.clear();
-            match self.source.read_line(&mut self.buf) {
-                Ok(0) => return None,
-                Ok(_) => {}
-                Err(e) => {
-                    self.failed = true;
-                    return Some(Err(ParseTraceError {
-                        line: self.line_no + 1,
-                        message: format!("io error: {e}"),
-                    }));
-                }
-            }
-            self.line_no += 1;
-            let line = self.buf.split('#').next().unwrap_or("").trim();
-            if line.is_empty() {
-                continue;
-            }
-            let mut toks = line.split_whitespace();
-            let kw = toks.next().expect("non-empty line has a token");
-            let args: Vec<&str> = toks.collect();
-            return Some(match parse_op_tokens(kw, &args) {
-                Ok(op) => Ok(op),
-                Err(message) => {
-                    self.failed = true;
-                    Err(ParseTraceError {
-                        line: self.line_no,
-                        message,
-                    })
-                }
-            });
-        }
-    }
-}
-
-/// A streaming multi-threaded trace reader: parses the `cores` header on
-/// construction, then yields one `(core, MtOp)` per line with the same
-/// bounded-memory behaviour as [`OpReader`].
-#[derive(Debug)]
-pub struct MtOpReader<R: BufRead> {
-    source: R,
-    cores: usize,
-    line_no: usize,
-    buf: String,
-    failed: bool,
-}
-
-impl<R: BufRead> MtOpReader<R> {
-    /// Wraps a buffered source and parses the `cores <N>` header.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ParseTraceError`] if the header is missing or invalid.
-    pub fn new(mut source: R) -> Result<Self, ParseTraceError> {
-        let mut buf = String::new();
-        let mut line_no = 0usize;
-        let cores = loop {
-            buf.clear();
-            let err = |line: usize, message: String| ParseTraceError { line, message };
-            match source.read_line(&mut buf) {
-                Ok(0) => {
-                    return Err(err(line_no + 1, "missing 'cores <N>' header".to_string()));
-                }
-                Ok(_) => {}
-                Err(e) => return Err(err(line_no + 1, format!("io error: {e}"))),
-            }
-            line_no += 1;
-            let line = buf.split('#').next().unwrap_or("").trim();
-            if line.is_empty() {
-                continue;
-            }
-            let Some(n) = line.strip_prefix("cores ") else {
-                return Err(err(line_no, format!("expected 'cores <N>', got {line:?}")));
-            };
-            let n: usize =
-                parse_num(n.trim(), "core count").map_err(|message| err(line_no, message))?;
-            if n == 0 {
-                return Err(err(line_no, "core count must be at least 1".to_string()));
-            }
-            break n;
-        };
-        Ok(Self {
-            source,
-            cores,
-            line_no,
-            buf: String::new(),
-            failed: false,
-        })
-    }
-
-    /// The core count declared by the header.
-    pub fn cores(&self) -> usize {
-        self.cores
-    }
-
-    fn parse_mt_tokens(&self, line: &str) -> Result<(usize, MtOp), String> {
-        let mut toks = line.split_whitespace();
-        let core: usize = parse_num(toks.next().expect("non-empty"), "core")?;
-        if core >= self.cores {
-            return Err(format!("core {core} >= declared {}", self.cores));
-        }
-        let kw = toks.next().ok_or("missing op keyword")?;
-        let args: Vec<&str> = toks.collect();
-        let op = match (kw, args.as_slice()) {
-            ("m", [size, token]) => MtOp::Malloc {
-                size: parse_num(size, "size")?,
-                token: parse_num(token, "token")?,
-            },
-            ("f", [token, sized]) => MtOp::Free {
-                token: parse_num(token, "token")?,
-                sized: parse_sized(sized)?,
-            },
-            ("run", [c]) => MtOp::AppRun {
-                cycles: parse_num(c, "cycles")?,
-            },
-            ("touch", [lines, ws]) => MtOp::AppTouch {
-                lines: parse_num(lines, "lines")?,
-                working_set_lines: parse_num(ws, "working set")?,
-            },
-            ("m" | "f" | "run" | "touch", _) => {
-                return Err(format!("wrong argument count for {kw:?}"));
-            }
-            (other, _) => return Err(format!("unknown mt op {other:?}")),
-        };
-        Ok((core, op))
-    }
-}
-
-impl<R: BufRead> Iterator for MtOpReader<R> {
-    type Item = Result<(usize, MtOp), ParseTraceError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.failed {
-            return None;
-        }
-        loop {
-            self.buf.clear();
-            match self.source.read_line(&mut self.buf) {
-                Ok(0) => return None,
-                Ok(_) => {}
-                Err(e) => {
-                    self.failed = true;
-                    return Some(Err(ParseTraceError {
-                        line: self.line_no + 1,
-                        message: format!("io error: {e}"),
-                    }));
-                }
-            }
-            self.line_no += 1;
-            let line = self.buf.split('#').next().unwrap_or("").trim();
-            if line.is_empty() {
-                continue;
-            }
-            return Some(self.parse_mt_tokens(line).map_err(|message| {
-                self.failed = true;
-                ParseTraceError {
-                    line: self.line_no,
-                    message,
-                }
-            }));
-        }
-    }
-}
-
-/// Serialises a trace to the text format (in-memory convenience over
-/// [`write_ops`]).
+/// Serialises a trace to the text format.
 ///
 /// # Example
 ///
@@ -472,29 +145,40 @@ impl<R: BufRead> Iterator for MtOpReader<R> {
 /// assert_eq!(from_text(&s).unwrap(), t);
 /// ```
 pub fn to_text(trace: &Trace) -> String {
-    let bytes = write_ops(
-        trace.ops().iter().copied(),
-        Vec::with_capacity(trace.len() * 8),
-    )
-    .expect("Vec sink cannot fail");
-    String::from_utf8(bytes).expect("rendered traces are ASCII")
+    let mut out = String::with_capacity(trace.len() * 8);
+    for op in trace.ops() {
+        fmt_op(&mut out, op);
+    }
+    out
 }
 
-/// Parses the text format back into a trace (in-memory convenience over
-/// [`OpReader`]).
+/// Parses the text format back into a trace. Comments and blank lines are
+/// skipped; parsing stops at the first malformed line.
 ///
 /// # Errors
 ///
 /// Returns a [`ParseTraceError`] naming the first malformed line.
 pub fn from_text(text: &str) -> Result<Trace, ParseTraceError> {
-    OpReader::new(text.as_bytes()).collect()
+    text.lines()
+        .enumerate()
+        .filter_map(|(i, line)| {
+            let mut toks = line.split('#').next().unwrap_or("").split_whitespace();
+            let kw = toks.next()?;
+            let args: Vec<&str> = toks.collect();
+            Some(
+                parse_op_tokens(kw, &args).map_err(|message| ParseTraceError {
+                    line: i + 1,
+                    message,
+                }),
+            )
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::micro::Microbenchmark;
-    use crate::mt::MtTrace;
 
     fn every_op_trace() -> Trace {
         [
@@ -532,77 +216,6 @@ mod tests {
             let t = m.trace(300, 5);
             assert_eq!(from_text(&to_text(&t)).unwrap(), t, "{m}");
         }
-    }
-
-    #[test]
-    fn streaming_path_is_equivalent_to_in_memory() {
-        // The chunked writer/reader and the in-memory wrappers must agree
-        // byte-for-byte and op-for-op, including across a chunk boundary
-        // (CHUNK_OPS + a remainder).
-        let m = Microbenchmark::TpSmall;
-        let t = m.trace(CHUNK_OPS + 137, 9);
-        let streamed = write_ops(t.ops().iter().copied(), Vec::new()).unwrap();
-        assert_eq!(String::from_utf8(streamed.clone()).unwrap(), to_text(&t));
-        let back: Trace = OpReader::new(streamed.as_slice())
-            .collect::<Result<_, _>>()
-            .unwrap();
-        assert_eq!(back, t);
-    }
-
-    #[test]
-    fn writer_memory_is_bounded_by_the_chunk() {
-        // A sink that records the largest single write: the chunked
-        // writer must never hand it more than one chunk's worth.
-        #[derive(Default)]
-        struct MaxWrite {
-            max: usize,
-            total: usize,
-        }
-        impl Write for MaxWrite {
-            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-                self.max = self.max.max(buf.len());
-                self.total += buf.len();
-                Ok(buf.len())
-            }
-            fn flush(&mut self) -> io::Result<()> {
-                Ok(())
-            }
-        }
-        let t = every_op_trace();
-        let n = 4 * CHUNK_OPS;
-        let ops = (0..n).map(|i| t.ops()[i % t.len()]);
-        let sink = write_ops(ops, MaxWrite::default()).unwrap();
-        // Longest rendered line above is ~16 bytes; one chunk can never
-        // exceed CHUNK_OPS lines of that.
-        assert!(sink.max <= CHUNK_OPS * 32, "chunk too large: {}", sink.max);
-        assert!(sink.total > sink.max, "multiple chunks must have spilled");
-    }
-
-    #[test]
-    fn mt_round_trips_generated_traces() {
-        for seed in [1, 7] {
-            let t = MtTrace::producer_consumer(4, 80, seed);
-            let bytes = write_mt_ops(t.cores(), t.ops().iter().copied(), Vec::new()).unwrap();
-            let reader = MtOpReader::new(bytes.as_slice()).unwrap();
-            assert_eq!(reader.cores(), 4);
-            let ops: Vec<(usize, MtOp)> = reader.collect::<Result<_, _>>().unwrap();
-            assert_eq!(MtTrace::from_ops(4, ops), t);
-        }
-    }
-
-    #[test]
-    fn mt_reader_rejects_bad_headers_and_lines() {
-        assert!(MtOpReader::new(&b""[..]).is_err());
-        assert!(MtOpReader::new(&b"cores 0\n"[..]).is_err());
-        assert!(MtOpReader::new(&b"m 64 0\n"[..]).is_err());
-        let r = MtOpReader::new(&b"cores 2\n5 m 64 0\n"[..]).unwrap();
-        let err = r.last().unwrap().unwrap_err();
-        assert!(err.message.contains("core 5"), "{err}");
-        let r = MtOpReader::new(&b"# hdr\ncores 2\n1 m 64 9\nbogus\n"[..]).unwrap();
-        let items: Vec<_> = r.collect();
-        assert!(items[0].is_ok());
-        assert!(items[1].is_err());
-        assert_eq!(items.len(), 2, "reader stops at the first error");
     }
 
     #[test]

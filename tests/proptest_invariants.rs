@@ -103,10 +103,10 @@ fn tracing_is_invisible<S: Substrate + Default>(
     Ok(())
 }
 
-/// Strategy: an arbitrary interleaving of mallocs (small and large),
-/// frees, antagonism and app activity.
-fn arb_ops(max_len: usize) -> impl Strategy<Value = Vec<Op>> {
-    let op = prop_oneof![
+/// Strategy: one malloc (small or large), free, antagonism or app
+/// activity.
+fn arb_op() -> impl Strategy<Value = Op> {
+    prop_oneof![
         6 => (1u64..300_000).prop_map(|size| Op::Malloc { size }),
         3 => (any::<u64>(), any::<bool>()).prop_map(|(index, sized)| Op::Free { index, sized }),
         1 => any::<bool>().prop_map(|sized| Op::FreeNewest { sized }),
@@ -115,8 +115,49 @@ fn arb_ops(max_len: usize) -> impl Strategy<Value = Vec<Op>> {
         1 => (0u32..2_000).prop_map(|cycles| Op::AppRun { cycles }),
         1 => (1u16..32, 64u32..4_096)
             .prop_map(|(lines, ws)| Op::AppTouch { lines, working_set_lines: ws }),
+    ]
+}
+
+/// Strategy: an arbitrary interleaving of [`arb_op`]s.
+fn arb_ops(max_len: usize) -> impl Strategy<Value = Vec<Op>> {
+    prop::collection::vec(arb_op(), 1..max_len)
+}
+
+/// Strategy: one of `words`.
+fn one_of(words: &'static [&'static str]) -> impl Strategy<Value = &'static str> {
+    (0..words.len()).prop_map(move |i| words[i])
+}
+
+/// Strategy: one line of a trace text, without its line ending. Mostly
+/// valid ops, some with a trailing comment; otherwise comments, blanks, or
+/// a keyword with arbitrary arguments: unknown keywords, wrong argument
+/// counts, non-numeric and overflowing numbers (`touch 70000 1`).
+fn arb_trace_line() -> impl Strategy<Value = String> {
+    const KEYWORDS: &[&str] = &["m", "f", "fn", "ant", "cs", "run", "touch", "free", "M"];
+    const ARGS: &[&str] = &[
+        "0",
+        "64",
+        "70000",
+        "4294967296",
+        "18446744073709551616",
+        "-1",
+        "1.5",
+        "x",
+        "s",
+        "u",
     ];
-    prop::collection::vec(op, 1..max_len)
+    let op_line = |op: Op| {
+        let text = mallacc_workloads::to_text(&[op].into_iter().collect());
+        text.trim_end().to_string()
+    };
+    prop_oneof![
+        10 => arb_op().prop_map(op_line),
+        2 => arb_op().prop_map(move |op| format!("  {} # trailing", op_line(op))),
+        4 => (one_of(KEYWORDS), prop::collection::vec(one_of(ARGS), 0..4))
+            .prop_map(|(kw, args)| [kw].into_iter().chain(args).collect::<Vec<_>>().join(" ")),
+        1 => Just("# comment".to_string()),
+        1 => Just(" \t ".to_string()),
+    ]
 }
 
 proptest! {
@@ -236,6 +277,59 @@ proptest! {
         let back = mallacc_workloads::from_text(&text).expect("own output parses");
         prop_assert_eq!(back, trace);
     }
+}
+
+proptest! {
+    // Each case is a few microseconds of parsing; the extra cases reach
+    // every keyword with each kind of bad argument.
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// `from_text` never panics on arbitrary text: it returns the trace the
+    /// lines parse to one at a time, or an error naming the first line that
+    /// fails to parse on its own, with that line's own message.
+    #[test]
+    fn trace_text_parses_or_names_the_first_bad_line(
+        lines in prop::collection::vec((arb_trace_line(), any::<bool>()), 0..12),
+        final_newline in any::<bool>(),
+    ) {
+        let mut text = String::new();
+        for (i, (line, crlf)) in lines.iter().enumerate() {
+            text.push_str(line);
+            if i + 1 < lines.len() || final_newline {
+                text.push_str(if *crlf { "\r\n" } else { "\n" });
+            }
+        }
+        let alone: Vec<_> = lines
+            .iter()
+            .map(|(line, _)| mallacc_workloads::from_text(line))
+            .collect();
+        let first_bad = alone.iter().position(Result::is_err);
+        match (mallacc_workloads::from_text(&text), first_bad) {
+            (Ok(trace), None) => {
+                let want: Trace = alone
+                    .iter()
+                    .flat_map(|t| t.as_ref().unwrap().ops().iter().copied())
+                    .collect();
+                prop_assert_eq!(&trace, &want);
+                let back = mallacc_workloads::from_text(&mallacc_workloads::to_text(&trace));
+                prop_assert_eq!(back, Ok(trace));
+            }
+            (Err(err), Some(bad)) => {
+                let own = alone[bad].as_ref().unwrap_err();
+                prop_assert_eq!(err.line, bad + 1, "{} in {:?}", err, text);
+                prop_assert_eq!(&err.message, &own.message);
+            }
+            (got, bad) => {
+                return Err(TestCaseError::fail(format!(
+                    "{text:?} parsed to {got:?}, first bad line alone {bad:?}"
+                )));
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Context switches (malloc-cache flushes) never change functional
     /// behaviour — §4.1's "no writebacks or correctness concerns".
