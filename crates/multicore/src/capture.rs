@@ -17,9 +17,10 @@
 //! lock/coherence wait times, which real multi-threaded allocators resolve
 //! non-deterministically anyway — the contention model replaces them with a
 //! reproducible estimate, which is what keeps the whole simulation
-//! bit-stable across host thread schedules.
+//! deterministic.
 
 use std::collections::{HashMap, VecDeque};
+use std::iter::Fuse;
 
 use mallacc::PostList;
 use mallacc_cache::Addr;
@@ -153,35 +154,118 @@ fn post_list(alloc: &TcMalloc, core: usize, cls: Option<ClassId>) -> PostList {
     }
 }
 
-/// Runs `(core, op)` pairs from any iterator on a shared `cores`-thread
-/// allocator and captures the per-core replay streams. The iterator may be
-/// a generator, so the full op sequence never has to exist in memory: the
-/// fleet scenario engine feeds million-request service streams through
-/// this entry point.
-///
-/// # Panics
-///
-/// Panics if an op names a core `>= cores`, frees a token it never
-/// allocated, or allocates a token twice (malformed stream).
-pub fn capture_stream(
-    cores: usize,
-    ops: impl IntoIterator<Item = (usize, MtOp)>,
-    config: TcMallocConfig,
-) -> Capture {
-    assert!(cores > 0, "need at least one core");
-    let mut alloc = TcMalloc::with_threads(config, cores);
-    let mut streams: Vec<Vec<CoreEvent>> = vec![Vec::new(); cores];
-    let mut blocks: HashMap<u64, Addr> = HashMap::new();
-    let mut contention = ContentionModel::default();
-    let mut steal_invalidates = 0u64;
+/// Per-core event buffers that count the cores still holding fewer than
+/// `target` events, so a capture pump checks its stop condition in O(1)
+/// per op.
+#[derive(Debug)]
+struct Buffers {
+    streams: Vec<VecDeque<CoreEvent>>,
+    target: usize,
+    /// Cores whose buffer holds fewer than `target` events.
+    short: usize,
+}
 
-    for (core, op) in ops {
+impl Buffers {
+    fn set_target(&mut self, target: usize) {
+        self.target = target;
+        self.short = self.streams.iter().filter(|s| s.len() < target).count();
+    }
+
+    fn push(&mut self, core: usize, event: CoreEvent) {
+        let stream = &mut self.streams[core];
+        stream.push_back(event);
+        if stream.len() == self.target {
+            self.short -= 1;
+        }
+    }
+}
+
+/// Phase A as a pump: runs `(core, op)` pairs on a shared `cores`-thread
+/// allocator only as far as [`StreamCapture::fill`] asks, appending each
+/// captured event to its core's buffer.
+///
+/// Every event lands at the end of a buffer, a steal's
+/// [`CoreEvent::McInvalidate`] included, so each core's stream is
+/// append-only: taking events from the front between fills leaves every
+/// core with the same stream [`capture_stream`] would have returned.
+pub(crate) struct StreamCapture<I> {
+    ops: Fuse<I>,
+    alloc: TcMalloc,
+    blocks: HashMap<u64, Addr>,
+    contention: ContentionModel,
+    buffers: Buffers,
+    steal_invalidates: u64,
+}
+
+impl<I: Iterator<Item = (usize, MtOp)>> StreamCapture<I> {
+    /// A capture of `ops` on a fresh `cores`-thread allocator.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cores` is zero.
+    pub(crate) fn new(cores: usize, ops: I, config: TcMallocConfig) -> Self {
+        assert!(cores > 0, "need at least one core");
+        Self {
+            ops: ops.fuse(),
+            alloc: TcMalloc::with_threads(config, cores),
+            blocks: HashMap::new(),
+            contention: ContentionModel::default(),
+            buffers: Buffers {
+                streams: (0..cores).map(|_| VecDeque::new()).collect(),
+                target: 0,
+                short: 0,
+            },
+            steal_invalidates: 0,
+        }
+    }
+
+    /// Captures ops until every core's buffer holds at least `events`
+    /// events or the ops run out. A core that receives no more events
+    /// keeps its buffer short, so the pump then reads ahead to the end of
+    /// the stream and the other cores' buffers hold the rest of it — no
+    /// more than [`capture_stream`] holds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an op names a core out of range, frees a token it never
+    /// allocated, or allocates a token twice (malformed stream).
+    pub(crate) fn fill(&mut self, events: usize) {
+        self.buffers.set_target(events);
+        while self.buffers.short > 0 {
+            let Some((core, op)) = self.ops.next() else {
+                break;
+            };
+            self.capture(core, op);
+        }
+    }
+
+    /// Core `core`'s captured events not yet taken, oldest first.
+    pub(crate) fn buffer(&mut self, core: usize) -> &mut VecDeque<CoreEvent> {
+        &mut self.buffers.streams[core]
+    }
+
+    /// Whether every buffer is empty.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.buffers.streams.iter().all(VecDeque::is_empty)
+    }
+
+    /// The events not yet taken and the allocator's statistics so far.
+    pub(crate) fn finish(self) -> Capture {
+        Capture {
+            streams: self.buffers.streams.into_iter().map(Vec::from).collect(),
+            alloc_stats: self.alloc.stats(),
+            steal_invalidates: self.steal_invalidates,
+        }
+    }
+
+    fn capture(&mut self, core: usize, op: MtOp) {
+        let cores = self.buffers.streams.len();
         assert!(core < cores, "op names core {core} >= {cores}");
-        match op {
+        let event = match op {
             MtOp::Malloc { size, token } => {
-                let outcome = alloc.malloc_on(core, size);
-                let post = post_list(&alloc, core, outcome.cls);
-                let prev = blocks.insert(token, outcome.ptr);
+                let outcome = self.alloc.malloc_on(core, size);
+                let post = post_list(&self.alloc, core, outcome.cls);
+                let prev = self.blocks.insert(token, outcome.ptr);
                 assert!(prev.is_none(), "token {token:#x} allocated twice");
                 let res = match &outcome.path {
                     MallocPath::CentralRefill {
@@ -200,22 +284,23 @@ pub fn capture_stream(
                     // events, which is exactly where per-core replay needs
                     // it for the malloc cache to stay consistent.
                     let cls = outcome.cls.expect("refills are small-path");
-                    streams[victim].push(CoreEvent::McInvalidate { cls });
-                    steal_invalidates += 1;
+                    self.buffers.push(victim, CoreEvent::McInvalidate { cls });
+                    self.steal_invalidates += 1;
                 }
-                let stall = contention.charge(core, res, false);
-                streams[core].push(CoreEvent::Malloc {
+                let stall = self.contention.charge(core, res, false);
+                CoreEvent::Malloc {
                     outcome,
                     post,
                     contention: stall,
-                });
+                }
             }
             MtOp::Free { token, sized } => {
-                let ptr = blocks
+                let ptr = self
+                    .blocks
                     .remove(&token)
                     .unwrap_or_else(|| panic!("free of unknown token {token:#x}"));
-                let outcome = alloc.free_on(core, ptr, sized);
-                let post = post_list(&alloc, core, outcome.cls);
+                let outcome = self.alloc.free_on(core, ptr, sized);
+                let post = post_list(&self.alloc, core, outcome.cls);
                 let res = match &outcome.path {
                     FreePath::ThreadCachePush {
                         released: Some(_),
@@ -228,31 +313,47 @@ pub fn capture_stream(
                     }),
                     _ => None,
                 };
-                let stall = contention.charge(core, res, outcome.remote);
-                streams[core].push(CoreEvent::Free {
+                let stall = self.contention.charge(core, res, outcome.remote);
+                CoreEvent::Free {
                     outcome,
                     post,
                     contention: stall,
-                });
+                }
             }
-            MtOp::AppRun { cycles } => streams[core].push(CoreEvent::AppRun {
+            MtOp::AppRun { cycles } => CoreEvent::AppRun {
                 cycles: u64::from(cycles),
-            }),
+            },
             MtOp::AppTouch {
                 lines,
                 working_set_lines,
-            } => streams[core].push(CoreEvent::AppTouch {
+            } => CoreEvent::AppTouch {
                 lines,
                 working_set_lines,
-            }),
-        }
+            },
+        };
+        self.buffers.push(core, event);
     }
+}
 
-    Capture {
-        streams,
-        alloc_stats: alloc.stats(),
-        steal_invalidates,
-    }
+/// Runs `(core, op)` pairs from any iterator on a shared `cores`-thread
+/// allocator and captures the per-core replay streams whole. The iterator
+/// may be a generator, but the returned [`Capture`] holds every event of
+/// the stream; [`MulticoreSim::run_stream`](crate::MulticoreSim::run_stream)
+/// replays the same capture an epoch at a time and holds only the events
+/// its next epoch needs.
+///
+/// # Panics
+///
+/// Panics if `cores` is zero, or if an op names a core `>= cores`, frees a
+/// token it never allocated, or allocates a token twice (malformed stream).
+pub fn capture_stream(
+    cores: usize,
+    ops: impl IntoIterator<Item = (usize, MtOp)>,
+    config: TcMallocConfig,
+) -> Capture {
+    let mut capture = StreamCapture::new(cores, ops.into_iter(), config);
+    capture.fill(usize::MAX);
+    capture.finish()
 }
 
 #[cfg(test)]

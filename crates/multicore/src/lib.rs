@@ -10,7 +10,8 @@
 //! cross-thread allocation traffic, and does the speedup hold when cores
 //! contend on TCMalloc's shared structures?
 //!
-//! Simulation is split into two deterministic phases:
+//! Simulation is split into two deterministic phases, pipelined an epoch
+//! at a time on the calling thread:
 //!
 //! * **Phase A — serial functional capture** ([`capture_stream`]): the
 //!   globally interleaved [`MtTrace`](mallacc_workloads::MtTrace) runs on
@@ -19,13 +20,14 @@
 //!   post-call list state and deterministic contention stalls. Cross-core
 //!   effects that change *function* — remote frees, transfer-cache
 //!   hand-offs, neighbour steals — are resolved here, in trace order.
-//! * **Phase B — parallel timing replay** ([`MulticoreSim::run`]): each
-//!   core replays its stream on a private out-of-order engine, L1/L2 and
-//!   malloc cache, running on its own host thread. The cores share one L3
-//!   through the snapshot/commit epoch protocol of
+//! * **Phase B — epoch-by-epoch timing replay** ([`MulticoreSim::run`]):
+//!   each core replays its stream on a private out-of-order engine, L1/L2
+//!   and malloc cache, [`DEFAULT_EPOCH_EVENTS`] events per epoch, while
+//!   phase A captures only as far ahead as the next epoch needs. The cores
+//!   share one L3 through the refresh/commit epoch protocol of
 //!   [`SharedL3`](mallacc_cache::SharedL3), so cross-core cache pressure is
 //!   modelled (with one epoch of lag) while the results stay bit-identical
-//!   across host schedules.
+//!   to replaying a capture of the whole stream.
 //!
 //! # Example
 //!

@@ -1,37 +1,41 @@
-//! Phase B: epoch-parallel per-core timing replay over a shared L3.
+//! Phase B: the epoch-pipelined per-core timing replay over a shared L3.
 //!
 //! Each simulated core owns a full single-core timing stack — out-of-order
 //! engine, private L1/L2, private malloc cache — and replays its captured
-//! event stream. The cores share one L3 through the epoch protocol of
-//! [`SharedL3`]:
+//! event stream. Capture and replay alternate an epoch at a time on the
+//! calling thread, and the cores share one L3 through [`SharedL3`]:
 //!
-//! 1. *(serial)* every core refreshes its L3 replica from the master in
-//!    place, copying only the sets the previous barrier's commits touched
-//!    (every other set already matches the master);
-//! 2. *(parallel, `std::thread::scope`)* every core replays up to
-//!    [`DEFAULT_EPOCH_EVENTS`] events against its private replica, logging
-//!    the accesses that reached the L3 level; `cores − 1` spawned workers take
-//!    the first cores and the calling thread replays the last one, so a
-//!    1-core run spawns nothing;
-//! 3. *(serial, fixed core order)* the logs are committed to the master.
+//! 1. phase A captures ops until every core holds [`DEFAULT_EPOCH_EVENTS`]
+//!    events or the ops run out;
+//! 2. every core refreshes its L3 replica from the master in place,
+//!    copying only the sets the previous epoch's commits touched (every
+//!    other set already matches the master);
+//! 3. every core, in core order, replays its next [`DEFAULT_EPOCH_EVENTS`]
+//!    or fewer events against its private replica, logging the accesses
+//!    that reached the L3 level;
+//! 4. the logs are committed to the master in core order.
 //!
 //! Cross-core L3 interference is therefore visible with one epoch of
 //! delay — the standard lax-synchronisation trade of parallel
-//! architectural simulators — while the simulation stays bit-identical
-//! across host thread schedules: nothing a core computes during an epoch
-//! depends on any other core's progress through it.
+//! architectural simulators: nothing a core computes during an epoch
+//! depends on any other core's progress through it. Capture never reads
+//! timing state and every core's stream is append-only, so each core
+//! replays the same events in the same epochs as it would from a capture
+//! of the whole stream, while only about `cores ×`
+//! [`DEFAULT_EPOCH_EVENTS`] captured events are held at a time.
 
 use mallacc::{CallRecord, MallocCacheStats, MallocSim, Mode, SimMode, SimTotals, TraceSink};
 use mallacc_cache::{CacheStats, SharedL3};
 use mallacc_tcmalloc::TcMallocConfig;
 use mallacc_workloads::{AppWalk, MtOp, MtTrace};
 
-use crate::capture::{capture_stream, CoreEvent};
+use crate::capture::{CoreEvent, StreamCapture};
 
 /// Events each core replays between L3 synchronisation barriers.
 pub const DEFAULT_EPOCH_EVENTS: usize = 256;
 
-/// The N-core simulator: functional capture plus epoch-parallel replay.
+/// The N-core simulator: functional capture and timing replay, pipelined
+/// an epoch at a time on the calling thread.
 ///
 /// # Example
 ///
@@ -118,49 +122,37 @@ impl MtRunResult {
     }
 }
 
-/// One core's replay state (engine + stream cursor + working-set walk).
+/// One core's replay state (engine + working-set walk).
 struct CoreReplay {
     sim: MallocSim,
-    stream: Vec<CoreEvent>,
-    pos: usize,
     walk: AppWalk,
 }
 
 impl CoreReplay {
-    fn done(&self) -> bool {
-        self.pos >= self.stream.len()
-    }
-
-    /// Replays up to `budget` events; returns when the budget or the
-    /// stream runs out.
-    fn run_epoch(&mut self, budget: usize) {
-        let end = (self.pos + budget).min(self.stream.len());
-        while self.pos < end {
-            match &self.stream[self.pos] {
-                CoreEvent::Malloc {
-                    outcome,
-                    post,
-                    contention,
-                } => {
-                    let _: CallRecord = self.sim.time_malloc(outcome, *post, *contention);
-                }
-                CoreEvent::Free {
-                    outcome,
-                    post,
-                    contention,
-                } => {
-                    let _: CallRecord = self.sim.time_free(outcome, *post, *contention);
-                }
-                CoreEvent::AppRun { cycles } => self.sim.app_run(*cycles),
-                CoreEvent::AppTouch {
-                    lines,
-                    working_set_lines,
-                } => self
-                    .sim
-                    .app_touch(self.walk.touch(*lines, *working_set_lines)),
-                CoreEvent::McInvalidate { cls } => self.sim.invalidate_mc_list(*cls),
+    fn replay(&mut self, event: &CoreEvent) {
+        match event {
+            CoreEvent::Malloc {
+                outcome,
+                post,
+                contention,
+            } => {
+                let _: CallRecord = self.sim.time_malloc(outcome, *post, *contention);
             }
-            self.pos += 1;
+            CoreEvent::Free {
+                outcome,
+                post,
+                contention,
+            } => {
+                let _: CallRecord = self.sim.time_free(outcome, *post, *contention);
+            }
+            CoreEvent::AppRun { cycles } => self.sim.app_run(*cycles),
+            CoreEvent::AppTouch {
+                lines,
+                working_set_lines,
+            } => self
+                .sim
+                .app_touch(self.walk.touch(*lines, *working_set_lines)),
+            CoreEvent::McInvalidate { cls } => self.sim.invalidate_mc_list(*cls),
         }
     }
 }
@@ -240,13 +232,15 @@ impl MulticoreSim {
     }
 
     /// Streaming variant of [`MulticoreSim::run`]: captures from any
-    /// `(core, op)` iterator via [`capture_stream`], so the trace never
-    /// has to be materialised (the fleet engine's entry point).
+    /// `(core, op)` iterator an epoch at a time, so the trace never has to
+    /// be materialised (the fleet engine's entry point).
     pub fn run_stream(&self, ops: impl IntoIterator<Item = (usize, MtOp)>) -> MtRunResult {
         self.run_stream_with_sinks(ops, Vec::new()).0
     }
 
-    /// Streaming variant of [`MulticoreSim::run_with_sinks`].
+    /// Streaming variant of [`MulticoreSim::run_with_sinks`]. Holds only
+    /// the captured events the next epoch replays, plus whatever the
+    /// capture had to read ahead past a core that receives no more events.
     ///
     /// # Panics
     ///
@@ -261,28 +255,20 @@ impl MulticoreSim {
             sinks.is_empty() || sinks.len() == self.cores,
             "need one sink per core (or none)"
         );
-        let cap = capture_stream(self.cores, ops, TcMallocConfig::default());
+        let mut capture =
+            StreamCapture::new(self.cores, ops.into_iter(), TcMallocConfig::default());
 
-        let mut sink_slots: Vec<Option<Box<dyn TraceSink>>> = if sinks.is_empty() {
-            (0..self.cores).map(|_| None).collect()
-        } else {
-            sinks.into_iter().map(Some).collect()
-        };
-        let mut replays: Vec<CoreReplay> = cap
-            .streams
-            .into_iter()
-            .enumerate()
-            .map(|(core, stream)| {
+        let mut sinks = sinks.into_iter();
+        let mut replays: Vec<CoreReplay> = (0..self.cores)
+            .map(|core| {
                 let mut sim = MallocSim::new(self.mode);
                 sim.set_sampling(self.sim.plan());
                 sim.memory_mut().set_l3_logging(true);
-                if let Some(sink) = sink_slots[core].take() {
+                if let Some(sink) = sinks.next() {
                     sim.attach_tracer(sink);
                 }
                 CoreReplay {
                     sim,
-                    stream,
-                    pos: 0,
                     walk: AppWalk::for_core(core),
                 }
             })
@@ -292,31 +278,34 @@ impl MulticoreSim {
         let mut shared = SharedL3::new(l3_config);
         let mut epochs = 0u64;
 
-        while replays.iter().any(|r| !r.done()) {
-            // (1) Refresh every replica from the master, serially and in
-            // place: only the sets the last commits touched can differ.
+        loop {
+            capture.fill(DEFAULT_EPOCH_EVENTS);
+            if capture.is_empty() {
+                break;
+            }
+            // Refresh every replica from the master in place: only the
+            // sets the last commits touched can differ.
             for r in replays.iter_mut() {
                 r.sim.memory_mut().refresh_l3(&shared);
             }
             shared.clear_touched_sets();
-            // (2) Replay one epoch per core, in parallel, the last core on
-            // this thread. Each core only touches its own state, so
-            // scheduling cannot change results.
-            let budget = DEFAULT_EPOCH_EVENTS;
-            let (last, rest) = replays.split_last_mut().expect("at least one core");
-            std::thread::scope(|s| {
-                for r in rest {
-                    s.spawn(move || r.run_epoch(budget));
+            // Replay one epoch per core. Each core only touches its own
+            // state, so the order of the cores cannot change results.
+            for (core, r) in replays.iter_mut().enumerate() {
+                let buffer = capture.buffer(core);
+                let n = buffer.len().min(DEFAULT_EPOCH_EVENTS);
+                for event in buffer.drain(..n) {
+                    r.replay(&event);
                 }
-                last.run_epoch(budget);
-            });
-            // (3) Merge the epoch's L3 traffic in fixed core order.
+            }
+            // Merge the epoch's L3 traffic in fixed core order.
             for r in replays.iter_mut() {
                 let log = r.sim.memory_mut().take_l3_log();
                 shared.commit(&log);
             }
             epochs += 1;
         }
+        let cap = capture.finish();
 
         let per_core = replays
             .iter()

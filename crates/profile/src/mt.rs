@@ -1,5 +1,6 @@
-//! Multi-core profiling: one [`Profiler`] per simulated core, threaded
-//! through the epoch-parallel replay via `MulticoreSim::run_with_sinks`.
+//! Multi-core profiling: one [`Profiler`] per simulated core, attached to
+//! that core's engine for the epoch-by-epoch replay via
+//! `MulticoreSim::run_with_sinks`.
 
 use mallacc::{Mode, TraceSink};
 use mallacc_multicore::{MtRunResult, MulticoreSim};

@@ -17,17 +17,29 @@
 //! The timing replay's shared L3 leans on a third: refreshing a replica in
 //! place from the master's touched sets gives exactly the replica a whole
 //! master snapshot would.
+//!
+//! The replay itself streams: it captures each epoch just before replaying
+//! it. [`reference_run`] keeps the design it replaced — capture the whole
+//! stream, then replay it in epochs from whole L3 snapshots — and the
+//! streamed replay must match it exactly while holding only about an
+//! epoch of captured events.
 
+use std::any::Any;
 use std::collections::{HashMap, HashSet};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use mallacc::Mode;
+use mallacc::{MallocSim, Mode, OpMeta, SimMode, TraceSink, UopEvent};
 use mallacc_cache::{AccessKind, CacheConfig, Hierarchy, HierarchyConfig, SharedL3};
-use mallacc_multicore::{MtRunResult, MulticoreSim};
-use mallacc_tcmalloc::{ClassId, TcMalloc};
+use mallacc_multicore::{
+    capture_stream, latency_sinks, take_latencies, CallLatencySink, CoreEvent, CoreReport,
+    MtRunResult, MulticoreSim, DEFAULT_EPOCH_EVENTS,
+};
+use mallacc_tcmalloc::{ClassId, TcMalloc, TcMallocConfig};
 use mallacc_test_support::arb_cross_thread_ops;
-use mallacc_workloads::{MtOp, MtTrace};
+use mallacc_workloads::{AppWalk, MtOp, MtTrace};
 
 const THREADS: usize = 4;
 
@@ -55,6 +67,190 @@ fn arb_core_epoch() -> impl Strategy<Value = Vec<(u64, bool)>> {
         1 => Just(Vec::new()),
         3 => prop::collection::vec((0u64..128, any::<bool>()), 1..24),
     ]
+}
+
+/// The replay design the streamed one replaced, kept as its reference:
+/// capture the whole stream with [`capture_stream`], then replay the cores
+/// one after another in epochs of [`DEFAULT_EPOCH_EVENTS`] events, each
+/// replica installing a whole snapshot of the shared L3 before every epoch
+/// and committing its log after it, in core order.
+fn reference_run(
+    mode: Mode,
+    sim_mode: SimMode,
+    cores: usize,
+    ops: &[(usize, MtOp)],
+) -> (MtRunResult, Vec<CallLatencySink>) {
+    let cap = capture_stream(cores, ops.iter().copied(), TcMallocConfig::default());
+    let mut sims: Vec<(MallocSim, AppWalk)> = (0..cores)
+        .map(|core| {
+            let mut sim = MallocSim::new(mode);
+            sim.set_sampling(sim_mode.plan());
+            sim.memory_mut().set_l3_logging(true);
+            sim.attach_tracer(Box::new(CallLatencySink::default()));
+            (sim, AppWalk::for_core(core))
+        })
+        .collect();
+    let mut shared = SharedL3::new(sims[0].0.memory().config().l3);
+    let mut epochs = 0u64;
+    let mut start = 0;
+    while cap.streams.iter().any(|s| start < s.len()) {
+        for (sim, _) in &mut sims {
+            sim.memory_mut().install_l3(shared.snapshot());
+        }
+        for ((sim, walk), stream) in sims.iter_mut().zip(&cap.streams) {
+            for event in stream.iter().skip(start).take(DEFAULT_EPOCH_EVENTS) {
+                match event {
+                    CoreEvent::Malloc {
+                        outcome,
+                        post,
+                        contention,
+                    } => {
+                        sim.time_malloc(outcome, *post, *contention);
+                    }
+                    CoreEvent::Free {
+                        outcome,
+                        post,
+                        contention,
+                    } => {
+                        sim.time_free(outcome, *post, *contention);
+                    }
+                    CoreEvent::AppRun { cycles } => sim.app_run(*cycles),
+                    CoreEvent::AppTouch {
+                        lines,
+                        working_set_lines,
+                    } => sim.app_touch(walk.touch(*lines, *working_set_lines)),
+                    CoreEvent::McInvalidate { cls } => sim.invalidate_mc_list(*cls),
+                }
+            }
+        }
+        for (sim, _) in &mut sims {
+            shared.commit(&sim.memory_mut().take_l3_log());
+        }
+        start += DEFAULT_EPOCH_EVENTS;
+        epochs += 1;
+    }
+    let per_core = sims
+        .iter()
+        .map(|(sim, _)| CoreReport {
+            totals: sim.totals(),
+            mc: sim.malloc_cache().stats(),
+            l3: sim.memory().stats().2,
+        })
+        .collect();
+    let sinks = sims
+        .iter_mut()
+        .map(|(sim, _)| sim.detach_tracer().expect("sink attached"))
+        .collect();
+    let result = MtRunResult {
+        mode,
+        per_core,
+        alloc: cap.alloc_stats,
+        shared_l3: shared.stats(),
+        shared_l3_accesses: shared.committed_accesses(),
+        epochs,
+        steal_invalidates: cap.steal_invalidates,
+    };
+    (result, take_latencies(sinks))
+}
+
+/// `len` ops of one core's private churn: mallocs of a few small classes,
+/// frees of its own live blocks, app compute and app touches.
+fn local_churn(rng: &mut TestRng, core: usize, len: usize) -> Vec<MtOp> {
+    const SIZES: [u64; 6] = [16, 48, 64, 128, 256, 1024];
+    let mut live: Vec<u64> = Vec::new();
+    let mut next = (core as u64) << 40;
+    (0..len)
+        .map(|_| match rng.below(8) {
+            0..=1 if !live.is_empty() => {
+                let token = live.swap_remove(rng.below(live.len() as u64) as usize);
+                MtOp::Free {
+                    token,
+                    sized: rng.below(2) == 0,
+                }
+            }
+            0..=4 => {
+                next += 1;
+                live.push(next);
+                MtOp::Malloc {
+                    size: SIZES[rng.below(SIZES.len() as u64) as usize],
+                    token: next,
+                }
+            }
+            5..=6 => MtOp::AppRun {
+                cycles: 20 + rng.below(200) as u32,
+            },
+            _ => MtOp::AppTouch {
+                lines: 1 + rng.below(8) as u16,
+                working_set_lines: 16 + rng.below(512) as u32,
+            },
+        })
+        .collect()
+}
+
+/// Interleaves per-core op lists, each in its own order, by drawing the
+/// next core uniformly from those with ops left.
+fn interleave(rng: &mut TestRng, per_core: Vec<Vec<MtOp>>) -> Vec<(usize, MtOp)> {
+    let mut queues: Vec<(usize, std::vec::IntoIter<MtOp>)> = per_core
+        .into_iter()
+        .map(Vec::into_iter)
+        .enumerate()
+        .collect();
+    let mut ops = Vec::new();
+    while !queues.is_empty() {
+        let i = rng.below(queues.len() as u64) as usize;
+        match queues[i].1.next() {
+            Some(op) => ops.push((queues[i].0, op)),
+            None => {
+                queues.swap_remove(i);
+            }
+        }
+    }
+    ops
+}
+
+/// Cores `1..cores` each hoard a long 64-byte free list; core 0 then
+/// allocates until the central list runs dry and it steals from them,
+/// while the victims keep receiving events, so each steal appends its
+/// invalidate behind events the victim has not replayed yet.
+fn steal_heavy(rng: &mut TestRng, cores: usize) -> Vec<(usize, MtOp)> {
+    let hoards: Vec<Vec<MtOp>> = (0..cores)
+        .map(|core| {
+            if core == 0 {
+                return Vec::new();
+            }
+            let n = 128 + rng.below(192);
+            let token = |i: u64| ((core as u64) << 40) | i;
+            let mallocs = (0..n).map(|i| MtOp::Malloc {
+                size: 64,
+                token: token(i),
+            });
+            let frees = (0..n).map(|i| MtOp::Free {
+                token: token(i),
+                sized: true,
+            });
+            mallocs.chain(frees).collect()
+        })
+        .collect();
+    let mut ops = interleave(rng, hoards);
+    let mut victim_next = vec![1u64 << 32; cores];
+    for i in 0..600 + rng.below(400) {
+        ops.push((0, MtOp::Malloc { size: 64, token: i }));
+        if cores > 1 && rng.below(3) == 0 {
+            let victim = 1 + rng.below(cores as u64 - 1) as usize;
+            let op = match rng.below(3) {
+                0 => MtOp::AppRun { cycles: 50 },
+                _ => {
+                    victim_next[victim] += 1;
+                    MtOp::Malloc {
+                        size: 64,
+                        token: ((victim as u64) << 40) | victim_next[victim],
+                    }
+                }
+            };
+            ops.push((victim, op));
+        }
+    }
+    ops
 }
 
 /// Checks both cross-thread invariants for every class seen so far.
@@ -247,4 +443,130 @@ proptest! {
             }
         }
     }
+}
+
+/// The op stream of one [`streamed_replay_matches_the_reference`] case.
+fn differential_trace(source: u64, cores: usize, seed: u64) -> Vec<(usize, MtOp)> {
+    let mut rng = TestRng::seed_from_u64(seed);
+    match source {
+        0 => MtTrace::producer_consumer(cores, 40 + rng.below(160) as usize, seed)
+            .ops()
+            .to_vec(),
+        1 => steal_heavy(&mut rng, cores),
+        2 => {
+            let idle = rng.below(cores as u64) as usize;
+            let lists = (0..cores)
+                .map(|core| {
+                    let len = if core == idle {
+                        rng.below(40)
+                    } else {
+                        300 + rng.below(300)
+                    };
+                    local_churn(&mut rng, core, len as usize)
+                })
+                .collect();
+            interleave(&mut rng, lists)
+        }
+        _ => {
+            let lists = (0..cores)
+                .map(|core| {
+                    let len = [255, 256, 257, 512][rng.below(4) as usize];
+                    local_churn(&mut rng, core, len)
+                })
+                .collect();
+            interleave(&mut rng, lists)
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    /// The streamed replay (each epoch captured just before it replays)
+    /// gives exactly the result of [`reference_run`], which captures the
+    /// whole stream first: every `MtRunResult` field and every per-call
+    /// latency, in every mode, at full detail and sampled, on ring traces,
+    /// steal-heavy traces, traces where a core goes idle early and cores
+    /// whose streams end just before, on and after an epoch boundary.
+    #[test]
+    fn streamed_replay_matches_the_reference(
+        cores in 1usize..6,
+        mode in 0usize..3,
+        sampled in any::<bool>(),
+        source in 0u64..4,
+        seed in any::<u64>(),
+    ) {
+        let mode = [Mode::Baseline, Mode::mallacc_default(), Mode::offload_default()][mode];
+        let sim_mode = if sampled { SimMode::sampled_default() } else { SimMode::Full };
+        let ops = differential_trace(source, cores, seed);
+        let (want, want_lat) = reference_run(mode, sim_mode, cores, &ops);
+        let (got, sinks) = MulticoreSim::new(mode, cores)
+            .with_sim(sim_mode)
+            .run_stream_with_sinks(ops.iter().copied(), latency_sinks(cores));
+        let got_lat = take_latencies(sinks);
+        prop_assert_eq!(got.mode, want.mode);
+        prop_assert_eq!(got.epochs, want.epochs);
+        prop_assert_eq!(got.alloc, want.alloc);
+        prop_assert_eq!(got.shared_l3, want.shared_l3);
+        prop_assert_eq!(got.shared_l3_accesses, want.shared_l3_accesses);
+        prop_assert_eq!(got.steal_invalidates, want.steal_invalidates);
+        prop_assert_eq!(got.per_core.len(), cores);
+        for (core, (g, w)) in got.per_core.iter().zip(&want.per_core).enumerate() {
+            prop_assert_eq!(g.totals, w.totals, "core {} totals", core);
+            prop_assert_eq!(g.mc, w.mc, "core {} malloc cache", core);
+            prop_assert_eq!(g.l3, w.l3, "core {} L3 replica", core);
+        }
+        prop_assert_eq!(got_lat.len(), cores);
+        for (core, (g, w)) in got_lat.iter().zip(&want_lat).enumerate() {
+            prop_assert_eq!(&g.malloc_cycles, &w.malloc_cycles, "core {} mallocs", core);
+            prop_assert_eq!(&g.free_cycles, &w.free_cycles, "core {} frees", core);
+        }
+    }
+}
+
+/// Counts the calls its core has replayed into a counter shared with the
+/// test.
+#[derive(Debug)]
+struct ReplayedCalls(Arc<AtomicUsize>);
+
+impl TraceSink for ReplayedCalls {
+    fn on_retire(&mut self, _event: &UopEvent) {}
+
+    fn on_op_end(&mut self, _op: &OpMeta<'_>) {
+        self.0.fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn into_any(self: Box<Self>) -> Box<dyn Any> {
+        self
+    }
+}
+
+/// The streamed replay captures only about an epoch ahead: on a balanced
+/// ring, the calls pulled from the op stream never run more than two
+/// epochs per core ahead of the calls the cores have replayed.
+#[test]
+fn streamed_replay_holds_about_one_epoch_of_calls() {
+    const CORES: usize = 2;
+    let trace = MtTrace::producer_consumer(CORES, 2_000, 17);
+    let replayed = Arc::new(AtomicUsize::new(0));
+    let sinks: Vec<Box<dyn TraceSink>> = (0..CORES)
+        .map(|_| Box::new(ReplayedCalls(Arc::clone(&replayed))) as Box<dyn TraceSink>)
+        .collect();
+    let mut pulled = 0usize;
+    let mut most_ahead = 0usize;
+    let ops = trace.ops().iter().copied().inspect(|(_, op)| {
+        if matches!(op, MtOp::Malloc { .. } | MtOp::Free { .. }) {
+            pulled += 1;
+            most_ahead = most_ahead.max(pulled - replayed.load(Ordering::Relaxed));
+        }
+    });
+    let (r, _) =
+        MulticoreSim::new(Mode::mallacc_default(), CORES).run_stream_with_sinks(ops, sinks);
+    let t = r.aggregate();
+    assert_eq!(pulled as u64, t.malloc_calls + t.free_calls);
+    assert_eq!(replayed.load(Ordering::Relaxed), pulled);
+    assert!(
+        most_ahead <= 2 * CORES * DEFAULT_EPOCH_EVENTS,
+        "capture ran {most_ahead} calls ahead of the replay"
+    );
 }
