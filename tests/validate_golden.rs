@@ -1,7 +1,7 @@
-//! Golden snapshot for the `repro validate --smoke` report: the full text
-//! output must be byte-identical on every run, on every host, and at
-//! every `--jobs` value. `tests/golden/mod.rs` says how to regenerate the
-//! snapshots after an intentional change.
+//! Golden snapshots for the `repro validate --smoke` report: the full text
+//! output and its `--json` document must be byte-identical on every run,
+//! on every host, and at every `--jobs` value. `tests/golden/mod.rs` says
+//! how to regenerate the snapshots after an intentional change.
 
 mod golden;
 
@@ -37,4 +37,24 @@ fn substrate_table_matches_snapshot() {
 #[test]
 fn jobs_value_does_not_change_a_byte() {
     smoke().assert_jobs_invariant();
+}
+
+#[test]
+fn smoke_json_matches_snapshot() {
+    let dir = std::env::temp_dir().join(format!("repro-validate-golden-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("validate.json");
+    let args = ValidateArgs {
+        jobs: 2,
+        json: Some(path.clone()),
+        ..ValidateArgs::parse(&["--smoke".to_string()]).unwrap()
+    };
+    let (code, text) = validate_report(&args);
+    let doc = std::fs::read_to_string(&path);
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(code, 0, "{text}");
+    assert_golden(
+        "validate_smoke.json",
+        &doc.expect("the report wrote its JSON"),
+    );
 }
