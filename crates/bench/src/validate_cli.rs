@@ -28,6 +28,8 @@
 //!
 //! Work is partitioned into slots whose results depend only on `(seed,
 //! slot index)`, so the report is byte-identical for every `--jobs` value.
+//! A run first computes every section into one outcome value, then renders
+//! the text, the JSON document and the verdict from it.
 
 use std::path::PathBuf;
 
@@ -35,11 +37,10 @@ use crate::cli::{self, run_indexed, Command, Flag};
 use mallacc_ooo::SamplingPlan;
 use mallacc_stats::table::Table;
 use mallacc_stats::Json;
-use mallacc_validate::program::fuzz_slot;
 use mallacc_validate::{
-    laws, offload_fuzz_slot, oracle, sample, sample_fuzz_slot, substrate_fuzz_slot, Band,
-    CoverageEvent, FuzzReport, KernelOutcome, LawReport, OffloadFuzzReport, SampleFuzzReport,
-    SubstrateFuzzReport,
+    fuzz_slot, laws, offload_fuzz_slot, oracle, run_corpus, sample, sample_fuzz_slot,
+    substrate_fuzz_slot, Band, CoverageEvent, Divergence, FuzzReport, KernelOutcome, LawReport,
+    OffloadFuzzReport, SampleFuzzReport, SampledKernelOutcome, SubstrateFuzzReport,
 };
 
 /// Command line of `repro validate`.
@@ -146,12 +147,13 @@ impl ValidateArgs {
             return Err("--kernel-n must be at least 1".to_string());
         }
         if a.fuzz_slots == 0
+            || a.law_cases == 0
             || a.offload_slots == 0
             || a.sample_slots == 0
             || a.substrate_slots == 0
         {
             return Err(
-                "--fuzz, --offload-fuzz, --sample-fuzz and --substrate-fuzz must be at least 1"
+                "--fuzz, --laws, --offload-fuzz, --sample-fuzz and --substrate-fuzz must be at least 1"
                     .to_string(),
             );
         }
@@ -159,229 +161,37 @@ impl ValidateArgs {
     }
 }
 
-fn kernel_section(args: &ValidateArgs) -> (String, Json, bool, Vec<KernelOutcome>) {
-    let ids = oracle::KernelId::all();
-    let outcomes: Vec<KernelOutcome> = run_indexed(ids.len() as u64, args.jobs, |i| {
-        oracle::run_kernel(ids[i as usize], args.kernel_n)
-    });
-    let band = Band::table1();
-    let mut t = Table::new(&[
-        "kernel",
-        "bound by",
-        "expected",
-        "simulated",
-        "error",
-        "verdict",
-    ]);
-    let mut json_rows = Vec::new();
-    let mut mean_abs_err = 0.0;
-    for o in &outcomes {
-        t.row_owned(vec![
-            o.id.name().to_string(),
-            o.id.bound_by().to_string(),
-            format!("{:.1}", o.expected),
-            o.simulated.to_string(),
-            format!("{:+.2}%", o.error_pct),
-            if o.pass { "ok" } else { "OUT OF BAND" }.to_string(),
-        ]);
-        mean_abs_err += o.error_pct.abs() / outcomes.len() as f64;
-        json_rows.push(Json::obj([
-            ("kernel", Json::from(o.id.name())),
-            ("bound_by", Json::from(o.id.bound_by())),
-            ("n", Json::from(o.n)),
-            ("expected", Json::from(o.expected)),
-            ("simulated", Json::from(o.simulated)),
-            ("error_pct", Json::from(o.error_pct)),
-            ("pass", Json::from(o.pass)),
-        ]));
-    }
-    let pass = outcomes.iter().all(|o| o.pass);
-    let text = format!(
-        "== analytic latency oracle (band: \u{b1}{:.1}% + {:.0} cyc) ==\n{}mean kernel error: {mean_abs_err:.2}%\n",
-        100.0 * band.rel,
-        band.abs,
-        t.render(),
-    );
-    let json = Json::obj([
-        ("band_rel", Json::from(band.rel)),
-        ("band_abs_cycles", Json::from(band.abs)),
-        ("mean_abs_error_pct", Json::from(mean_abs_err)),
-        ("kernels", Json::Arr(json_rows)),
-        ("pass", Json::from(pass)),
-    ]);
-    (text, json, pass, outcomes)
+/// Everything one `repro validate` run computed, before any of it is
+/// rendered.
+struct Outcome {
+    kernels: Vec<KernelOutcome>,
+    fuzz: FuzzReport,
+    laws: LawReport,
+    offload: OffloadFuzzReport,
+    sampled_kernels: Vec<SampledKernelOutcome>,
+    sample: SampleFuzzReport,
+    substrate: SubstrateFuzzReport,
 }
 
-fn fuzz_section(args: &ValidateArgs) -> (String, Json, bool, FuzzReport) {
-    let mut report = FuzzReport::default();
-    for slot in run_indexed(args.fuzz_slots, args.jobs, |i| fuzz_slot(args.seed, i)) {
-        report.merge(slot);
+impl Outcome {
+    /// Runs every section at the scale of `args`.
+    fn run(args: &ValidateArgs) -> Outcome {
+        let (seed, jobs) = (args.seed, args.jobs);
+        let ids = oracle::KernelId::all();
+        Outcome {
+            kernels: run_indexed(ids.len() as u64, jobs, |i| {
+                oracle::run_kernel(ids[i as usize], args.kernel_n)
+            }),
+            fuzz: run_corpus(args.fuzz_slots, jobs, |i| fuzz_slot(seed, i)),
+            laws: run_corpus(laws::total_slots(args.law_cases), jobs, |i| {
+                laws::check_slot(seed, args.law_cases, i)
+            }),
+            offload: run_corpus(args.offload_slots, jobs, |i| offload_fuzz_slot(seed, i)),
+            sampled_kernels: sample::sampled_kernel_outcomes(args.kernel_n, sampled_kernel_plan()),
+            sample: run_corpus(args.sample_slots, jobs, |i| sample_fuzz_slot(seed, i)),
+            substrate: run_corpus(args.substrate_slots, jobs, |i| substrate_fuzz_slot(seed, i)),
+        }
     }
-    let missing = report.coverage.missing();
-    let coverage_ok = !args.require_full_coverage || missing.is_empty();
-    let pass = report.divergences.is_empty() && coverage_ok;
-    let mut text = format!(
-        "== reference-spec conformance (differential fuzz) ==\nprograms: {} ({} base + {} guided), instructions: {}\ncoverage: {}/{} events{}\ndivergences: {}\n",
-        report.programs(),
-        report.base_programs,
-        report.guided_programs,
-        report.ops,
-        report.coverage.count(),
-        CoverageEvent::ALL.len(),
-        if missing.is_empty() {
-            String::new()
-        } else {
-            format!(
-                " (missing: {})",
-                missing
-                    .iter()
-                    .map(|e| e.name())
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            )
-        },
-        report.divergences.len(),
-    );
-    for d in report.divergences.iter().take(5) {
-        text.push_str(&format!(
-            "  seed {:#x} step {} ({}): {}\n",
-            d.seed, d.step, d.op, d.detail
-        ));
-    }
-    let json = Json::obj([
-        ("programs", Json::from(report.programs())),
-        ("base_programs", Json::from(report.base_programs)),
-        ("guided_programs", Json::from(report.guided_programs)),
-        ("instructions", Json::from(report.ops)),
-        (
-            "coverage",
-            Json::obj([
-                ("events", Json::from(report.coverage.count())),
-                ("total", Json::from(CoverageEvent::ALL.len())),
-                (
-                    "missing",
-                    Json::Arr(missing.iter().map(|e| Json::from(e.name())).collect()),
-                ),
-            ]),
-        ),
-        (
-            "divergences",
-            Json::Arr(
-                report
-                    .divergences
-                    .iter()
-                    .map(|d| {
-                        Json::obj([
-                            ("seed", Json::from(d.seed)),
-                            ("step", Json::from(d.step)),
-                            ("op", Json::from(d.op.clone())),
-                            ("detail", Json::from(d.detail.clone())),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        ("pass", Json::from(pass)),
-    ]);
-    (text, json, pass, report)
-}
-
-fn law_section(args: &ValidateArgs) -> (String, Json, bool, LawReport) {
-    let total = laws::total_slots(args.law_cases);
-    let mut report = LawReport::default();
-    for slot in run_indexed(total, args.jobs, |i| {
-        laws::check_slot(args.seed, args.law_cases, i)
-    }) {
-        report.merge(slot);
-    }
-    let pass = report.violations.is_empty();
-    let mut text = format!(
-        "== metamorphic laws ==\ncases: {} ({}/law), comparisons: {}\nviolations: {}\n",
-        report.cases,
-        args.law_cases,
-        report.comparisons,
-        report.violations.len(),
-    );
-    for v in report.violations.iter().take(5) {
-        text.push_str(&format!(
-            "  {} seed {:#x}: {}\n",
-            v.law.name(),
-            v.seed,
-            v.detail
-        ));
-    }
-    let json = Json::obj([
-        ("cases", Json::from(report.cases)),
-        ("cases_per_law", Json::from(args.law_cases)),
-        ("comparisons", Json::from(report.comparisons)),
-        (
-            "violations",
-            Json::Arr(
-                report
-                    .violations
-                    .iter()
-                    .map(|v| {
-                        Json::obj([
-                            ("law", Json::from(v.law.name())),
-                            ("seed", Json::from(v.seed)),
-                            ("detail", Json::from(v.detail.clone())),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        ("pass", Json::from(pass)),
-    ]);
-    (text, json, pass, report)
-}
-
-fn offload_section(args: &ValidateArgs) -> (String, Json, bool, OffloadFuzzReport) {
-    let mut report = OffloadFuzzReport::default();
-    for slot in run_indexed(args.offload_slots, args.jobs, |i| {
-        offload_fuzz_slot(args.seed, i)
-    }) {
-        report.merge(slot);
-    }
-    let pass = report.divergences.is_empty();
-    let mut text = format!(
-        "== offload-core conformance (queue differential + heap identity) ==\nqueue programs: {} ({} requests), heap programs: {} ({} calls)\ndivergences: {}\n",
-        report.queue_programs,
-        report.requests,
-        report.heap_programs,
-        report.heap_calls,
-        report.divergences.len(),
-    );
-    for d in report.divergences.iter().take(5) {
-        text.push_str(&format!(
-            "  seed {:#x} step {} ({}): {}\n",
-            d.seed, d.step, d.check, d.detail
-        ));
-    }
-    let json = Json::obj([
-        ("queue_programs", Json::from(report.queue_programs)),
-        ("requests", Json::from(report.requests)),
-        ("heap_programs", Json::from(report.heap_programs)),
-        ("heap_calls", Json::from(report.heap_calls)),
-        (
-            "divergences",
-            Json::Arr(
-                report
-                    .divergences
-                    .iter()
-                    .map(|d| {
-                        Json::obj([
-                            ("seed", Json::from(d.seed)),
-                            ("step", Json::from(d.step)),
-                            ("check", Json::from(d.check)),
-                            ("detail", Json::from(d.detail.clone())),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        ("pass", Json::from(pass)),
-    ]);
-    (text, json, pass, report)
 }
 
 /// The cadence the sampled-differential section re-runs the oracle
@@ -396,22 +206,193 @@ fn sampled_kernel_plan() -> SamplingPlan {
         .with_startup(256)
 }
 
-fn sample_section(args: &ValidateArgs) -> (String, Json, bool, SampleFuzzReport) {
-    // Kernel half: full vs. sampled on every Table-1 kernel.
-    let plan = sampled_kernel_plan();
-    let outcomes = sample::sampled_kernel_outcomes(args.kernel_n, plan);
+/// One section of the report: its JSON key, its text and JSON fields up
+/// to its divergence list, that list under its label (the text's count
+/// line and the JSON key), and whether the section passes.
+struct Section<'a> {
+    key: &'static str,
+    text: String,
+    fields: Vec<(&'static str, Json)>,
+    divergences: Option<(&'static str, &'a [Divergence])>,
+    pass: bool,
+}
+
+/// How many of a suite's divergences the text report prints; the JSON
+/// carries them all.
+const SHOWN_DIVERGENCES: usize = 5;
+
+/// The report lines of a suite's first divergences.
+fn divergence_lines(list: &[Divergence]) -> String {
+    list.iter()
+        .take(SHOWN_DIVERGENCES)
+        .map(|d| {
+            let step = d.step.map(|s| format!(" step {s}")).unwrap_or_default();
+            format!("  seed {:#x}{step} ({}): {}\n", d.seed, d.check, d.detail)
+        })
+        .collect()
+}
+
+/// Every divergence of a suite as a JSON entry. The seed is the hex
+/// string the report line prints: a JSON number would round it.
+fn divergence_json(list: &[Divergence]) -> Json {
+    Json::Arr(
+        list.iter()
+            .map(|d| {
+                let mut entry = vec![("seed", Json::from(format!("{:#x}", d.seed)))];
+                entry.extend(d.step.map(|s| ("step", Json::from(s))));
+                entry.push(("check", Json::from(d.check.as_str())));
+                entry.push(("detail", Json::from(d.detail.as_str())));
+                Json::obj(entry)
+            })
+            .collect(),
+    )
+}
+
+/// The verdict column of a kernel table.
+fn band_verdict(pass: bool) -> String {
+    if pass { "ok" } else { "OUT OF BAND" }.to_string()
+}
+
+fn kernel_section(kernels: &[KernelOutcome]) -> Section<'_> {
+    let band = Band::table1();
+    let mut t = Table::new(&[
+        "kernel",
+        "bound by",
+        "expected",
+        "simulated",
+        "error",
+        "verdict",
+    ]);
+    let mut rows = Vec::new();
+    let mut mean_abs_err = 0.0;
+    for o in kernels {
+        t.row_owned(vec![
+            o.id.name().to_string(),
+            o.id.bound_by().to_string(),
+            format!("{:.1}", o.expected),
+            o.simulated.to_string(),
+            format!("{:+.2}%", o.error_pct),
+            band_verdict(o.pass),
+        ]);
+        mean_abs_err += o.error_pct.abs() / kernels.len() as f64;
+        rows.push(Json::obj([
+            ("kernel", Json::from(o.id.name())),
+            ("bound_by", Json::from(o.id.bound_by())),
+            ("n", Json::from(o.n)),
+            ("expected", Json::from(o.expected)),
+            ("simulated", Json::from(o.simulated)),
+            ("error_pct", Json::from(o.error_pct)),
+            ("pass", Json::from(o.pass)),
+        ]));
+    }
+    Section {
+        key: "oracle",
+        text: format!(
+            "== analytic latency oracle (band: \u{b1}{:.1}% + {:.0} cyc) ==\n{}mean kernel error: {mean_abs_err:.2}%\n",
+            100.0 * band.rel,
+            band.abs,
+            t.render(),
+        ),
+        fields: vec![
+            ("band_rel", Json::from(band.rel)),
+            ("band_abs_cycles", Json::from(band.abs)),
+            ("mean_abs_error_pct", Json::from(mean_abs_err)),
+            ("kernels", Json::Arr(rows)),
+        ],
+        divergences: None,
+        pass: kernels.iter().all(|o| o.pass),
+    }
+}
+
+fn fuzz_section<'a>(args: &ValidateArgs, r: &'a FuzzReport) -> Section<'a> {
+    let missing: Vec<&str> = r.coverage.missing().iter().map(|e| e.name()).collect();
+    Section {
+        key: "conformance",
+        text: format!(
+            "== reference-spec conformance (differential fuzz) ==\nprograms: {} ({} base + {} guided), instructions: {}\ncoverage: {}/{} events{}\n",
+            r.programs(),
+            r.base_programs,
+            r.guided_programs,
+            r.ops,
+            r.coverage.count(),
+            CoverageEvent::ALL.len(),
+            if missing.is_empty() {
+                String::new()
+            } else {
+                format!(" (missing: {})", missing.join(", "))
+            },
+        ),
+        fields: vec![
+            ("programs", Json::from(r.programs())),
+            ("base_programs", Json::from(r.base_programs)),
+            ("guided_programs", Json::from(r.guided_programs)),
+            ("instructions", Json::from(r.ops)),
+            (
+                "coverage",
+                Json::obj([
+                    ("events", Json::from(r.coverage.count())),
+                    ("total", Json::from(CoverageEvent::ALL.len())),
+                    (
+                        "missing",
+                        Json::Arr(missing.iter().map(|&e| Json::from(e)).collect()),
+                    ),
+                ]),
+            ),
+        ],
+        divergences: Some(("divergences", &r.divergences)),
+        pass: r.divergences.is_empty() && (!args.require_full_coverage || missing.is_empty()),
+    }
+}
+
+fn law_section<'a>(args: &ValidateArgs, r: &'a LawReport) -> Section<'a> {
+    Section {
+        key: "laws",
+        text: format!(
+            "== metamorphic laws ==\ncases: {} ({}/law), comparisons: {}\n",
+            r.cases, args.law_cases, r.comparisons,
+        ),
+        fields: vec![
+            ("cases", Json::from(r.cases)),
+            ("cases_per_law", Json::from(args.law_cases)),
+            ("comparisons", Json::from(r.comparisons)),
+        ],
+        divergences: Some(("violations", &r.divergences)),
+        pass: r.divergences.is_empty(),
+    }
+}
+
+fn offload_section(r: &OffloadFuzzReport) -> Section<'_> {
+    Section {
+        key: "offload",
+        text: format!(
+            "== offload-core conformance (queue differential + heap identity) ==\nqueue programs: {} ({} requests), heap programs: {} ({} calls)\n",
+            r.queue_programs, r.requests, r.heap_programs, r.heap_calls,
+        ),
+        fields: vec![
+            ("queue_programs", Json::from(r.queue_programs)),
+            ("requests", Json::from(r.requests)),
+            ("heap_programs", Json::from(r.heap_programs)),
+            ("heap_calls", Json::from(r.heap_calls)),
+        ],
+        divergences: Some(("divergences", &r.divergences)),
+        pass: r.divergences.is_empty(),
+    }
+}
+
+fn sample_section<'a>(kernels: &[SampledKernelOutcome], r: &'a SampleFuzzReport) -> Section<'a> {
+    let plan = sampled_kernel_plan().canonical_string();
     let band = Band::table1();
     let mut t = Table::new(&["kernel", "full", "sampled", "error", "verdict"]);
-    let mut kernel_rows = Vec::new();
-    for o in &outcomes {
+    let mut rows = Vec::new();
+    for o in kernels {
         t.row_owned(vec![
             o.id.name().to_string(),
             o.full.to_string(),
             o.sampled.to_string(),
             format!("{:+.2}%", o.error_pct),
-            if o.pass { "ok" } else { "OUT OF BAND" }.to_string(),
+            band_verdict(o.pass),
         ]);
-        kernel_rows.push(Json::obj([
+        rows.push(Json::obj([
             ("kernel", Json::from(o.id.name())),
             ("full", Json::from(o.full)),
             ("sampled", Json::from(o.sampled)),
@@ -419,96 +400,47 @@ fn sample_section(args: &ValidateArgs) -> (String, Json, bool, SampleFuzzReport)
             ("pass", Json::from(o.pass)),
         ]));
     }
-    let kernels_pass = outcomes.iter().all(|o| o.pass);
-
-    // Fuzz half: random µop programs, full vs. sampled vs. degenerate.
-    let mut report = SampleFuzzReport::default();
-    for slot in run_indexed(args.sample_slots, args.jobs, |i| {
-        sample_fuzz_slot(args.seed, i)
-    }) {
-        report.merge(slot);
+    Section {
+        key: "sampled",
+        text: format!(
+            "== sampled-execution differential (plan {plan}, band: \u{b1}{:.1}% + {:.0} cyc, or own ci95) ==\n{}programs: {} ({} degenerate), \u{b5}ops: {}, mean |error|: {:.2}%, max: {:.2}%\n",
+            100.0 * band.rel,
+            band.abs,
+            t.render(),
+            r.programs,
+            r.degenerate_programs,
+            r.uops,
+            r.mean_abs_error_pct(),
+            r.max_abs_error_pct,
+        ),
+        fields: vec![
+            ("plan", Json::from(plan)),
+            ("kernels", Json::Arr(rows)),
+            ("programs", Json::from(r.programs)),
+            ("degenerate_programs", Json::from(r.degenerate_programs)),
+            ("uops", Json::from(r.uops)),
+            ("mean_abs_error_pct", Json::from(r.mean_abs_error_pct())),
+            ("max_abs_error_pct", Json::from(r.max_abs_error_pct)),
+        ],
+        divergences: Some(("violations", &r.divergences)),
+        pass: kernels.iter().all(|o| o.pass) && r.divergences.is_empty(),
     }
-    let fuzz_pass = report.divergences.is_empty();
-    let pass = kernels_pass && fuzz_pass;
-    let mut text = format!(
-        "== sampled-execution differential (plan {}, band: \u{b1}{:.1}% + {:.0} cyc, or own ci95) ==\n{}programs: {} ({} degenerate), \u{b5}ops: {}, mean |error|: {:.2}%, max: {:.2}%\nviolations: {}\n",
-        plan.canonical_string(),
-        100.0 * band.rel,
-        band.abs,
-        t.render(),
-        report.programs,
-        report.degenerate_programs,
-        report.uops,
-        report.mean_abs_error_pct(),
-        report.max_abs_error_pct,
-        report.divergences.len(),
-    );
-    for d in report.divergences.iter().take(5) {
-        text.push_str(&format!(
-            "  seed {:#x} ({}): {}\n",
-            d.seed, d.check, d.detail
-        ));
-    }
-    let json = Json::obj([
-        ("plan", Json::from(plan.canonical_string())),
-        ("kernels", Json::Arr(kernel_rows)),
-        ("programs", Json::from(report.programs)),
-        (
-            "degenerate_programs",
-            Json::from(report.degenerate_programs),
-        ),
-        ("uops", Json::from(report.uops)),
-        (
-            "mean_abs_error_pct",
-            Json::from(report.mean_abs_error_pct()),
-        ),
-        ("max_abs_error_pct", Json::from(report.max_abs_error_pct)),
-        (
-            "violations",
-            Json::Arr(
-                report
-                    .divergences
-                    .iter()
-                    .map(|d| {
-                        Json::obj([
-                            ("seed", Json::from(d.seed)),
-                            ("check", Json::from(d.check)),
-                            ("detail", Json::from(d.detail.clone())),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        ("pass", Json::from(pass)),
-    ]);
-    (text, json, pass, report)
 }
 
-fn substrate_section(args: &ValidateArgs) -> (String, Json, bool, SubstrateFuzzReport) {
-    let mut report = SubstrateFuzzReport::default();
-    for slot in run_indexed(args.substrate_slots, args.jobs, |i| {
-        substrate_fuzz_slot(args.seed, i)
-    }) {
-        report.merge(slot);
-    }
-    let pass = report.divergences.is_empty();
-    let rows = [
-        ("span-ownership", report.span_programs, report.span_checks),
-        (
-            "token-conservation",
-            report.token_programs,
-            report.token_checks,
-        ),
+fn substrate_section(r: &SubstrateFuzzReport) -> Section<'_> {
+    let laws = [
+        ("span-ownership", r.span_programs, r.span_checks),
+        ("token-conservation", r.token_programs, r.token_checks),
         (
             "deferred-linearization",
-            report.linearize_programs,
-            report.linearize_checks,
+            r.linearize_programs,
+            r.linearize_checks,
         ),
     ];
     let mut t = Table::new(&["law", "programs", "checks", "violations", "verdict"]);
-    let mut json_rows = Vec::new();
-    for (law, programs, checks) in rows {
-        let violations = report.divergences.iter().filter(|d| d.check == law).count() as u64;
+    let mut rows = Vec::new();
+    for (law, programs, checks) in laws {
+        let violations = r.divergences.iter().filter(|d| d.check == law).count() as u64;
         t.row_owned(vec![
             law.to_string(),
             programs.to_string(),
@@ -516,111 +448,93 @@ fn substrate_section(args: &ValidateArgs) -> (String, Json, bool, SubstrateFuzzR
             violations.to_string(),
             if violations == 0 { "ok" } else { "VIOLATED" }.to_string(),
         ]);
-        json_rows.push(Json::obj([
+        rows.push(Json::obj([
             ("law", Json::from(law)),
             ("programs", Json::from(programs)),
             ("checks", Json::from(checks)),
             ("violations", Json::from(violations)),
         ]));
     }
-    let mut text = format!(
-        "== substrate conformance (allocator laws) ==\n{}programs: {}, checks: {}\nviolations: {}\n",
-        t.render(),
-        report.programs(),
-        report.checks(),
-        report.divergences.len(),
-    );
-    for d in report.divergences.iter().take(5) {
-        text.push_str(&format!(
-            "  seed {:#x} step {} ({}): {}\n",
-            d.seed, d.step, d.check, d.detail
-        ));
-    }
-    let json = Json::obj([
-        ("laws", Json::Arr(json_rows)),
-        ("programs", Json::from(report.programs())),
-        ("checks", Json::from(report.checks())),
-        (
-            "violations",
-            Json::Arr(
-                report
-                    .divergences
-                    .iter()
-                    .map(|d| {
-                        Json::obj([
-                            ("seed", Json::from(d.seed)),
-                            ("step", Json::from(d.step)),
-                            ("check", Json::from(d.check)),
-                            ("detail", Json::from(d.detail.clone())),
-                        ])
-                    })
-                    .collect(),
-            ),
+    Section {
+        key: "substrate",
+        text: format!(
+            "== substrate conformance (allocator laws) ==\n{}programs: {}, checks: {}\n",
+            t.render(),
+            r.programs(),
+            r.checks(),
         ),
-        ("pass", Json::from(pass)),
-    ]);
-    (text, json, pass, report)
+        fields: vec![
+            ("laws", Json::Arr(rows)),
+            ("programs", Json::from(r.programs())),
+            ("checks", Json::from(r.checks())),
+        ],
+        divergences: Some(("violations", &r.divergences)),
+        pass: r.divergences.is_empty(),
+    }
 }
 
-/// Runs `repro validate` and returns `(exit code, report text)`.
-pub fn validate_report(args: &ValidateArgs) -> (i32, String) {
+/// Renders `o` as the report text and verdict and, with `--json`, the
+/// document; returns the exit code and the text.
+fn render(args: &ValidateArgs, o: &Outcome) -> (i32, String) {
+    let sections = [
+        kernel_section(&o.kernels),
+        fuzz_section(args, &o.fuzz),
+        law_section(args, &o.laws),
+        offload_section(&o.offload),
+        sample_section(&o.sampled_kernels, &o.sample),
+        substrate_section(&o.substrate),
+    ];
     let mut out = format!(
         "repro validate: kernels n={}, fuzz slots={}, law cases={}/law, offload slots={}, sample slots={}, substrate slots={}, seed {}\n\n",
         args.kernel_n, args.fuzz_slots, args.law_cases, args.offload_slots, args.sample_slots,
         args.substrate_slots, args.seed
     );
-    let (kernel_text, kernel_json, kernels_pass, _) = kernel_section(args);
-    let (fuzz_text, fuzz_json, fuzz_pass, _) = fuzz_section(args);
-    let (law_text, law_json, laws_pass, _) = law_section(args);
-    let (offload_text, offload_json, offload_pass, _) = offload_section(args);
-    let (sample_text, sample_json, sample_pass, _) = sample_section(args);
-    let (substrate_text, substrate_json, substrate_pass, _) = substrate_section(args);
-    out.push_str(&kernel_text);
-    out.push('\n');
-    out.push_str(&fuzz_text);
-    out.push('\n');
-    out.push_str(&law_text);
-    out.push('\n');
-    out.push_str(&offload_text);
-    out.push('\n');
-    out.push_str(&sample_text);
-    out.push('\n');
-    out.push_str(&substrate_text);
-    let pass =
-        kernels_pass && fuzz_pass && laws_pass && offload_pass && sample_pass && substrate_pass;
+    let mut doc = vec![
+        ("schema", Json::from("mallacc-validate/1")),
+        (
+            "scale",
+            Json::obj([
+                ("kernel_n", Json::from(args.kernel_n)),
+                ("fuzz_slots", Json::from(args.fuzz_slots)),
+                ("law_cases", Json::from(args.law_cases)),
+                ("offload_slots", Json::from(args.offload_slots)),
+                ("sample_slots", Json::from(args.sample_slots)),
+                ("substrate_slots", Json::from(args.substrate_slots)),
+                ("seed", Json::from(args.seed)),
+                (
+                    "require_full_coverage",
+                    Json::from(args.require_full_coverage),
+                ),
+            ]),
+        ),
+    ];
+    let mut pass = true;
+    for s in sections {
+        let mut fields = s.fields;
+        out.push_str(&s.text);
+        if let Some((label, list)) = s.divergences {
+            out.push_str(&format!("{label}: {}\n", list.len()));
+            out.push_str(&divergence_lines(list));
+            fields.push((label, divergence_json(list)));
+        }
+        out.push('\n');
+        fields.push(("pass", Json::from(s.pass)));
+        doc.push((s.key, Json::obj(fields)));
+        pass &= s.pass;
+    }
     out.push_str(&format!(
-        "\nverdict: {}\n",
+        "verdict: {}\n",
         if pass { "PASS" } else { "FAIL" }
     ));
-
+    doc.push(("pass", Json::from(pass)));
     cli::finish("validate", out, pass, args.json.as_deref(), || {
-        Json::obj([
-            ("schema", Json::from("mallacc-validate/1")),
-            (
-                "scale",
-                Json::obj([
-                    ("kernel_n", Json::from(args.kernel_n)),
-                    ("fuzz_slots", Json::from(args.fuzz_slots)),
-                    ("law_cases", Json::from(args.law_cases)),
-                    ("offload_slots", Json::from(args.offload_slots)),
-                    ("sample_slots", Json::from(args.sample_slots)),
-                    ("substrate_slots", Json::from(args.substrate_slots)),
-                    ("seed", Json::from(args.seed)),
-                    (
-                        "require_full_coverage",
-                        Json::from(args.require_full_coverage),
-                    ),
-                ]),
-            ),
-            ("oracle", kernel_json),
-            ("conformance", fuzz_json),
-            ("laws", law_json),
-            ("offload", offload_json),
-            ("sampled", sample_json),
-            ("substrate", substrate_json),
-            ("pass", Json::from(pass)),
-        ])
+        Json::obj(doc)
     })
+}
+
+/// Runs `repro validate` and returns `(exit code, report text)`.
+pub fn validate_report(args: &ValidateArgs) -> (i32, String) {
+    render(args, &Outcome::run(args))
 }
 
 #[cfg(test)]
@@ -662,6 +576,7 @@ mod tests {
         assert_eq!((o.fuzz_slots, o.offload_slots, o.seed), (7, 11, 9));
         assert!(ValidateArgs::parse(&s(&["--nope"])).is_err());
         assert!(ValidateArgs::parse(&s(&["--fuzz", "0"])).is_err());
+        assert!(ValidateArgs::parse(&s(&["--laws", "0"])).is_err());
         assert!(ValidateArgs::parse(&s(&["--offload-fuzz", "0"])).is_err());
         assert!(ValidateArgs::parse(&s(&["--sample-fuzz", "0"])).is_err());
         assert!(ValidateArgs::parse(&s(&["--substrate-fuzz", "0"])).is_err());
@@ -714,7 +629,7 @@ mod tests {
             data.get("schema").and_then(Json::as_str),
             Some("mallacc-validate/1")
         );
-        assert_eq!(data.get("pass").and_then(Json::as_f64), None);
+        assert_eq!(data.get("pass"), Some(&Json::Bool(true)));
         assert_eq!(
             data.get("oracle")
                 .and_then(|o| o.get("kernels"))
@@ -723,6 +638,139 @@ mod tests {
             Some(9)
         );
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A seed above 2^53, which a JSON number would round.
+    const SEED: u64 = 0x629a_f85f_ac46_19d6;
+
+    fn divergence(i: u64, step: Option<u64>, check: &str) -> Divergence {
+        Divergence {
+            seed: SEED + i,
+            step,
+            check: check.to_string(),
+            detail: format!("detail {i}"),
+        }
+    }
+
+    /// One divergence in every suite and six in the reference-spec one,
+    /// one kernel and one sampled kernel out of band.
+    fn failing_outcome() -> Outcome {
+        let id = oracle::KernelId::all()[0];
+        let mut o = Outcome {
+            kernels: vec![KernelOutcome {
+                id,
+                n: 100,
+                expected: 400.0,
+                simulated: 600,
+                error_pct: 50.0,
+                pass: false,
+            }],
+            fuzz: FuzzReport::default(),
+            laws: LawReport::default(),
+            offload: OffloadFuzzReport::default(),
+            sampled_kernels: vec![SampledKernelOutcome {
+                id,
+                n: 100,
+                full: 400,
+                sampled: 600,
+                error_pct: 50.0,
+                pass: false,
+            }],
+            sample: SampleFuzzReport::default(),
+            substrate: SubstrateFuzzReport::default(),
+        };
+        o.fuzz.divergences = (0..6)
+            .map(|i| divergence(i, Some(10 + i), "Flush"))
+            .collect();
+        o.laws.divergences = vec![divergence(6, None, "entries-monotone")];
+        o.offload.divergences = vec![divergence(7, Some(3), "queue")];
+        o.sample.divergences = vec![divergence(8, None, "timing-band")];
+        o.substrate.divergences = vec![divergence(9, Some(0), "span-ownership")];
+        o
+    }
+
+    #[test]
+    fn failures_render_as_report_lines_and_json_entries() {
+        let dir = std::env::temp_dir().join(format!("repro-validate-fail-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let o = failing_outcome();
+        let args = ValidateArgs {
+            json: Some(dir.join("validate.json")),
+            ..ValidateArgs::default()
+        };
+        let (code, text) = render(&args, &o);
+        let doc = std::fs::read_to_string(dir.join("validate.json"));
+        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(code, 1, "{text}");
+        assert!(text.contains("\nverdict: FAIL\n"), "{text}");
+        assert_eq!(text.matches("OUT OF BAND").count(), 2, "{text}");
+
+        // The five lines shown of the six reference-spec divergences, then
+        // one line for each other suite, each under its count line.
+        let shown = [
+            "divergences: 6",
+            "  seed 0x629af85fac4619d6 step 10 (Flush): detail 0",
+            "  seed 0x629af85fac4619d7 step 11 (Flush): detail 1",
+            "  seed 0x629af85fac4619d8 step 12 (Flush): detail 2",
+            "  seed 0x629af85fac4619d9 step 13 (Flush): detail 3",
+            "  seed 0x629af85fac4619da step 14 (Flush): detail 4",
+            "violations: 1",
+            "  seed 0x629af85fac4619dc (entries-monotone): detail 6",
+            "divergences: 1",
+            "  seed 0x629af85fac4619dd step 3 (queue): detail 7",
+            "violations: 1",
+            "  seed 0x629af85fac4619de (timing-band): detail 8",
+            "violations: 1",
+            "  seed 0x629af85fac4619df step 0 (span-ownership): detail 9",
+        ];
+        let printed: Vec<&str> = text
+            .lines()
+            .filter(|l| {
+                l.starts_with("  seed ")
+                    || l.starts_with("divergences: ")
+                    || l.starts_with("violations: ")
+            })
+            .collect();
+        assert_eq!(printed, shown, "{text}");
+
+        let doc = mallacc_stats::json::parse(&doc.expect("the report wrote its JSON")).unwrap();
+        assert_eq!(doc.get("pass"), Some(&Json::Bool(false)));
+        let suites = [
+            ("conformance", "divergences", &o.fuzz.divergences),
+            ("laws", "violations", &o.laws.divergences),
+            ("offload", "divergences", &o.offload.divergences),
+            ("sampled", "violations", &o.sample.divergences),
+            ("substrate", "violations", &o.substrate.divergences),
+        ];
+        for (section, key, list) in suites {
+            let section = doc.get(section).unwrap();
+            assert_eq!(section.get("pass"), Some(&Json::Bool(false)));
+            let entries = section.get(key).and_then(Json::as_arr).unwrap();
+            assert_eq!(entries.len(), list.len(), "every divergence is in the JSON");
+            for (i, (entry, d)) in entries.iter().zip(list.iter()).enumerate() {
+                let seed = entry.get("seed").and_then(Json::as_str).unwrap();
+                assert_eq!(seed, format!("{:#x}", d.seed));
+                let step = entry.get("step").and_then(Json::as_f64);
+                assert_eq!(step, d.step.map(|s| s as f64));
+                let check = entry.get("check").and_then(Json::as_str).unwrap();
+                let detail = entry.get("detail").and_then(Json::as_str).unwrap();
+                assert_eq!((check, detail), (d.check.as_str(), d.detail.as_str()));
+                let keys: Vec<&str> = match entry {
+                    Json::Obj(pairs) => pairs.iter().map(|(k, _)| k.as_str()).collect(),
+                    _ => panic!("entry is an object"),
+                };
+                let expected_keys: &[&str] = if d.step.is_some() {
+                    &["seed", "step", "check", "detail"]
+                } else {
+                    &["seed", "check", "detail"]
+                };
+                assert_eq!(keys, expected_keys);
+                // A shown entry's seed is the one its report line prints.
+                let step = d.step.map(|s| format!(" step {s}")).unwrap_or_default();
+                let line = format!("  seed {seed}{step} ({check}): {detail}");
+                assert_eq!(printed.contains(&line.as_str()), i < SHOWN_DIVERGENCES);
+            }
+        }
     }
 
     #[test]

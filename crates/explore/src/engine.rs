@@ -3,18 +3,17 @@
 //!
 //! Determinism contract: results are **bit-identical across host thread
 //! counts**. Every point is a self-contained simulation seeded from its
-//! own configuration, workers only pick *which* point to run next from a
-//! shared counter, and each result is written back to the point's fixed
-//! slot — so neither the host schedule nor the completion order can leak
-//! into the output.
+//! own configuration, and [`run_indexed`] hands each result back in the
+//! point's fixed slot — so neither the host schedule nor the completion
+//! order can leak into the output.
 
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+
+use mallacc_stats::par::run_indexed;
 
 use crate::grid::ParamGrid;
 use crate::memo::MemoStore;
-use crate::point::{ConfigPoint, PointResult};
+use crate::point::PointResult;
 use crate::report::SweepReport;
 
 /// Execution options for one sweep.
@@ -58,7 +57,10 @@ pub fn run_sweep(grid: &ParamGrid, opts: &SweepOptions) -> Result<SweepReport, S
         .filter(|&i| results[i].is_none())
         .collect();
 
-    for (idx, result) in execute(&points, &pending, opts.jobs) {
+    let computed = run_indexed(pending.len() as u64, effective_jobs(opts.jobs), |k| {
+        points[pending[k as usize]].run()
+    });
+    for (&idx, result) in pending.iter().zip(computed) {
         memo.insert(&points[idx], result.clone());
         results[idx] = Some(result);
     }
@@ -69,33 +71,6 @@ pub fn run_sweep(grid: &ParamGrid, opts: &SweepOptions) -> Result<SweepReport, S
         .map(|r| r.expect("every point ran or was memoised"))
         .collect();
     Ok(SweepReport::new(points, results, memo_hits))
-}
-
-/// Executes `pending` (indices into `points`) on `jobs` scoped threads,
-/// returning `(index, result)` pairs in no particular order.
-fn execute(points: &[ConfigPoint], pending: &[usize], jobs: usize) -> Vec<(usize, PointResult)> {
-    if pending.is_empty() {
-        return Vec::new();
-    }
-    let jobs = effective_jobs(jobs).min(pending.len());
-    let next = AtomicUsize::new(0);
-    let computed: Mutex<Vec<(usize, PointResult)>> = Mutex::new(Vec::with_capacity(pending.len()));
-    std::thread::scope(|scope| {
-        for _ in 0..jobs {
-            scope.spawn(|| loop {
-                let slot = next.fetch_add(1, Ordering::Relaxed);
-                let Some(&idx) = pending.get(slot) else {
-                    break;
-                };
-                let result = points[idx].run();
-                computed
-                    .lock()
-                    .expect("no worker panicked holding the lock")
-                    .push((idx, result));
-            });
-        }
-    });
-    computed.into_inner().expect("workers joined")
 }
 
 /// Resolves a `--jobs` value: 0 means one worker per available CPU.

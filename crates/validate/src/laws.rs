@@ -31,6 +31,7 @@
 use mallacc::{EntryView, MallocCache, MallocCacheConfig, MallocCacheStats};
 
 use crate::program::{mix, McOp, McProgram};
+use crate::{Divergence, SlotReport};
 
 /// Identifies one metamorphic law.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,17 +64,6 @@ impl LawId {
     }
 }
 
-/// A law that failed on a concrete seeded trace.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LawViolation {
-    /// Which law broke.
-    pub law: LawId,
-    /// Seed of the offending trace.
-    pub seed: u64,
-    /// Human-readable description of the broken relation.
-    pub detail: String,
-}
-
 /// Aggregate result of a law-suite run.
 #[derive(Debug, Clone, Default)]
 pub struct LawReport {
@@ -82,17 +72,26 @@ pub struct LawReport {
     /// Individual pairwise comparisons made (reorder checks every
     /// swappable pair, so this exceeds `cases`).
     pub comparisons: u64,
-    /// Every violation found.
-    pub violations: Vec<LawViolation>,
+    /// Every violation found; its `check` is the law's name.
+    pub divergences: Vec<Divergence>,
 }
 
-impl LawReport {
-    /// Folds another report into this one.
-    pub fn merge(&mut self, other: LawReport) {
+impl SlotReport for LawReport {
+    fn merge(&mut self, other: LawReport) {
         self.cases += other.cases;
         self.comparisons += other.comparisons;
-        self.violations.extend(other.violations);
+        self.divergences.extend(other.divergences);
     }
+}
+
+/// A violation of `law` on the trace generated from `seed`.
+fn violation(law: LawId, seed: u64, detail: String) -> Option<Divergence> {
+    Some(Divergence {
+        seed,
+        step: None,
+        check: law.name().to_string(),
+        detail,
+    })
 }
 
 fn end_state(
@@ -111,7 +110,7 @@ fn end_state(
     (mc.stats(), mc.occupancy(), views, delays)
 }
 
-fn check_entries_monotone(seed: u64) -> (u64, Option<LawViolation>) {
+fn check_entries_monotone(seed: u64) -> (u64, Option<Divergence>) {
     let p = McProgram::generate_canonical(seed);
     let small = p.replay_with(p.config, &p.ops).stats();
     let mut comparisons = 0;
@@ -129,21 +128,21 @@ fn check_entries_monotone(seed: u64) -> (u64, Option<LawViolation>) {
         if !ok {
             return (
                 comparisons,
-                Some(LawViolation {
-                    law: LawId::EntriesMonotone,
+                violation(
+                    LawId::EntriesMonotone,
                     seed,
-                    detail: format!(
+                    format!(
                         "{} entries scored fewer hits than {}: big {:?} vs small {:?}",
                         big_config.entries, p.config.entries, big, small
                     ),
-                }),
+                ),
             );
         }
     }
     (comparisons, None)
 }
 
-fn check_prefetch_removal(seed: u64) -> (u64, Option<LawViolation>) {
+fn check_prefetch_removal(seed: u64) -> (u64, Option<Divergence>) {
     let p = McProgram::generate(seed);
     let with = p.replay_with(p.config, &p.ops).stats();
     let stripped: Vec<_> = p
@@ -153,13 +152,7 @@ fn check_prefetch_removal(seed: u64) -> (u64, Option<LawViolation>) {
         .filter(|(_, op)| !matches!(op, McOp::Prefetch { .. }))
         .collect();
     let without = p.replay_with(p.config, &stripped).stats();
-    let fail = |detail: String| {
-        Some(LawViolation {
-            law: LawId::PrefetchRemoval,
-            seed,
-            detail,
-        })
-    };
+    let fail = |detail| violation(LawId::PrefetchRemoval, seed, detail);
     let v = if without.prefetches != 0 || without.blocked_cycles != 0 {
         fail(format!(
             "prefetch-free replay still recorded prefetch effects: {without:?}"
@@ -195,7 +188,7 @@ fn check_prefetch_removal(seed: u64) -> (u64, Option<LawViolation>) {
     (1, v)
 }
 
-fn check_independent_reorder(seed: u64) -> (u64, Option<LawViolation>) {
+fn check_independent_reorder(seed: u64) -> (u64, Option<Divergence>) {
     let p = McProgram::generate_eviction_free(seed);
     let baseline = end_state(&p, p.config, &p.ops);
     debug_assert_eq!(baseline.0.evictions, 0, "precondition: eviction-free");
@@ -217,14 +210,14 @@ fn check_independent_reorder(seed: u64) -> (u64, Option<LawViolation>) {
         if reordered != baseline {
             return (
                 comparisons,
-                Some(LawViolation {
-                    law: LawId::IndependentReorder,
+                violation(
+                    LawId::IndependentReorder,
                     seed,
-                    detail: format!(
+                    format!(
                         "swapping ops {i} and {} changed the outcome: {op_a:?} <-> {op_b:?}",
                         i + 1
                     ),
-                }),
+                ),
             );
         }
     }
@@ -233,7 +226,7 @@ fn check_independent_reorder(seed: u64) -> (u64, Option<LawViolation>) {
 
 /// Checks one law on one seeded trace. Returns the number of pairwise
 /// comparisons made and the first violation, if any.
-pub fn check_law(law: LawId, seed: u64) -> (u64, Option<LawViolation>) {
+pub fn check_law(law: LawId, seed: u64) -> (u64, Option<Divergence>) {
     match law {
         LawId::EntriesMonotone => check_entries_monotone(seed),
         LawId::PrefetchRemoval => check_prefetch_removal(seed),
@@ -254,35 +247,27 @@ pub fn check_slot(seed: u64, cases_per_law: u64, index: u64) -> LawReport {
     let li = index / cases_per_law;
     let case = index % cases_per_law;
     let law = LawId::all()[li as usize];
-    let (comparisons, violation) = check_law(law, mix(seed ^ (li << 56), case));
+    let (comparisons, divergence) = check_law(law, mix(seed ^ (li << 56), case));
     LawReport {
         cases: 1,
         comparisons,
-        violations: violation.into_iter().collect(),
+        divergences: divergence.into_iter().collect(),
     }
-}
-
-/// Runs every law over `cases` seeded traces each.
-pub fn check_all(seed: u64, cases: u64) -> LawReport {
-    let mut report = LawReport::default();
-    for index in 0..total_slots(cases) {
-        report.merge(check_slot(seed, cases, index));
-    }
-    report
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run_corpus;
     use mallacc::RangeKeying;
 
     #[test]
     fn all_laws_hold_over_many_seeds() {
-        let report = check_all(0xBEEF, 150);
+        let report = run_corpus(total_slots(150), 1, |i| check_slot(0xBEEF, 150, i));
         assert!(
-            report.violations.is_empty(),
+            report.divergences.is_empty(),
             "law violated: {:?}",
-            report.violations[0]
+            report.divergences[0]
         );
         assert_eq!(report.cases, 450);
         // The reorder law must actually find swappable pairs, or it tests

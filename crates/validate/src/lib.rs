@@ -36,7 +36,9 @@
 //!   "more entries never increases miss rate" law needs its canonical-
 //!   update precondition.
 //!
-//! The `repro validate` CLI (in `mallacc-bench`) drives all three and exits
+//! The fuzz suites report failures as one [`Divergence`] record, and
+//! [`run_corpus`] runs any of them over a slot range. The `repro
+//! validate` CLI (in `mallacc-bench`) drives every section and exits
 //! non-zero on any band or conformance violation.
 
 #![forbid(unsafe_code)]
@@ -50,13 +52,53 @@ pub mod refspec;
 pub mod sample;
 pub mod substrate;
 
-pub use laws::{LawId, LawReport, LawViolation};
-pub use offload::{offload_fuzz_slot, OffloadDivergence, OffloadFuzzReport};
+pub use laws::{LawId, LawReport};
+pub use offload::{offload_fuzz_slot, OffloadFuzzReport};
 pub use oracle::{Band, KernelId, KernelOutcome};
-pub use program::{Coverage, CoverageEvent, Divergence, FuzzReport, McOp, McProgram};
+pub use program::{fuzz_slot, Coverage, CoverageEvent, FuzzReport, McOp, McProgram};
 pub use refspec::RefMallocCache;
 pub use sample::{
-    sample_fuzz_slot, sampled_kernel_outcomes, SampleDivergence, SampleFuzzReport,
-    SampledKernelOutcome,
+    sample_fuzz_slot, sampled_kernel_outcomes, SampleFuzzReport, SampledKernelOutcome,
 };
-pub use substrate::{substrate_fuzz_slot, SubstrateDivergence, SubstrateFuzzReport};
+pub use substrate::{substrate_fuzz_slot, SubstrateFuzzReport};
+
+/// A failed check of any fuzz suite, on one seeded program.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Divergence {
+    /// Seed of the offending program.
+    pub seed: u64,
+    /// Zero-based step (instruction, request or allocator call) at which
+    /// the check failed, for checks made step by step.
+    pub step: Option<u64>,
+    /// Which check failed: a law's name, a rendered reference-spec op, or
+    /// a suite's obligation such as `"queue"` or `"timing-band"`.
+    pub check: String,
+    /// What disagreed.
+    pub detail: String,
+}
+
+/// The report of one fuzz-suite slot, and of any run of slots merged
+/// into it.
+pub trait SlotReport: Default + Send {
+    /// Folds a later slot's report into this one.
+    fn merge(&mut self, other: Self);
+}
+
+/// Runs slots `0..slots` of a suite on `jobs` workers and merges their
+/// reports in slot order, so the result is the same for every `jobs`.
+///
+/// # Example
+///
+/// ```
+/// use mallacc_validate::{offload_fuzz_slot, run_corpus};
+///
+/// let report = run_corpus(4, 2, |i| offload_fuzz_slot(42, i));
+/// assert_eq!(report.heap_programs, 4);
+/// ```
+pub fn run_corpus<R: SlotReport>(slots: u64, jobs: usize, slot: impl Fn(u64) -> R + Sync) -> R {
+    let mut report = R::default();
+    for r in mallacc_stats::par::run_indexed(slots, jobs, slot) {
+        report.merge(r);
+    }
+    report
+}

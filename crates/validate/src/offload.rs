@@ -25,19 +25,7 @@ use mallacc::{MallocSim, Mode, OffloadConfig};
 use mallacc_offload::{OffloadQueue, RefOffloadQueue};
 
 use crate::program::SplitMix64;
-
-/// One queue-model or heap-identity divergence.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct OffloadDivergence {
-    /// Program seed that produced the divergence.
-    pub seed: u64,
-    /// Zero-based step (request or allocator call) at which it appeared.
-    pub step: u64,
-    /// Which obligation broke: `"queue"`, `"conservation"` or `"heap"`.
-    pub check: &'static str,
-    /// Human-readable mismatch description.
-    pub detail: String,
-}
+use crate::{Divergence, SlotReport};
 
 /// Mergeable aggregate of offload-conformance slots.
 #[derive(Debug, Clone, Default)]
@@ -50,13 +38,26 @@ pub struct OffloadFuzzReport {
     pub heap_programs: u64,
     /// Allocator calls compared across modes.
     pub heap_calls: u64,
-    /// Every divergence found (empty on a conforming model).
-    pub divergences: Vec<OffloadDivergence>,
+    /// Every divergence found (empty on a conforming model). Its step is
+    /// the request or allocator call, its check the obligation that
+    /// broke: `"queue"`, `"conservation"` or `"heap"`.
+    pub divergences: Vec<Divergence>,
 }
 
 impl OffloadFuzzReport {
-    /// Folds another slot's report into this one.
-    pub fn merge(&mut self, other: OffloadFuzzReport) {
+    /// Records one divergence.
+    fn fail(&mut self, seed: u64, step: u64, check: &str, detail: String) {
+        self.divergences.push(Divergence {
+            seed,
+            step: Some(step),
+            check: check.to_string(),
+            detail,
+        });
+    }
+}
+
+impl SlotReport for OffloadFuzzReport {
+    fn merge(&mut self, other: OffloadFuzzReport) {
         self.queue_programs += other.queue_programs;
         self.requests += other.requests;
         self.heap_programs += other.heap_programs;
@@ -104,12 +105,12 @@ fn queue_differential(seed: u64, report: &mut OffloadFuzzReport) {
         let b = r.enqueue(now, service);
         report.requests += 1;
         if a != b {
-            report.divergences.push(OffloadDivergence {
+            report.fail(
                 seed,
                 step,
-                check: "queue",
-                detail: format!("incremental {a:?} != reference {b:?}"),
-            });
+                "queue",
+                format!("incremental {a:?} != reference {b:?}"),
+            );
             return; // later steps would only echo the same fork
         }
         stall_sum += a.stall_cycles;
@@ -122,14 +123,14 @@ fn queue_differential(seed: u64, report: &mut OffloadFuzzReport) {
         || s.queue_full_stalls != stall_events
         || s.max_occupancy > cfg.queue_depth
     {
-        report.divergences.push(OffloadDivergence {
+        report.fail(
             seed,
-            step: steps,
-            check: "conservation",
-            detail: format!(
+            steps,
+            "conservation",
+            format!(
                 "stats {s:?} vs occupancy {occupancy}, observed stalls {stall_events}/{stall_sum}"
             ),
-        });
+        );
     }
 }
 
@@ -167,12 +168,7 @@ fn heap_identity(seed: u64, report: &mut OffloadFuzzReport) {
             functional_mismatch(&recs)
         };
         if let Some(detail) = diverged {
-            report.divergences.push(OffloadDivergence {
-                seed,
-                step,
-                check: "heap",
-                detail,
-            });
+            report.fail(seed, step, "heap", detail);
             return;
         }
     }
@@ -209,13 +205,11 @@ pub fn offload_fuzz_slot(corpus_seed: u64, slot: u64) -> OffloadFuzzReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run_corpus;
 
     #[test]
     fn a_thousand_slots_conform() {
-        let mut report = OffloadFuzzReport::default();
-        for slot in 0..1_000 {
-            report.merge(offload_fuzz_slot(42, slot));
-        }
+        let report = run_corpus(1_000, 1, |slot| offload_fuzz_slot(42, slot));
         assert_eq!(report.queue_programs, 2_000);
         assert_eq!(report.heap_programs, 1_000);
         assert!(report.requests > 100_000, "requests: {}", report.requests);
@@ -228,10 +222,7 @@ mod tests {
 
     #[test]
     fn slots_are_independent_of_visit_order() {
-        let mut forward = OffloadFuzzReport::default();
-        for slot in 0..16 {
-            forward.merge(offload_fuzz_slot(7, slot));
-        }
+        let forward = run_corpus(16, 1, |slot| offload_fuzz_slot(7, slot));
         let mut counts = (0, 0);
         for slot in (0..16).rev() {
             let r = offload_fuzz_slot(7, slot);

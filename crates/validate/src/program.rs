@@ -26,6 +26,7 @@ use mallacc::{MallocCache, MallocCacheConfig, PopResult, RangeKeying};
 use mallacc_tcmalloc::SizeClasses;
 
 use crate::refspec::RefMallocCache;
+use crate::{Divergence, SlotReport};
 
 /// SplitMix64: a tiny, high-quality deterministic generator. Local to this
 /// crate so program generation does not depend on the proptest shim (which
@@ -581,19 +582,6 @@ impl Coverage {
     }
 }
 
-/// A model/reference disagreement.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Divergence {
-    /// Seed of the offending program.
-    pub seed: u64,
-    /// Index of the offending op.
-    pub step: usize,
-    /// The op, rendered.
-    pub op: String,
-    /// What disagreed.
-    pub detail: String,
-}
-
 /// Outcome of one program's differential run.
 #[derive(Debug, Clone)]
 pub struct ProgramOutcome {
@@ -601,7 +589,8 @@ pub struct ProgramOutcome {
     pub coverage: Coverage,
     /// Instructions executed.
     pub ops: u64,
-    /// The first disagreement, if any.
+    /// The first model/reference disagreement, if any; its `check` is
+    /// the offending op, rendered.
     pub divergence: Option<Divergence>,
 }
 
@@ -772,8 +761,8 @@ pub fn diff_program(seed: u64, p: &McProgram) -> ProgramOutcome {
         if let Some(detail) = mismatch {
             divergence = Some(Divergence {
                 seed,
-                step,
-                op: format!("{op:?}"),
+                step: Some(step as u64),
+                check: format!("{op:?}"),
                 detail,
             });
             break;
@@ -806,9 +795,10 @@ impl FuzzReport {
     pub fn programs(&self) -> u64 {
         self.base_programs + self.guided_programs
     }
+}
 
-    /// Folds another report (e.g. a slot's) into this one.
-    pub fn merge(&mut self, other: FuzzReport) {
+impl SlotReport for FuzzReport {
+    fn merge(&mut self, other: FuzzReport) {
         self.base_programs += other.base_programs;
         self.guided_programs += other.guided_programs;
         self.ops += other.ops;
@@ -877,18 +867,10 @@ pub fn fuzz_slot(seed: u64, index: u64) -> FuzzReport {
     report
 }
 
-/// Runs a whole corpus sequentially (the CLI parallelises over slots).
-pub fn fuzz_corpus(seed: u64, slots: u64) -> FuzzReport {
-    let mut report = FuzzReport::default();
-    for i in 0..slots {
-        report.merge(fuzz_slot(seed, i));
-    }
-    report
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run_corpus;
 
     #[test]
     fn generation_is_deterministic() {
@@ -921,7 +903,7 @@ mod tests {
 
     #[test]
     fn small_corpus_converges_and_agrees() {
-        let report = fuzz_corpus(0xA110C, 300);
+        let report = run_corpus(300, 1, |i| fuzz_slot(0xA110C, i));
         assert!(
             report.divergences.is_empty(),
             "model diverged from reference spec: {:?}",

@@ -33,6 +33,7 @@ use mallacc_stats::{mean_ci95, tol};
 
 use crate::oracle::{Band, KernelId};
 use crate::program::{mix, SplitMix64};
+use crate::{Divergence, SlotReport};
 
 /// The sampled-vs-full verdict on one oracle kernel.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -72,17 +73,6 @@ pub fn sampled_kernel_outcomes(n: u64, plan: SamplingPlan) -> Vec<SampledKernelO
         .collect()
 }
 
-/// One sampled-vs-full disagreement.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SampleDivergence {
-    /// Seed of the offending program.
-    pub seed: u64,
-    /// Which check failed.
-    pub check: &'static str,
-    /// What disagreed.
-    pub detail: String,
-}
-
 /// Aggregate report over a sampled-differential corpus (or one slot).
 #[derive(Debug, Clone, Default)]
 pub struct SampleFuzzReport {
@@ -98,8 +88,10 @@ pub struct SampleFuzzReport {
     pub abs_error_pct_sum: f64,
     /// Largest |error| in % seen on a non-degenerate program.
     pub max_abs_error_pct: f64,
-    /// Violations found.
-    pub divergences: Vec<SampleDivergence>,
+    /// Violations found. Each is a whole-program check, so it has no
+    /// step; its check is `"functional-identity"`, `"timing-band"` or
+    /// `"degenerate-exact"`.
+    pub divergences: Vec<Divergence>,
 }
 
 impl SampleFuzzReport {
@@ -113,8 +105,19 @@ impl SampleFuzzReport {
         }
     }
 
-    /// Folds another report (e.g. a slot's) into this one.
-    pub fn merge(&mut self, other: SampleFuzzReport) {
+    /// Records one violation.
+    fn fail(&mut self, seed: u64, check: &str, detail: String) {
+        self.divergences.push(Divergence {
+            seed,
+            step: None,
+            check: check.to_string(),
+            detail,
+        });
+    }
+}
+
+impl SlotReport for SampleFuzzReport {
+    fn merge(&mut self, other: SampleFuzzReport) {
         self.programs += other.programs;
         self.degenerate_programs += other.degenerate_programs;
         self.uops += other.uops;
@@ -236,14 +239,14 @@ pub fn sample_fuzz_slot(seed: u64, index: u64) -> SampleFuzzReport {
     report.programs += 1;
     report.uops += n_uops as u64;
     if sampled_stats != full_stats {
-        report.divergences.push(SampleDivergence {
-            seed: slot_seed,
-            check: "functional-identity",
-            detail: format!(
+        report.fail(
+            slot_seed,
+            "functional-identity",
+            format!(
                 "plan {}: full {full_stats:?} vs sampled {sampled_stats:?}",
                 plan.canonical_string()
             ),
-        });
+        );
     }
     let error_pct = 100.0 * (sampled_clock as f64 - full_clock as f64) / full_clock as f64;
     report.abs_error_pct_sum += error_pct.abs();
@@ -256,16 +259,16 @@ pub fn sample_fuzz_slot(seed: u64, index: u64) -> SampleFuzzReport {
     );
     let within_ci = ci_rel.is_some_and(|rel| error_pct.abs() <= 100.0 * rel);
     if !in_band && !within_ci {
-        report.divergences.push(SampleDivergence {
-            seed: slot_seed,
-            check: "timing-band",
-            detail: format!(
+        report.fail(
+            slot_seed,
+            "timing-band",
+            format!(
                 "plan {}: full {full_clock} vs sampled {sampled_clock} ({error_pct:+.2}%), \
                  outside band and own ci95 ({:.2}%)",
                 plan.canonical_string(),
                 100.0 * ci_rel.unwrap_or(0.0)
             ),
-        });
+        );
     }
 
     // Degenerate plan: every µop detailed — must be the full run, exactly.
@@ -276,23 +279,14 @@ pub fn sample_fuzz_slot(seed: u64, index: u64) -> SampleFuzzReport {
     report.degenerate_programs += 1;
     report.uops += n_uops as u64;
     if degen_clock != full_clock || degen_stats != full_stats {
-        report.divergences.push(SampleDivergence {
-            seed: slot_seed,
-            check: "degenerate-exact",
-            detail: format!(
+        report.fail(
+            slot_seed,
+            "degenerate-exact",
+            format!(
                 "plan {}: full clock {full_clock} vs degenerate {degen_clock}",
                 degenerate.canonical_string()
             ),
-        });
-    }
-    report
-}
-
-/// Runs a whole corpus sequentially (the CLI parallelises over slots).
-pub fn sample_fuzz_corpus(seed: u64, slots: u64) -> SampleFuzzReport {
-    let mut report = SampleFuzzReport::default();
-    for i in 0..slots {
-        report.merge(sample_fuzz_slot(seed, i));
+        );
     }
     report
 }
@@ -300,6 +294,7 @@ pub fn sample_fuzz_corpus(seed: u64, slots: u64) -> SampleFuzzReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run_corpus;
 
     #[test]
     fn oracle_kernels_survive_sampling() {
@@ -333,7 +328,7 @@ mod tests {
 
     #[test]
     fn small_corpus_has_no_violations() {
-        let report = sample_fuzz_corpus(0x5A3D, 60);
+        let report = run_corpus(60, 1, |i| sample_fuzz_slot(0x5A3D, i));
         assert!(
             report.divergences.is_empty(),
             "sampled engine diverged: {:?}",

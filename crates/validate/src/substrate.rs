@@ -36,21 +36,7 @@ use mallacc_substrate::{rp_layout, PcFreePath, PerCpuMalloc, RpFreePath, RpMallo
 use mallacc_tcmalloc::ClassId;
 
 use crate::program::SplitMix64;
-
-/// One substrate-law violation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SubstrateDivergence {
-    /// Program seed that produced the violation.
-    pub seed: u64,
-    /// Zero-based allocator call at which it appeared (or the call
-    /// count, for end-of-program ledger checks).
-    pub step: u64,
-    /// Which law broke: `"span-ownership"`, `"token-conservation"` or
-    /// `"deferred-linearization"`.
-    pub check: &'static str,
-    /// Human-readable violation description.
-    pub detail: String,
-}
+use crate::{Divergence, SlotReport};
 
 /// Mergeable aggregate of substrate-conformance slots.
 #[derive(Debug, Clone, Default)]
@@ -67,13 +53,15 @@ pub struct SubstrateFuzzReport {
     pub linearize_programs: u64,
     /// Individual linearization evaluations.
     pub linearize_checks: u64,
-    /// Every violation found (empty on a conforming model).
-    pub divergences: Vec<SubstrateDivergence>,
+    /// Every violation found (empty on a conforming model). Its step is
+    /// the allocator call (or the call count, for end-of-program ledger
+    /// checks), its check the law that broke: `"span-ownership"`,
+    /// `"token-conservation"` or `"deferred-linearization"`.
+    pub divergences: Vec<Divergence>,
 }
 
-impl SubstrateFuzzReport {
-    /// Folds another slot's report into this one.
-    pub fn merge(&mut self, other: SubstrateFuzzReport) {
+impl SlotReport for SubstrateFuzzReport {
+    fn merge(&mut self, other: SubstrateFuzzReport) {
         self.span_programs += other.span_programs;
         self.span_checks += other.span_checks;
         self.token_programs += other.token_programs;
@@ -82,7 +70,9 @@ impl SubstrateFuzzReport {
         self.linearize_checks += other.linearize_checks;
         self.divergences.extend(other.divergences);
     }
+}
 
+impl SubstrateFuzzReport {
     /// Total allocator programs across the three law families.
     pub fn programs(&self) -> u64 {
         self.span_programs + self.token_programs + self.linearize_programs
@@ -92,22 +82,16 @@ impl SubstrateFuzzReport {
     pub fn checks(&self) -> u64 {
         self.span_checks + self.token_checks + self.linearize_checks
     }
-}
 
-/// Records one violation.
-fn fail(
-    report: &mut SubstrateFuzzReport,
-    seed: u64,
-    check: &'static str,
-    step: u64,
-    detail: String,
-) {
-    report.divergences.push(SubstrateDivergence {
-        seed,
-        step,
-        check,
-        detail,
-    });
+    /// Records one violation.
+    fn fail(&mut self, seed: u64, step: u64, check: &str, detail: String) {
+        self.divergences.push(Divergence {
+            seed,
+            step: Some(step),
+            check: check.to_string(),
+            detail,
+        });
+    }
 }
 
 /// Draws a small/medium/large request size, biased toward the
@@ -144,11 +128,10 @@ fn span_ownership(seed: u64, report: &mut SubstrateFuzzReport) {
                 || o.ptr < span + rp_layout::SPAN_HEADER
                 || o.ptr + o.alloc_size > span + rp_layout::SPAN_SIZE
             {
-                fail(
-                    report,
+                report.fail(
                     seed,
-                    "span-ownership",
                     step,
+                    "span-ownership",
                     format!(
                         "block [{:#x},+{}) escapes span {span:#x} payload",
                         o.ptr, o.alloc_size
@@ -157,11 +140,10 @@ fn span_ownership(seed: u64, report: &mut SubstrateFuzzReport) {
                 return;
             }
             if a.span_owner(o.ptr) != Some(t) {
-                fail(
-                    report,
+                report.fail(
                     seed,
-                    "span-ownership",
                     step,
+                    "span-ownership",
                     format!(
                         "thread {t} was served from a span owned by {:?}",
                         a.span_owner(o.ptr)
@@ -176,11 +158,10 @@ fn span_ownership(seed: u64, report: &mut SubstrateFuzzReport) {
             report.span_checks += 1;
             let local = matches!(f.path, RpFreePath::Local { .. });
             if f.span != Some(span) || local != (t == owner) {
-                fail(
-                    report,
+                report.fail(
                     seed,
-                    "span-ownership",
                     step,
+                    "span-ownership",
                     format!(
                         "free on {t} of {ptr:#x} (owner {owner}): span {:?}, path {:?}",
                         f.span, f.path
@@ -193,11 +174,10 @@ fn span_ownership(seed: u64, report: &mut SubstrateFuzzReport) {
             let f = a.free_on(t, ptr, rng.below(2) == 0);
             report.span_checks += 1;
             if !matches!(f.path, RpFreePath::Large { .. }) {
-                fail(
-                    report,
+                report.fail(
                     seed,
-                    "span-ownership",
                     step,
+                    "span-ownership",
                     format!("large free of {ptr:#x} took {:?}", f.path),
                 );
                 return;
@@ -207,11 +187,10 @@ fn span_ownership(seed: u64, report: &mut SubstrateFuzzReport) {
     for v in a.span_views() {
         report.span_checks += 1;
         if v.carved != v.live + v.free_len + v.deferred_len || v.carved > v.capacity {
-            fail(
-                report,
+            report.fail(
                 seed,
-                "span-ownership",
                 calls,
+                "span-ownership",
                 format!(
                     "span {:#x}: carved {} != live {} + free {} + deferred {} (capacity {})",
                     v.base, v.carved, v.live, v.free_len, v.deferred_len, v.capacity
@@ -234,14 +213,14 @@ fn census_ok(
         report.token_checks += 1;
         let (in_slabs, in_central, live, carved) = a.class_census(cls);
         if in_slabs + in_central + live != carved {
-            report.divergences.push(SubstrateDivergence {
+            report.fail(
                 seed,
                 step,
-                check: "token-conservation",
-                detail: format!(
+                "token-conservation",
+                format!(
                     "{cls}: slabs {in_slabs} + central {in_central} + live {live} != carved {carved}"
                 ),
-            });
+            );
             return false;
         }
     }
@@ -276,12 +255,12 @@ fn token_conservation(seed: u64, report: &mut SubstrateFuzzReport) {
             let ptr = pool.swap_remove(rng.below(pool.len() as u64) as usize);
             let f = a.free(ptr, rng.below(2) == 0);
             if f.class.is_none() && !matches!(f.path, PcFreePath::Large { .. }) {
-                report.divergences.push(SubstrateDivergence {
+                report.fail(
                     seed,
                     step,
-                    check: "token-conservation",
-                    detail: format!("classless free of {ptr:#x} took {:?}", f.path),
-                });
+                    "token-conservation",
+                    format!("classless free of {ptr:#x} took {:?}", f.path),
+                );
                 return;
             }
         }
@@ -321,21 +300,19 @@ fn deferred_linearization(seed: u64, report: &mut SubstrateFuzzReport) {
                 // The only legal way to receive a still-deferred block
                 // is a whole-list adoption, which serves LIFO.
                 if !adopting {
-                    fail(
-                        report,
+                    report.fail(
                         seed,
-                        "deferred-linearization",
                         step,
+                        "deferred-linearization",
                         format!("{:#x} served while deferred via {:?}", o.ptr, o.path),
                     );
                     return;
                 }
                 if shadow.last() != Some(&o.ptr) {
-                    fail(
-                        report,
+                    report.fail(
                         seed,
-                        "deferred-linearization",
                         step,
+                        "deferred-linearization",
                         format!(
                             "adoption served {:#x}, not the last deferred push {:#x}",
                             o.ptr,
@@ -346,11 +323,10 @@ fn deferred_linearization(seed: u64, report: &mut SubstrateFuzzReport) {
                 }
                 if let RpMallocPath::DeferredAdopt { adopted } = o.path {
                     if adopted != shadow.len() as u64 {
-                        fail(
-                            report,
+                        report.fail(
                             seed,
-                            "deferred-linearization",
                             step,
+                            "deferred-linearization",
                             format!(
                                 "adopted {adopted} blocks, shadow list held {}",
                                 shadow.len()
@@ -368,11 +344,10 @@ fn deferred_linearization(seed: u64, report: &mut SubstrateFuzzReport) {
                 // unless the span was reclaimed off the partial list,
                 // whose local hits never touch the deferred list.
                 if matches!(o.path, RpMallocPath::DeferredAdopt { .. }) {
-                    fail(
-                        report,
+                    report.fail(
                         seed,
-                        "deferred-linearization",
                         step,
+                        "deferred-linearization",
                         format!("adoption on {span:#x} served non-deferred {:#x}", o.ptr),
                     );
                     return;
@@ -398,22 +373,20 @@ fn deferred_linearization(seed: u64, report: &mut SubstrateFuzzReport) {
                         .or_default();
                     shadow.push(ptr);
                     if depth != shadow.len() as u64 {
-                        fail(
-                            report,
+                        report.fail(
                             seed,
-                            "deferred-linearization",
                             step,
+                            "deferred-linearization",
                             format!("deferred depth {depth}, shadow holds {}", shadow.len()),
                         );
                         return;
                     }
                 }
                 RpFreePath::Local { .. } if t != owner => {
-                    fail(
-                        report,
+                    report.fail(
                         seed,
-                        "deferred-linearization",
                         step,
+                        "deferred-linearization",
                         format!("foreign free of {ptr:#x} took the local path"),
                     );
                     return;
@@ -428,11 +401,10 @@ fn deferred_linearization(seed: u64, report: &mut SubstrateFuzzReport) {
         report.linearize_checks += 1;
         let shadow = deferred.get(&v.base).map_or(0, Vec::len) as u64;
         if v.deferred_len != shadow {
-            fail(
-                report,
+            report.fail(
                 seed,
-                "deferred-linearization",
                 calls,
+                "deferred-linearization",
                 format!(
                     "span {:#x}: model holds {} deferred, shadow {}",
                     v.base, v.deferred_len, shadow
@@ -457,13 +429,11 @@ pub fn substrate_fuzz_slot(corpus_seed: u64, slot: u64) -> SubstrateFuzzReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run_corpus;
 
     #[test]
     fn a_thousand_slots_conform() {
-        let mut report = SubstrateFuzzReport::default();
-        for slot in 0..1_000 {
-            report.merge(substrate_fuzz_slot(42, slot));
-        }
+        let report = run_corpus(1_000, 1, |slot| substrate_fuzz_slot(42, slot));
         assert_eq!(report.span_programs, 1_000);
         assert_eq!(report.token_programs, 1_000);
         assert_eq!(report.linearize_programs, 1_000);
@@ -477,10 +447,7 @@ mod tests {
 
     #[test]
     fn slots_are_independent_of_visit_order() {
-        let mut forward = SubstrateFuzzReport::default();
-        for slot in 0..16 {
-            forward.merge(substrate_fuzz_slot(7, slot));
-        }
+        let forward = run_corpus(16, 1, |slot| substrate_fuzz_slot(7, slot));
         let mut checks = 0;
         for slot in (0..16).rev() {
             checks += substrate_fuzz_slot(7, slot).checks();
@@ -493,10 +460,7 @@ mod tests {
         // The fuzzer is only as good as the regimes it reaches: across a
         // modest corpus, adoptions, deferred frees and mid-run censuses
         // must all have happened.
-        let mut report = SubstrateFuzzReport::default();
-        for slot in 0..50 {
-            report.merge(substrate_fuzz_slot(42, slot));
-        }
+        let report = run_corpus(50, 1, |slot| substrate_fuzz_slot(42, slot));
         assert!(report.span_checks > 1_000, "span: {}", report.span_checks);
         assert!(report.token_checks > 200, "token: {}", report.token_checks);
         assert!(
@@ -517,12 +481,12 @@ mod tests {
         // Pretend the shadow never saw the deferred free.
         for v in a.span_views() {
             if v.deferred_len != 0 {
-                report.divergences.push(SubstrateDivergence {
-                    seed: 0,
-                    step: 0,
-                    check: "deferred-linearization",
-                    detail: "shadow mismatch".to_string(),
-                });
+                report.fail(
+                    0,
+                    0,
+                    "deferred-linearization",
+                    "shadow mismatch".to_string(),
+                );
             }
         }
         assert_eq!(report.divergences.len(), 1);

@@ -7,7 +7,6 @@
 use proptest::prelude::*;
 
 use mallacc::{CallRecord, Driver, Mode, OffloadConfig, Substrate, TcSubstrate};
-use mallacc_bench::cli::run_indexed;
 use mallacc_bench::offload_cli::{offload_report, OffloadArgs};
 use mallacc_jemalloc::JeSubstrate;
 use mallacc_offload::{OffloadQueue, RefOffloadQueue};
@@ -20,12 +19,9 @@ use mallacc_substrate::{PcSubstrate, RpSubstrate, SubstrateKind};
 /// partitioning cannot change the aggregate.
 #[test]
 fn ten_thousand_fuzzed_programs_conform() {
-    use mallacc_validate::{offload_fuzz_slot, OffloadFuzzReport};
+    use mallacc_validate::{offload_fuzz_slot, run_corpus};
     const SLOTS: u64 = 3_500; // 2 queue + 1 heap program per slot
-    let mut report = OffloadFuzzReport::default();
-    for slot in run_indexed(SLOTS, 4, |i| offload_fuzz_slot(42, i)) {
-        report.merge(slot);
-    }
+    let report = run_corpus(SLOTS, 4, |i| offload_fuzz_slot(42, i));
     let programs = report.queue_programs + report.heap_programs;
     assert!(programs >= 10_000, "only {programs} programs");
     assert!(

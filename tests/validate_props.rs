@@ -7,7 +7,8 @@ use proptest::prelude::*;
 
 use mallacc_validate::laws::{check_law, LawId};
 use mallacc_validate::oracle::{run_kernel, Band, KernelId};
-use mallacc_validate::program::{diff_program, fuzz_corpus, McProgram};
+use mallacc_validate::program::{diff_program, fuzz_slot, McProgram};
+use mallacc_validate::run_corpus;
 
 /// Differential-fuzz volume for the acceptance criterion below. Each of
 /// the 2_500 proptest cases derives four program seeds, so a full run
@@ -108,7 +109,7 @@ proptest! {
 /// coverage of every architectural event, merged deterministically.
 #[test]
 fn fuzz_corpus_converges_with_full_coverage() {
-    let report = fuzz_corpus(0xC0FFEE, 400);
+    let report = run_corpus(400, 1, |i| fuzz_slot(0xC0FFEE, i));
     assert!(
         report.divergences.is_empty(),
         "divergence: {:?}",
