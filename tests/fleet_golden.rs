@@ -1,7 +1,7 @@
-//! Golden snapshot for the `repro fleet --smoke` report: the full text
+//! Golden snapshots for the `repro fleet --smoke` report: the full text
 //! output — scaling curves, tail-latency tables and p99 knees for every
-//! catalogue scenario — must be byte-identical on every run, on every
-//! host, and at every `--jobs` value. `tests/golden/mod.rs` says how to
+//! catalogue scenario — and its `--json` document must be byte-identical
+//! on every run, on every host, and at every `--jobs` value. `tests/golden/mod.rs` says how to
 //! regenerate the snapshot after an intentional change.
 
 mod golden;
@@ -19,6 +19,11 @@ fn smoke() -> &'static Runs {
 #[test]
 fn smoke_report_matches_snapshot() {
     assert_golden("fleet_smoke.txt", smoke().text());
+}
+
+#[test]
+fn smoke_json_matches_snapshot() {
+    assert_golden("fleet_smoke.json", smoke().json());
 }
 
 #[test]

@@ -1,7 +1,8 @@
-//! Golden snapshot for the `repro offload --smoke` report: the full text
+//! Golden snapshots for the `repro offload --smoke` report: the full text
 //! output — the Mallacc-vs-offload head-to-head, queue-depth sweep, fleet
-//! streams and area/speedup Pareto table — must be byte-identical on
-//! every run, on every host, and at every `--jobs` value.
+//! streams and area/speedup Pareto table — and its `--json` document
+//! must be byte-identical on every run, on every host, and at every
+//! `--jobs` value.
 //! `tests/golden/mod.rs` says how to regenerate the snapshot after an
 //! intentional change.
 
@@ -20,6 +21,11 @@ fn smoke() -> &'static Runs {
 #[test]
 fn smoke_report_matches_snapshot() {
     assert_golden("offload_smoke.txt", smoke().text());
+}
+
+#[test]
+fn smoke_json_matches_snapshot() {
+    assert_golden("offload_smoke.json", smoke().json());
 }
 
 #[test]

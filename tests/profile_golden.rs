@@ -1,13 +1,16 @@
 //! Golden-trace snapshot tests: the canonical fast-path malloc/free
-//! kernels must produce byte-identical stall breakdowns and Chrome trace
-//! JSON on every run, on every host, and at every `--jobs` value.
+//! kernels must produce byte-identical stall breakdowns, Chrome trace
+//! JSON and `repro profile --json` documents on every run, on every host,
+//! and at every `--jobs` value.
 //! `tests/golden/mod.rs` says how to regenerate the snapshots after an
 //! intentional change: the whole point is that *unintentional*
 //! attribution drift fails CI.
 
 mod golden;
 
-use golden::{assert_golden, run_report};
+use std::sync::OnceLock;
+
+use golden::{assert_golden, run_report, Runs};
 use mallacc::Mode;
 use mallacc_bench::profile_cli::{profile_report, ProfileArgs};
 use mallacc_prof::chrome::{chrome_trace, validate_chrome_trace};
@@ -61,8 +64,21 @@ fn repeated_runs_are_byte_identical() {
     assert_eq!(run(), run());
 }
 
+/// The whole `repro profile` report at the snapshot kernel scale.
+fn report() -> &'static Runs {
+    static RUNS: OnceLock<Runs> = OnceLock::new();
+    RUNS.get_or_init(|| {
+        let flags = format!("--pairs {PAIRS} --warmup {WARMUP} --mt-calls 40 --uops 0");
+        run_report(&flags, ProfileArgs::parse, profile_report)
+    })
+}
+
+#[test]
+fn report_json_matches_snapshot() {
+    assert_golden("profile_report.json", report().json());
+}
+
 #[test]
 fn jobs_value_does_not_change_a_byte() {
-    let flags = format!("--pairs {PAIRS} --warmup {WARMUP} --mt-calls 40 --uops 0");
-    run_report(&flags, ProfileArgs::parse, profile_report).assert_jobs_invariant();
+    report().assert_jobs_invariant();
 }

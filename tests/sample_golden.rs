@@ -1,7 +1,7 @@
-//! Golden snapshot for the `repro sample --smoke` report: the sampled-vs-
+//! Golden snapshots for the `repro sample --smoke` report: the sampled-vs-
 //! full error table for every macro workload, under the default cadence,
-//! must be byte-identical on every run, on every host, and at every
-//! `--jobs` value. `tests/golden/mod.rs` says how to regenerate the
+//! and its `--json` document must be byte-identical on every run, on
+//! every host, and at every `--jobs` value. `tests/golden/mod.rs` says how to regenerate the
 //! snapshot after an intentional change.
 
 mod golden;
@@ -19,6 +19,11 @@ fn smoke() -> &'static Runs {
 #[test]
 fn smoke_report_matches_snapshot_and_passes() {
     assert_golden("sample_smoke.txt", smoke().text());
+}
+
+#[test]
+fn smoke_json_matches_snapshot() {
+    assert_golden("sample_smoke.json", smoke().json());
 }
 
 #[test]

@@ -1,7 +1,8 @@
-//! Golden snapshot for the `repro substrate --smoke` report: the
+//! Golden snapshots for the `repro substrate --smoke` report: the
 //! four-substrate Mallacc-vs-offload-vs-both head-to-head and the
-//! per-substrate summary must be byte-identical on every run, on every
-//! host, and at every `--jobs` value. `tests/golden/mod.rs` says how to
+//! per-substrate summary, text and `--json` document, must be
+//! byte-identical on every run, on every host, and at every `--jobs`
+//! value. `tests/golden/mod.rs` says how to
 //! regenerate the snapshots after an intentional change.
 
 mod golden;
@@ -34,6 +35,11 @@ fn smoke_report_matches_snapshot() {
 }
 
 #[test]
+fn smoke_json_matches_snapshot() {
+    assert_golden("substrate_smoke.json", smoke().json());
+}
+
+#[test]
 fn jobs_value_does_not_change_a_byte() {
     smoke().assert_jobs_invariant();
 }
@@ -46,6 +52,11 @@ fn jobs_value_does_not_change_a_byte() {
 #[test]
 fn sampled_smoke_report_matches_snapshot() {
     assert_golden("substrate_smoke_sampled.txt", sampled_smoke().text());
+}
+
+#[test]
+fn sampled_smoke_json_matches_snapshot() {
+    assert_golden("substrate_smoke_sampled.json", sampled_smoke().json());
 }
 
 #[test]

@@ -41,20 +41,5 @@ fn jobs_value_does_not_change_a_byte() {
 
 #[test]
 fn smoke_json_matches_snapshot() {
-    let dir = std::env::temp_dir().join(format!("repro-validate-golden-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("validate.json");
-    let args = ValidateArgs {
-        jobs: 2,
-        json: Some(path.clone()),
-        ..ValidateArgs::parse(&["--smoke".to_string()]).unwrap()
-    };
-    let (code, text) = validate_report(&args);
-    let doc = std::fs::read_to_string(&path);
-    std::fs::remove_dir_all(&dir).ok();
-    assert_eq!(code, 0, "{text}");
-    assert_golden(
-        "validate_smoke.json",
-        &doc.expect("the report wrote its JSON"),
-    );
+    assert_golden("validate_smoke.json", smoke().json());
 }
