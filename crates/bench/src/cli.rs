@@ -259,12 +259,9 @@ pub fn substrate(_flag: &str, name: &str) -> Result<SubstrateKind, String> {
     })
 }
 
-/// Checks a `--workload` value and returns the name.
-pub fn workload(_flag: &str, name: &str) -> Result<String, String> {
-    match AnyWorkload::by_name(name) {
-        Some(_) => Ok(name.to_string()),
-        None => Err(unknown("workload", name, AnyWorkload::all_names())),
-    }
+/// Resolves a `--workload` value.
+pub fn workload(_flag: &str, name: &str) -> Result<AnyWorkload, String> {
+    AnyWorkload::by_name(name).ok_or_else(|| unknown("workload", name, AnyWorkload::all_names()))
 }
 
 /// Resolves a `--scenario` value.

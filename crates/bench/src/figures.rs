@@ -271,12 +271,8 @@ pub fn render_improvement(data: &ImprovementData) -> String {
 }
 
 /// Figure 13: improvement of total time spent in the allocator (malloc and
-/// free), Mallacc (32-entry cache) vs the limit study.
-pub fn fig13(scale: Scale) -> String {
-    render_fig13(&improvement_data(scale, false))
-}
-
-/// Renders the Figure 13 text from its dataset.
+/// free), Mallacc (32-entry cache) vs the limit study, rendered from its
+/// [`improvement_data`] dataset (`malloc_only = false`).
 pub fn render_fig13(data: &ImprovementData) -> String {
     format!(
         "Figure 13 — improvement of time spent in the allocator\n{}",
@@ -284,12 +280,8 @@ pub fn render_fig13(data: &ImprovementData) -> String {
     )
 }
 
-/// Figure 14: improvement of time spent in malloc() calls only.
-pub fn fig14(scale: Scale) -> String {
-    render_fig14(&improvement_data(scale, true))
-}
-
-/// Renders the Figure 14 text from its dataset.
+/// Figure 14: improvement of time spent in malloc() calls only, rendered
+/// from its [`improvement_data`] dataset (`malloc_only = true`).
 pub fn render_fig14(data: &ImprovementData) -> String {
     format!(
         "Figure 14 — improvement in time spent on malloc() calls\n{}",
@@ -432,13 +424,8 @@ pub fn fig17_data(scale: Scale, index_keying: bool) -> Fig17Data {
 }
 
 /// Figure 17: malloc speedup of each microbenchmark as the malloc cache
-/// grows from 2 to 32 entries, plus the limit study. Set `index_keying`
-/// to `false` for the generic (allocator-agnostic) range-keying ablation.
-pub fn fig17(scale: Scale, index_keying: bool) -> String {
-    render_fig17(&fig17_data(scale, index_keying))
-}
-
-/// Renders the Figure 17 text from its dataset.
+/// grows from 2 to 32 entries, plus the limit study, rendered from its
+/// [`fig17_data`] dataset.
 pub fn render_fig17(data: &Fig17Data) -> String {
     let mut headers: Vec<String> = vec!["ubench".into()];
     headers.extend(data.sizes.iter().map(|n| n.to_string()));
@@ -880,7 +867,7 @@ mod tests {
 
     #[test]
     fn fig17_has_sweep_columns() {
-        let s = fig17(Scale::quick(), true);
+        let s = render_fig17(&fig17_data(Scale::quick(), true));
         assert!(s.contains("tp_small"));
         assert!(s.contains("limit"));
     }

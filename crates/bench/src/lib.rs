@@ -10,19 +10,20 @@
 //! | Figure 4 (fast-path component costs)         | [`figures::fig4`] |
 //! | Figure 6 (size classes per workload)         | [`figures::fig6`] |
 //! | Table 1 (simulator validation)               | [`tables::table1`] |
-//! | Figure 13 (allocator time improvement)       | [`figures::fig13`] |
-//! | Figure 14 (malloc time improvement)          | [`figures::fig14`] |
+//! | Figure 13 (allocator time improvement)       | [`figures::improvement_data`] → [`figures::render_fig13`] |
+//! | Figure 14 (malloc time improvement)          | [`figures::improvement_data`] → [`figures::render_fig14`] |
 //! | Figure 15 (xapian call-duration PDFs)        | [`figures::fig15`] |
 //! | Figure 16 (xalancbmk call-duration PDFs)     | [`figures::fig16`] |
-//! | Figure 17 (cache-size sweep)                 | [`figures::fig17`] |
+//! | Figure 17 (cache-size sweep)                 | [`figures::fig17_data`] → [`figures::render_fig17`] |
 //! | Figure 18 (time in allocator)                | [`figures::fig18`] |
-//! | Table 2 (full-program speedup, t-tested)     | [`tables::table2`] |
+//! | Table 2 (full-program speedup, t-tested)     | [`tables::table2_data`] → [`tables::render_table2`] |
 //! | §6.4 (silicon area)                          | [`tables::area`] |
 //!
 //! Plus the [`figures::ablation`] study for the design choices DESIGN.md
 //! calls out (per-component accelerator configs, prefetch on/off, generic
-//! size keying), and the beyond-the-paper [`mt::mt`] multi-core report
-//! (per-core malloc caches over a shared L3 at 1/2/4/8 cores).
+//! size keying), and the beyond-the-paper multi-core report
+//! ([`mt::mt_data`] → [`mt::render_mt`]: per-core malloc caches over a
+//! shared L3 at 1/2/4/8 cores).
 //!
 //! [`paper_cli`] runs them for `repro <experiment>` and `repro all`. The
 //! figures with structured datasets (13, 14, 17, Table 2, mt) split

@@ -187,7 +187,9 @@ pub fn mt_json(blocks: &[MtBlock]) -> Json {
     )
 }
 
-/// Renders the multi-core text report from its dataset.
+/// The `repro mt` experiment: per-core and aggregate allocator-time
+/// improvement and malloc-cache hit rates vs. core count, rendered from
+/// its [`mt_data`] dataset.
 pub fn render_mt(blocks: &[MtBlock]) -> String {
     let mut out = String::from(
         "Multi-core — allocator time, malloc tail latency and malloc-cache \
@@ -237,24 +239,18 @@ pub fn render_mt(blocks: &[MtBlock]) -> String {
     out
 }
 
-/// The `repro mt` experiment: per-core and aggregate allocator-time
-/// improvement and malloc-cache hit rates vs. core count.
-pub fn mt(scale: Scale) -> String {
-    render_mt(&mt_data(scale))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn mt_report_renders_all_blocks() {
-        let s = mt(Scale {
+        let s = render_mt(&mt_data(Scale {
             calls: 320,
             warmup: 0,
             trials: 1,
             seed: 0,
-        });
+        }));
         assert!(s.contains("producer-consumer ring"));
         assert!(s.contains("483.xalancbmk"));
         assert!(s.contains("xapian.abstracts"));
@@ -272,6 +268,6 @@ mod tests {
             trials: 1,
             seed: 3,
         };
-        assert_eq!(mt(s), mt(s));
+        assert_eq!(render_mt(&mt_data(s)), render_mt(&mt_data(s)));
     }
 }

@@ -23,17 +23,22 @@
 //!    against its silicon cost from the core/offload area models, with
 //!    the frontier and knee marked.
 //!
-//! `HeadToHead` is the single-core duel `repro substrate` runs too.
+//! A run first simulates the first three sections into one outcome
+//! value, then renders the text and the JSON document from it, deriving
+//! the Pareto section from the head-to-head. [`HeadToHead`] is the
+//! single-core duel `repro substrate` runs too, and the two reports share
+//! its table and its mean.
 
 use std::path::PathBuf;
 
 use crate::cli::{self, run_indexed, Command, Flag};
-use mallacc::{offload_area_um2, AreaEstimate, Mode, OffloadConfig, SimMode};
-use mallacc_explore::run_mt_stream;
+use mallacc::{offload_area_um2, AreaEstimate, Mode, OffloadConfig, OffloadStats, SimMode};
+use mallacc_explore::{run_mt_stream, run_single_core};
+use mallacc_fleet::Scenario;
 use mallacc_stats::table::Table;
 use mallacc_stats::{knee_index, pareto_frontier, Json};
-use mallacc_substrate::{AnySim, SubstrateKind};
-use mallacc_workloads::AnyWorkload;
+use mallacc_substrate::SubstrateKind;
+use mallacc_workloads::{AnyWorkload, MacroWorkload, Microbenchmark};
 
 /// Command line of `repro offload`.
 pub const COMMAND: Command = Command {
@@ -62,10 +67,10 @@ pub const COMMAND: Command = Command {
 pub struct OffloadArgs {
     /// Allocator substrate every section runs on.
     pub substrate: SubstrateKind,
-    /// Workloads of the single-core head-to-head (empty = scale default).
-    pub workloads: Vec<String>,
-    /// Fleet scenarios to stream (empty = scale default).
-    pub scenarios: Vec<String>,
+    /// Workloads of the single-core head-to-head.
+    pub workloads: Vec<AnyWorkload>,
+    /// Fleet scenarios to stream.
+    pub scenarios: Vec<&'static Scenario>,
     /// Queue depths of the sweep section.
     pub depths: Vec<usize>,
     /// Core counts of the fleet section.
@@ -86,19 +91,32 @@ pub struct OffloadArgs {
     pub json: Option<PathBuf>,
 }
 
+/// The smoke-scale duel workloads of `repro offload` and `repro
+/// substrate`: one queue-bound and one compute-bound workload per family.
+pub(crate) fn smoke_workloads() -> Vec<AnyWorkload> {
+    ["tp_small", "gauss_free", "471.omnetpp", "xapian.pages"]
+        .map(|name| AnyWorkload::by_name(name).expect("a catalogue workload"))
+        .to_vec()
+}
+
+/// The full-scale duel workloads: every workload, micro then macro.
+pub(crate) fn all_workloads() -> Vec<AnyWorkload> {
+    Microbenchmark::ALL
+        .into_iter()
+        .map(AnyWorkload::Micro)
+        .chain(MacroWorkload::all().into_iter().map(AnyWorkload::Macro))
+        .collect()
+}
+
 impl Default for OffloadArgs {
     fn default() -> Self {
-        // The defaults are the smoke scale: one queue-bound and one
-        // compute-bound workload per family, CI-sized volumes.
+        // The defaults are the smoke scale, with CI-sized volumes.
         Self {
             substrate: SubstrateKind::TcMalloc,
-            workloads: vec![
-                "tp_small".to_string(),
-                "gauss_free".to_string(),
-                "471.omnetpp".to_string(),
-                "xapian.pages".to_string(),
-            ],
-            scenarios: vec!["rpc-fanout".to_string(), "tenant-mix".to_string()],
+            workloads: smoke_workloads(),
+            scenarios: ["rpc-fanout", "tenant-mix"]
+                .map(|name| Scenario::by_name(name).expect("a catalogue scenario"))
+                .to_vec(),
             depths: vec![1, 4, 8, 32],
             cores: vec![1, 2, 4],
             calls: 600,
@@ -117,14 +135,8 @@ impl OffloadArgs {
     /// the complete depth ladder, and core counts up to the lifted cap.
     pub fn full() -> Self {
         Self {
-            workloads: AnyWorkload::all_names()
-                .iter()
-                .map(|n| n.to_string())
-                .collect(),
-            scenarios: mallacc_fleet::Scenario::all()
-                .iter()
-                .map(|s| s.name.to_string())
-                .collect(),
+            workloads: all_workloads(),
+            scenarios: Scenario::all().iter().collect(),
             depths: vec![1, 2, 4, 8, 16, 32],
             cores: vec![1, 2, 4, 8, 16, 32],
             calls: 12_000,
@@ -144,9 +156,7 @@ impl OffloadArgs {
         };
         p.set("--substrate", &mut a.substrate, cli::substrate)?;
         p.set_all("--workload", &mut a.workloads, cli::workload)?;
-        p.set_all("--scenario", &mut a.scenarios, |flag, name| {
-            cli::scenario(flag, name).map(|_| name.to_string())
-        })?;
+        p.set_all("--scenario", &mut a.scenarios, cli::scenario)?;
         p.set("--depths", &mut a.depths, cli::counts)?;
         p.set("--cores", &mut a.cores, cli::counts)?;
         p.set("--calls", &mut a.calls, cli::int)?;
@@ -161,6 +171,14 @@ impl OffloadArgs {
         }
         Ok(a)
     }
+
+    /// The depth sweep's probes: the first and the last head-to-head
+    /// workload, one queue-bound and one compute-bound (micro first,
+    /// macro last, in both scales).
+    fn probes(&self) -> Vec<&AnyWorkload> {
+        let w = &self.workloads;
+        w[..1].iter().chain(w[1..].last()).collect()
+    }
 }
 
 /// The four machine variants every head-to-head compares, in table
@@ -174,35 +192,17 @@ fn modes() -> [Mode; 4] {
     ]
 }
 
-/// A fresh `substrate` simulator under `mode` that has replayed `warmup`
-/// calls of `workload` and then `calls` measured ones, with the measured
-/// calls' allocator cycles.
-fn warm_then_measure(
-    substrate: SubstrateKind,
-    mode: Mode,
-    workload: &AnyWorkload,
-    warmup: usize,
-    calls: usize,
-    seed: u64,
-    sim: SimMode,
-) -> (AnySim, f64) {
-    let mut s = AnySim::new(substrate, mode);
-    s.set_sampling(sim.plan());
-    workload.trace(warmup, seed).replay_on(&mut s);
-    let measure = workload.trace(calls, seed.wrapping_add(1));
-    let cycles = measure.replay_on(&mut s).allocator_cycles();
-    (s, cycles)
-}
-
-/// Allocator cycles of one run under each of the four [`modes`], and
+/// Allocator cycles of one run under each of the four machine variants
+/// (baseline, Mallacc, offload, and offload with a malloc cache), and
 /// the verdict of the Mallacc-vs-offload duel.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct HeadToHead(pub(crate) [f64; 4]);
+pub struct HeadToHead(pub [f64; 4]);
 
 impl HeadToHead {
-    /// `workload` on `substrate` under each mode, warmed and measured by
-    /// [`warm_then_measure`].
-    pub(crate) fn single_core(
+    /// `workload` on `substrate` under each variant, each run by
+    /// [`run_single_core`] over the same `warmup`-call warm-up trace and
+    /// `calls`-call measured trace.
+    pub fn single_core(
         substrate: SubstrateKind,
         workload: &AnyWorkload,
         warmup: usize,
@@ -210,15 +210,13 @@ impl HeadToHead {
         seed: u64,
         sim: SimMode,
     ) -> Self {
-        HeadToHead(
-            modes().map(|mode| {
-                warm_then_measure(substrate, mode, workload, warmup, calls, seed, sim).1
-            }),
-        )
+        let warm = workload.trace(warmup, seed);
+        let measure = workload.trace(calls, seed.wrapping_add(1));
+        HeadToHead(modes().map(|mode| run_single_core(substrate, mode, sim, &warm, &measure).1))
     }
 
-    /// Improvement over baseline, percent, for variant `i` of [`modes`].
-    pub(crate) fn improvement_pct(&self, i: usize) -> f64 {
+    /// Improvement over baseline, percent, of variant `i`.
+    fn improvement_pct(&self, i: usize) -> f64 {
         if self.0[0] > 0.0 {
             100.0 * (1.0 - self.0[i] / self.0[0])
         } else {
@@ -227,113 +225,128 @@ impl HeadToHead {
     }
 
     /// Which accelerator wins the Mallacc-vs-offload duel.
-    pub(crate) fn winner(&self) -> &'static str {
+    fn winner(&self) -> &'static str {
         if self.0[2] < self.0[1] {
             "offload"
         } else {
             "mallacc"
         }
     }
-
-    /// The `mallacc`, `offload`, `both` and `winner` table cells.
-    pub(crate) fn cells(&self) -> [String; 4] {
-        [
-            format!("{:+.1}%", self.improvement_pct(1)),
-            format!("{:+.1}%", self.improvement_pct(2)),
-            format!("{:+.1}%", self.improvement_pct(3)),
-            self.winner().to_string(),
-        ]
-    }
-
-    /// The JSON fields of [`cells`](Self::cells).
-    pub(crate) fn json_fields(&self) -> [(&'static str, Json); 4] {
-        [
-            ("mallacc_improvement_pct", self.improvement_pct(1).into()),
-            ("offload_improvement_pct", self.improvement_pct(2).into()),
-            ("both_improvement_pct", self.improvement_pct(3).into()),
-            ("winner", self.winner().into()),
-        ]
-    }
 }
 
-fn head_to_head_section(args: &OffloadArgs) -> (String, Json, Vec<HeadToHead>) {
-    let rows: Vec<HeadToHead> = run_indexed(args.workloads.len() as u64, args.jobs, |i| {
-        let workload =
-            AnyWorkload::by_name(&args.workloads[i as usize]).expect("validated at parse time");
-        HeadToHead::single_core(
-            args.substrate,
-            &workload,
-            args.warmup,
-            args.calls,
-            args.seed,
-            args.sim,
-        )
-    });
-    let mut t = Table::new(&[
-        "workload", "base cyc", "mallacc", "offload", "both", "winner",
-    ]);
+/// Mean improvement over baseline, percent, of Mallacc, offload and
+/// both across `duels`; zeros for none.
+pub(crate) fn mean_improvements(duels: &[HeadToHead]) -> [f64; 3] {
+    [1, 2, 3].map(|i| {
+        if duels.is_empty() {
+            0.0
+        } else {
+            duels.iter().map(|d| d.improvement_pct(i)).sum::<f64>() / duels.len() as f64
+        }
+    })
+}
+
+/// The baseline column of a duel table: its header, its JSON key and
+/// its decimals.
+pub(crate) type BaseColumn = (&'static str, &'static str, usize);
+
+/// Allocator cycles of a single-core cell.
+pub(crate) const BASE_CYCLES: BaseColumn = ("base cyc", "base_cycles", 0);
+
+/// Per-call cycles of a fleet stream, over all cores.
+const BASE_PER_CALL: BaseColumn = ("base c/call", "base_cycles_per_call", 1);
+
+/// The text table and the JSON rows of a list of duels. Each row leads
+/// with its values of the `lead` columns (a header is also its JSON key,
+/// and a string value prints as itself), then the `base` column, then
+/// the Mallacc, offload and both improvements and the winner.
+pub(crate) fn duel_table<'a>(
+    lead: &[&'static str],
+    base: BaseColumn,
+    rows: impl IntoIterator<Item = (Vec<Json>, &'a HeadToHead)>,
+) -> (String, Vec<Json>) {
+    let (base_header, base_key, decimals) = base;
+    let mut headers = lead.to_vec();
+    headers.extend([base_header, "mallacc", "offload", "both", "winner"]);
+    let mut t = Table::new(&headers);
     let mut json_rows = Vec::new();
-    for (workload, r) in args.workloads.iter().zip(&rows) {
-        let row = [workload.clone(), format!("{:.0}", r.0[0])];
-        t.row_owned(row.into_iter().chain(r.cells()).collect());
-        let fields = [
-            ("workload", Json::from(workload.as_str())),
-            ("base_cycles", Json::from(r.0[0])),
-        ];
-        json_rows.push(Json::obj(fields.into_iter().chain(r.json_fields())));
+    for (values, h) in rows {
+        let mut cells: Vec<String> = values
+            .iter()
+            .map(|v| match v {
+                Json::Str(s) => s.clone(),
+                v => v.render(),
+            })
+            .collect();
+        cells.push(format!("{:.*}", decimals, h.0[0]));
+        cells.extend((1..4).map(|i| format!("{:+.1}%", h.improvement_pct(i))));
+        cells.push(h.winner().to_string());
+        t.row_owned(cells);
+        let mut fields: Vec<(&'static str, Json)> = lead.iter().copied().zip(values).collect();
+        fields.extend([
+            (base_key, Json::from(h.0[0])),
+            ("mallacc_improvement_pct", h.improvement_pct(1).into()),
+            ("offload_improvement_pct", h.improvement_pct(2).into()),
+            ("both_improvement_pct", h.improvement_pct(3).into()),
+            ("winner", h.winner().into()),
+        ]);
+        json_rows.push(Json::obj(fields));
     }
-    let offload_wins = rows.iter().filter(|r| r.winner() == "offload").count();
-    let text = format!(
-        "== single-core head-to-head (improvement vs. baseline) ==\n{}offload wins {}/{} workloads, mallacc wins {}\n",
-        t.render(),
-        offload_wins,
-        rows.len(),
-        rows.len() - offload_wins,
-    );
-    let json = Json::obj([
-        ("rows", Json::Arr(json_rows)),
-        ("offload_wins", Json::from(offload_wins)),
-        ("mallacc_wins", Json::from(rows.len() - offload_wins)),
-    ]);
-    (text, json, rows)
+    (t.render(), json_rows)
 }
 
-fn depth_sweep_section(args: &OffloadArgs) -> (String, Json) {
-    // One queue-bound and one compute-bound probe: the first and last of
-    // the head-to-head list (micro first, macro last, in both scales).
-    let probes: Vec<&String> = if args.workloads.len() > 1 {
-        vec![
-            &args.workloads[0],
-            &args.workloads[args.workloads.len() - 1],
-        ]
-    } else {
-        vec![&args.workloads[0]]
-    };
-    let cells: Vec<(String, usize, f64, u64, u64)> =
-        run_indexed((probes.len() * args.depths.len()) as u64, args.jobs, |i| {
-            let probe = probes[i as usize / args.depths.len()];
-            let depth = args.depths[i as usize % args.depths.len()];
-            let workload = AnyWorkload::by_name(probe).expect("validated at parse time");
-            let mut cfg = OffloadConfig::speedmalloc_default();
-            cfg.queue_depth = depth;
-            let (sim, cycles) = warm_then_measure(
-                args.substrate,
-                Mode::Offload(cfg),
-                &workload,
-                args.warmup,
-                args.calls,
-                args.seed,
-                args.sim,
-            );
-            let stats = sim.offload_stats().expect("offload mode has a queue");
-            (
-                probe.clone(),
-                depth,
-                cycles,
-                stats.queue_full_stalls,
-                stats.stall_cycles,
-            )
+/// Everything one `repro offload` run computed, before any of it is
+/// rendered.
+struct Outcome {
+    /// One duel per workload.
+    head_to_head: Vec<HeadToHead>,
+    /// Offload allocator cycles and queue counters per probe and queue
+    /// depth, probe-major.
+    depth_sweep: Vec<(f64, OffloadStats)>,
+    /// Per-call cycles of one duel per scenario and core count,
+    /// scenario-major.
+    fleet: Vec<HeadToHead>,
+}
+
+impl Outcome {
+    /// Runs every section at the scale of `args`.
+    fn run(args: &OffloadArgs) -> Outcome {
+        let (substrate, sim, seed) = (args.substrate, args.sim, args.seed);
+        let (probes, depths, cores) = (args.probes(), &args.depths, &args.cores);
+        let head_to_head = run_indexed(args.workloads.len() as u64, args.jobs, |i| {
+            let workload = &args.workloads[i as usize];
+            HeadToHead::single_core(substrate, workload, args.warmup, args.calls, seed, sim)
         });
+        let depth_sweep = run_indexed((probes.len() * depths.len()) as u64, args.jobs, |i| {
+            let probe = probes[i as usize / depths.len()];
+            let mut cfg = OffloadConfig::speedmalloc_default();
+            cfg.queue_depth = depths[i as usize % depths.len()];
+            let warm = probe.trace(args.warmup, seed);
+            let measure = probe.trace(args.calls, seed.wrapping_add(1));
+            let (machine, cycles) =
+                run_single_core(substrate, Mode::Offload(cfg), sim, &warm, &measure);
+            let stats = machine.offload_stats().expect("offload mode has a queue");
+            (cycles, stats)
+        });
+        let fleet_cells = (args.scenarios.len() * cores.len()) as u64;
+        let fleet = run_indexed(fleet_cells, args.jobs, |i| {
+            let scenario = args.scenarios[i as usize / cores.len()];
+            let cores = cores[i as usize % cores.len()];
+            HeadToHead(modes().map(|mode| {
+                let stream = scenario.stream(cores, args.requests, seed);
+                let (cycles, calls) = run_mt_stream(substrate, mode, cores, sim, stream);
+                cycles as f64 / calls.max(1) as f64
+            }))
+        });
+        Outcome {
+            head_to_head,
+            depth_sweep,
+            fleet,
+        }
+    }
+}
+
+fn depth_sweep_section(args: &OffloadArgs, cells: &[(f64, OffloadStats)]) -> (String, Json) {
     let mut t = Table::new(&[
         "workload",
         "qdepth",
@@ -342,71 +355,24 @@ fn depth_sweep_section(args: &OffloadArgs) -> (String, Json) {
         "stall cyc",
     ]);
     let mut json_rows = Vec::new();
-    for (workload, depth, cycles, stalls, stall_cycles) in &cells {
+    let keys = (args.probes().into_iter()).flat_map(|p| args.depths.iter().map(move |&d| (p, d)));
+    for ((workload, depth), (cycles, stats)) in keys.zip(cells) {
         t.row_owned(vec![
-            workload.clone(),
+            workload.name().to_string(),
             depth.to_string(),
             format!("{cycles:.0}"),
-            stalls.to_string(),
-            stall_cycles.to_string(),
+            stats.queue_full_stalls.to_string(),
+            stats.stall_cycles.to_string(),
         ]);
         json_rows.push(Json::obj([
-            ("workload", Json::from(workload.as_str())),
-            ("queue_depth", Json::from(*depth)),
+            ("workload", Json::from(workload.name())),
+            ("queue_depth", Json::from(depth)),
             ("alloc_cycles", Json::from(*cycles)),
-            ("queue_full_stalls", Json::from(*stalls)),
-            ("stall_cycles", Json::from(*stall_cycles)),
+            ("queue_full_stalls", Json::from(stats.queue_full_stalls)),
+            ("stall_cycles", Json::from(stats.stall_cycles)),
         ]));
     }
     let text = format!("== offload queue-depth sweep ==\n{}", t.render());
-    (text, Json::obj([("cells", Json::Arr(json_rows))]))
-}
-
-fn fleet_section(args: &OffloadArgs) -> (String, Json) {
-    let cells: Vec<(String, usize, HeadToHead)> = run_indexed(
-        (args.scenarios.len() * args.cores.len()) as u64,
-        args.jobs,
-        |i| {
-            let scenario_name = &args.scenarios[i as usize / args.cores.len()];
-            let cores = args.cores[i as usize % args.cores.len()];
-            let scenario =
-                mallacc_fleet::Scenario::by_name(scenario_name).expect("validated at parse time");
-            let per_call = modes().map(|mode| {
-                let stream = scenario.stream(cores, args.requests, args.seed);
-                let (cycles, calls) = run_mt_stream(args.substrate, mode, cores, args.sim, stream);
-                cycles as f64 / calls.max(1) as f64
-            });
-            (scenario_name.clone(), cores, HeadToHead(per_call))
-        },
-    );
-    let mut t = Table::new(&[
-        "scenario",
-        "cores",
-        "base c/call",
-        "mallacc",
-        "offload",
-        "both",
-        "winner",
-    ]);
-    let mut json_rows = Vec::new();
-    for (scenario, cores, h) in &cells {
-        let row = [
-            scenario.clone(),
-            cores.to_string(),
-            format!("{:.1}", h.0[0]),
-        ];
-        t.row_owned(row.into_iter().chain(h.cells()).collect());
-        let fields = [
-            ("scenario", Json::from(scenario.as_str())),
-            ("cores", Json::from(*cores)),
-            ("base_cycles_per_call", Json::from(h.0[0])),
-        ];
-        json_rows.push(Json::obj(fields.into_iter().chain(h.json_fields())));
-    }
-    let text = format!(
-        "== fleet scenario streams (per-call cycles, all cores) ==\n{}",
-        t.render()
-    );
     (text, Json::obj([("cells", Json::Arr(json_rows))]))
 }
 
@@ -416,18 +382,12 @@ fn pareto_section(rows: &[HeadToHead]) -> (String, Json) {
     // from the offload area model, `both` paying for the pair.
     let cache = AreaEstimate::for_entries(16).total_um2();
     let offload = offload_area_um2(mallacc::DEFAULT_QUEUE_DEPTH);
-    let mean = |i: usize| {
-        if rows.is_empty() {
-            0.0
-        } else {
-            rows.iter().map(|r| r.improvement_pct(i)).sum::<f64>() / rows.len() as f64
-        }
-    };
+    let [mallacc, offload_gain, both] = mean_improvements(rows);
     let designs = [
         ("none", 0.0, 0.0),
-        ("mallacc", cache, mean(1)),
-        ("offload", offload, mean(2)),
-        ("both", offload + cache, mean(3)),
+        ("mallacc", cache, mallacc),
+        ("offload", offload, offload_gain),
+        ("both", offload + cache, both),
     ];
     let points: Vec<(f64, f64)> = designs.iter().map(|&(_, a, g)| (a, g)).collect();
     let frontier = pareto_frontier(&points);
@@ -463,28 +423,34 @@ fn pareto_section(rows: &[HeadToHead]) -> (String, Json) {
     (text, Json::obj([("designs", Json::Arr(json_rows))]))
 }
 
-/// Runs `repro offload` and returns `(exit code, report text)`.
-pub fn offload_report(args: &OffloadArgs) -> (i32, String) {
-    let mut out = format!(
-        "repro offload: substrate {}, {} workloads x 4 variants, calls {}, requests {}, seed {}\n\n",
+/// Renders `o` as the report text and, with `--json`, the document;
+/// returns the exit code and the text.
+fn render(args: &OffloadArgs, o: &Outcome) -> (i32, String) {
+    let h2h = &o.head_to_head;
+    let names = args.workloads.iter().map(|w| vec![Json::from(w.name())]);
+    let (h2h_table, h2h_rows) = duel_table(&["workload"], BASE_CYCLES, names.zip(h2h));
+    let offload_wins = h2h.iter().filter(|d| d.winner() == "offload").count();
+    let mallacc_wins = h2h.len() - offload_wins;
+    let (depth_text, depth_json) = depth_sweep_section(args, &o.depth_sweep);
+    let keys = (args.scenarios.iter())
+        .flat_map(|s| (args.cores.iter()).map(|&c| vec![Json::from(s.name), Json::from(c)]));
+    let (fleet_table, fleet_rows) =
+        duel_table(&["scenario", "cores"], BASE_PER_CALL, keys.zip(&o.fleet));
+    let (pareto_text, pareto_json) = pareto_section(h2h);
+    let out = format!(
+        "repro offload: substrate {}, {} workloads x 4 variants, calls {}, requests {}, seed {}\n\n\
+         == single-core head-to-head (improvement vs. baseline) ==\n{h2h_table}\
+         offload wins {offload_wins}/{} workloads, mallacc wins {mallacc_wins}\n\n\
+         {depth_text}\n\
+         == fleet scenario streams (per-call cycles, all cores) ==\n{fleet_table}\n\
+         {pareto_text}",
         args.substrate.name(),
         args.workloads.len(),
         args.calls,
         args.requests,
-        args.seed
+        args.seed,
+        h2h.len(),
     );
-    let (h2h_text, h2h_json, rows) = head_to_head_section(args);
-    let (depth_text, depth_json) = depth_sweep_section(args);
-    let (fleet_text, fleet_json) = fleet_section(args);
-    let (pareto_text, pareto_json) = pareto_section(&rows);
-    out.push_str(&h2h_text);
-    out.push('\n');
-    out.push_str(&depth_text);
-    out.push('\n');
-    out.push_str(&fleet_text);
-    out.push('\n');
-    out.push_str(&pareto_text);
-
     cli::finish("offload", out, true, args.json.as_deref(), || {
         Json::obj([
             ("schema", Json::from("mallacc-offload/1")),
@@ -498,12 +464,24 @@ pub fn offload_report(args: &OffloadArgs) -> (i32, String) {
                     ("seed", Json::from(args.seed)),
                 ]),
             ),
-            ("head_to_head", h2h_json),
+            (
+                "head_to_head",
+                Json::obj([
+                    ("rows", Json::Arr(h2h_rows)),
+                    ("offload_wins", Json::from(offload_wins)),
+                    ("mallacc_wins", Json::from(mallacc_wins)),
+                ]),
+            ),
             ("depth_sweep", depth_json),
-            ("fleet", fleet_json),
+            ("fleet", Json::obj([("cells", Json::Arr(fleet_rows))])),
             ("pareto", pareto_json),
         ])
     })
+}
+
+/// Runs `repro offload` and returns `(exit code, report text)`.
+pub fn offload_report(args: &OffloadArgs) -> (i32, String) {
+    render(args, &Outcome::run(args))
 }
 
 #[cfg(test)]
@@ -516,8 +494,10 @@ mod tests {
 
     fn tiny() -> OffloadArgs {
         OffloadArgs {
-            workloads: vec!["tp_small".to_string(), "xapian.pages".to_string()],
-            scenarios: vec!["rpc-fanout".to_string()],
+            workloads: ["tp_small", "xapian.pages"]
+                .map(|n| AnyWorkload::by_name(n).unwrap())
+                .to_vec(),
+            scenarios: vec![Scenario::by_name("rpc-fanout").unwrap()],
             depths: vec![1, 8],
             cores: vec![1, 2],
             calls: 200,
@@ -546,7 +526,8 @@ mod tests {
             "7",
         ]))
         .unwrap();
-        assert_eq!(o.workloads, vec!["gauss"]);
+        let names: Vec<&str> = o.workloads.iter().map(AnyWorkload::name).collect();
+        assert_eq!(names, ["gauss"]);
         assert_eq!(o.depths, vec![2, 16]);
         assert_eq!(o.cores, vec![1, 64]);
         assert_eq!(o.seed, 7);

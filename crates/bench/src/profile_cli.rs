@@ -7,7 +7,10 @@
 //! tables, one column set per configuration, plus the malloc-cache event
 //! counters and a two-core attribution summary. `--trace` additionally
 //! exports a Chrome trace-event JSON (validated against the schema before
-//! writing); `--json` exports the same integers the tables print.
+//! writing); `--json` exports the same integers the tables print. A run
+//! computes every profile first, then renders the report, the exports
+//! and the exit code from them: a conservation violation in any
+//! profiler, single-core or two-core, exits 1.
 
 use std::path::PathBuf;
 
@@ -114,67 +117,76 @@ fn modes() -> [(Mode, &'static str); 3] {
     ]
 }
 
-/// Runs the per-mode fast-path kernels, in parallel across `jobs`
-/// workers. Each mode's simulation is independent and deterministic, so
-/// the output is identical for every `jobs` value.
-fn run_modes(args: &ProfileArgs) -> Vec<(ModeProfile, Box<Profiler>)> {
-    let runs = modes();
-    run_indexed(runs.len() as u64, args.jobs, |i| {
-        let (mode, label) = runs[i as usize];
-        profile_fastpath(mode, label, args.pairs, args.warmup, args.uops)
-    })
+/// One core's row of the two-core section.
+struct CoreRow {
+    core: u32,
+    ops: usize,
+    op_cycles: u64,
+    idle_in_op: u64,
+    outside_cycles: u64,
+    violations: u64,
 }
 
-fn render_mt_section(args: &ProfileArgs) -> (String, Json) {
-    let trace = MtTrace::producer_consumer(2, args.mt_calls, args.seed);
-    let (result, profilers) = profile_multicore(Mode::mallacc_default(), &trace, 0);
-    let mut t = Table::new(&[
-        "core",
-        "ops",
-        "op cyc",
-        "idle-in-op",
-        "outside cyc",
-        "violations",
-    ]);
-    let mut cores_json = Vec::new();
-    for p in &profilers {
-        let op_cycles: u64 = p.ops().iter().map(|o| o.cycles()).sum();
-        let idle: u64 = p.ops().iter().map(|o| o.stall.get(StallReason::Idle)).sum();
-        t.row_owned(vec![
-            p.tid().to_string(),
-            p.ops().len().to_string(),
-            op_cycles.to_string(),
-            idle.to_string(),
-            p.outside().total().to_string(),
-            p.conservation_violations().to_string(),
-        ]);
-        cores_json.push(Json::obj([
-            ("core", Json::from(u64::from(p.tid()))),
-            ("ops", Json::from(p.ops().len())),
-            ("op_cycles", Json::from(op_cycles)),
-            ("idle_in_op", Json::from(idle)),
-            ("outside_cycles", Json::from(p.outside().total())),
-            ("violations", Json::from(p.conservation_violations())),
-        ]));
+/// Everything one `repro profile` run computed, before any of it is
+/// rendered.
+struct Outcome {
+    /// Each configuration's profile, with its profiler's conservation
+    /// violations.
+    modes: Vec<(ModeProfile, u64)>,
+    /// The Chrome trace of the single-core profilers, when `--trace` asks
+    /// for one.
+    trace: Option<Json>,
+    /// Synchronisation epochs of the two-core run.
+    mt_epochs: u64,
+    /// One row per core of the two-core run.
+    mt_cores: Vec<CoreRow>,
+}
+
+impl Outcome {
+    /// Runs the per-mode fast-path kernels, in parallel across `jobs`
+    /// workers, then the two-core producer/consumer ring. Each mode's
+    /// simulation is independent and deterministic, so the outcome is
+    /// identical for every `jobs` value.
+    fn run(args: &ProfileArgs) -> Outcome {
+        let runs = modes();
+        let results = run_indexed(runs.len() as u64, args.jobs, |i| {
+            let (mode, label) = runs[i as usize];
+            profile_fastpath(mode, label, args.pairs, args.warmup, args.uops)
+        });
+        let trace = args.trace.as_ref().map(|_| {
+            let profilers: Vec<&Profiler> = results.iter().map(|(_, p)| p.as_ref()).collect();
+            let labels: Vec<&str> = results.iter().map(|(p, _)| p.label.as_str()).collect();
+            chrome_trace(&profilers, &labels)
+        });
+        let ring = MtTrace::producer_consumer(2, args.mt_calls, args.seed);
+        let (result, profilers) = profile_multicore(Mode::mallacc_default(), &ring, 0);
+        let mt_cores = profilers
+            .iter()
+            .map(|p| CoreRow {
+                core: p.tid(),
+                ops: p.ops().len(),
+                op_cycles: p.ops().iter().map(|o| o.cycles()).sum(),
+                idle_in_op: p.ops().iter().map(|o| o.stall.get(StallReason::Idle)).sum(),
+                outside_cycles: p.outside().total(),
+                violations: p.conservation_violations(),
+            })
+            .collect();
+        Outcome {
+            modes: (results.into_iter())
+                .map(|(p, profiler)| (p, profiler.conservation_violations()))
+                .collect(),
+            trace,
+            mt_epochs: result.epochs,
+            mt_cores,
+        }
     }
-    let text = format!(
-        "== two-core attribution (producer/consumer ring, mallacc) ==\n{}",
-        t.render()
-    );
-    let json = Json::obj([
-        ("epochs", Json::from(result.epochs)),
-        ("cores", Json::Arr(cores_json)),
-    ]);
-    (text, json)
 }
 
-/// Runs `repro profile` and returns `(exit code, report text)`.
-pub fn profile_report(args: &ProfileArgs) -> (i32, String) {
-    let results = run_modes(args);
-    let profiles: Vec<&ModeProfile> = results.iter().map(|(p, _)| p).collect();
-    let profilers: Vec<&Profiler> = results.iter().map(|(_, p)| p.as_ref()).collect();
-    let labels: Vec<&str> = profiles.iter().map(|p| p.label.as_str()).collect();
-
+/// Renders `o` as the report text and, with `--trace` and `--json`, the
+/// exports; returns the exit code and the text. Any conservation
+/// violation, single-core or two-core, fails the run before the exports.
+fn render(args: &ProfileArgs, o: &Outcome) -> (i32, String) {
+    let profiles: Vec<&ModeProfile> = o.modes.iter().map(|(p, _)| p).collect();
     let mut out = String::new();
     out.push_str(&format!(
         "repro profile: {} warm fast-path pairs per mode ({} warm-up)\n\n",
@@ -199,27 +211,58 @@ pub fn profile_report(args: &ProfileArgs) -> (i32, String) {
         "== malloc-cache events ==\n{}\n",
         render_mc_table(&profiles)
     ));
-    let (mt_text, mt_json) = render_mt_section(args);
-    out.push_str(&mt_text);
+    let mut t = Table::new(&[
+        "core",
+        "ops",
+        "op cyc",
+        "idle-in-op",
+        "outside cyc",
+        "violations",
+    ]);
+    let mut cores_json = Vec::new();
+    for c in &o.mt_cores {
+        t.row_owned(vec![
+            c.core.to_string(),
+            c.ops.to_string(),
+            c.op_cycles.to_string(),
+            c.idle_in_op.to_string(),
+            c.outside_cycles.to_string(),
+            c.violations.to_string(),
+        ]);
+        cores_json.push(Json::obj([
+            ("core", Json::from(u64::from(c.core))),
+            ("ops", Json::from(c.ops)),
+            ("op_cycles", Json::from(c.op_cycles)),
+            ("idle_in_op", Json::from(c.idle_in_op)),
+            ("outside_cycles", Json::from(c.outside_cycles)),
+            ("violations", Json::from(c.violations)),
+        ]));
+    }
+    out.push_str(&format!(
+        "== two-core attribution (producer/consumer ring, mallacc) ==\n{}",
+        t.render()
+    ));
 
-    for (p, profiler) in &results {
-        if profiler.conservation_violations() > 0 {
-            eprintln!(
-                "repro profile: {} conservation violations in mode {}",
-                profiler.conservation_violations(),
-                p.label
-            );
-            return (1, out);
+    let single_core = (o.modes.iter()).map(|(p, n)| (format!("mode {}", p.label), *n));
+    let two_core =
+        (o.mt_cores.iter()).map(|c| (format!("core {} of the two-core run", c.core), c.violations));
+    let mut conserved = true;
+    for (profiler, violations) in single_core.chain(two_core) {
+        if violations > 0 {
+            eprintln!("repro profile: {violations} conservation violations in {profiler}");
+            conserved = false;
         }
     }
+    if !conserved {
+        return (1, out);
+    }
 
-    if let Some(path) = &args.trace {
-        let doc = chrome_trace(&profilers, &labels);
-        if let Err(e) = validate_chrome_trace(&doc) {
+    if let (Some(path), Some(doc)) = (&args.trace, &o.trace) {
+        if let Err(e) = validate_chrome_trace(doc) {
             eprintln!("repro profile: emitted trace failed validation: {e}");
             return (1, out);
         }
-        if !cli::write_json("profile", path, &doc, &mut out) {
+        if !cli::write_json("profile", path, doc, &mut out) {
             return (1, out);
         }
     }
@@ -239,9 +282,20 @@ pub fn profile_report(args: &ProfileArgs) -> (i32, String) {
                 "modes",
                 Json::Arr(profiles.iter().map(|p| mode_json(p)).collect()),
             ),
-            ("mt", mt_json),
+            (
+                "mt",
+                Json::obj([
+                    ("epochs", Json::from(o.mt_epochs)),
+                    ("cores", Json::Arr(cores_json)),
+                ]),
+            ),
         ])
     })
+}
+
+/// Runs `repro profile` and returns `(exit code, report text)`.
+pub fn profile_report(args: &ProfileArgs) -> (i32, String) {
+    render(args, &Outcome::run(args))
 }
 
 #[cfg(test)]
@@ -290,6 +344,40 @@ mod tests {
         assert!(text.contains("size_class"), "{text}");
         assert!(text.contains("list_op"), "{text}");
         assert!(text.contains("szlookup hit"), "{text}");
+    }
+
+    #[test]
+    fn a_violation_in_any_profiler_fails_the_run() {
+        let dir = std::env::temp_dir().join(format!("repro-profile-fail-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let a = ProfileArgs {
+            pairs: 40,
+            warmup: 10,
+            mt_calls: 30,
+            uops: 32,
+            trace: Some(dir.join("trace.json")),
+            json: Some(dir.join("profile.json")),
+            ..ProfileArgs::default()
+        };
+        let clean = Outcome::run(&a);
+        assert_eq!(clean.mt_cores.len(), 2);
+
+        let mut two_core = Outcome::run(&a);
+        two_core.mt_cores[1].violations = 1;
+        let (code, text) = render(&a, &two_core);
+        assert_eq!(code, 1, "{text}");
+        let row = text.lines().last().unwrap();
+        assert!(row.starts_with('1') && row.ends_with(" 1"), "{row}");
+
+        let mut single_core = clean;
+        single_core.modes[2].1 = 3;
+        let (code, text) = render(&a, &single_core);
+        assert_eq!(code, 1, "{text}");
+
+        // A failing run writes neither export.
+        let written = std::fs::read_dir(&dir).unwrap().count();
+        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(written, 0);
     }
 
     #[test]

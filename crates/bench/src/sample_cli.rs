@@ -27,7 +27,9 @@
 //! over. Any row failing both bounds, or any functional mismatch, fails
 //! the run (exit 1).
 //! Rows are computed as pure functions of their index, so the report is
-//! byte-identical for every `--jobs` value.
+//! byte-identical for every `--jobs` value. A run computes every row
+//! first, then renders the text, the JSON document and the verdict from
+//! them.
 
 use std::path::PathBuf;
 
@@ -36,7 +38,7 @@ use mallacc::{Mode, SamplingPlan};
 use mallacc_stats::table::Table;
 use mallacc_stats::{mean_ci95, tol, Json};
 use mallacc_substrate::{AnySim, SubstrateKind};
-use mallacc_workloads::AnyWorkload;
+use mallacc_workloads::{AnyWorkload, MacroWorkload};
 
 /// Command line of `repro sample`.
 pub const COMMAND: Command = Command {
@@ -60,8 +62,8 @@ pub const COMMAND: Command = Command {
 pub struct SampleArgs {
     /// Allocator substrate under test.
     pub substrate: SubstrateKind,
-    /// Workload names (defaults to the eight macro workloads).
-    pub workloads: Vec<String>,
+    /// Workloads under test (defaults to the eight macro workloads).
+    pub workloads: Vec<AnyWorkload>,
     /// Allocations per workload trace.
     pub mallocs: usize,
     /// The sampling cadence under test.
@@ -78,7 +80,9 @@ impl Default for SampleArgs {
     fn default() -> Self {
         Self {
             substrate: SubstrateKind::TcMalloc,
-            workloads: Vec::new(),
+            workloads: (MacroWorkload::all().into_iter())
+                .map(AnyWorkload::Macro)
+                .collect(),
             mallocs: 4_000,
             plan: SamplingPlan::default_plan(),
             seed: 42,
@@ -110,19 +114,6 @@ impl SampleArgs {
         }
         Ok(a)
     }
-
-    /// The workload list actually run (explicit names, or all eight macro
-    /// workloads).
-    pub fn workload_names(&self) -> Vec<String> {
-        if self.workloads.is_empty() {
-            mallacc_workloads::MacroWorkload::all()
-                .iter()
-                .map(|w| w.name.to_string())
-                .collect()
-        } else {
-            self.workloads.clone()
-        }
-    }
 }
 
 /// A machine-mode row: display label and mode constructor.
@@ -150,10 +141,9 @@ struct Row {
     within_ci: bool,
 }
 
-fn run_row(args: &SampleArgs, workload: &str, mode_ix: usize) -> Row {
+fn run_row(args: &SampleArgs, workload: &AnyWorkload, mode_ix: usize) -> Row {
     let (mode_label, mode) = MODES[mode_ix];
-    let w = AnyWorkload::by_name(workload).expect("workload validated at parse time");
-    let trace = w.trace(args.mallocs, args.seed);
+    let trace = workload.trace(args.mallocs, args.seed);
 
     let mut full = AnySim::new(args.substrate, mode());
     trace.replay_on(&mut full);
@@ -197,7 +187,7 @@ fn run_row(args: &SampleArgs, workload: &str, mode_ix: usize) -> Row {
     // window count cannot support.
     let within_ci = error_pct.abs() <= 100.0 * ci.relative();
     Row {
-        workload: workload.to_string(),
+        workload: workload.name().to_string(),
         mode: mode_label,
         full_cycles,
         sampled_cycles,
@@ -213,12 +203,16 @@ fn run_row(args: &SampleArgs, workload: &str, mode_ix: usize) -> Row {
 
 /// Runs `repro sample` and returns `(exit code, report text)`.
 pub fn sample_report(args: &SampleArgs) -> (i32, String) {
-    let names = args.workload_names();
-    let rows: Vec<Row> = run_indexed((names.len() * MODES.len()) as u64, args.jobs, |i| {
-        let (wi, mi) = ((i as usize) / MODES.len(), (i as usize) % MODES.len());
-        run_row(args, &names[wi], mi)
+    let n = MODES.len();
+    let rows: Vec<Row> = run_indexed((args.workloads.len() * n) as u64, args.jobs, |i| {
+        run_row(args, &args.workloads[i as usize / n], i as usize % n)
     });
+    render(args, &rows)
+}
 
+/// Renders `rows` as the report text and verdict and, with `--json`, the
+/// document; returns the exit code and the text.
+fn render(args: &SampleArgs, rows: &[Row]) -> (i32, String) {
     let mut out = format!(
         "repro sample: substrate {}, plan {} ({:.1}% detailed steady-state), mallocs={}, seed {}\n\n",
         args.substrate.name(),
@@ -238,7 +232,7 @@ pub fn sample_report(args: &SampleArgs) -> (i32, String) {
     let mut mean_abs = 0.0;
     let mut max_abs = 0.0f64;
     let mut json_rows = Vec::new();
-    for r in &rows {
+    for r in rows {
         let verdict = match (r.in_band, r.within_ci, r.functional_ok) {
             (_, _, false) => "FUNCTIONAL DRIFT",
             (true, _, true) => "ok",
@@ -320,7 +314,9 @@ mod tests {
 
     fn tiny() -> SampleArgs {
         SampleArgs {
-            workloads: vec!["471.omnetpp".to_string(), "483.xalancbmk".to_string()],
+            workloads: ["471.omnetpp", "483.xalancbmk"]
+                .map(|n| AnyWorkload::by_name(n).unwrap())
+                .to_vec(),
             mallocs: 1_200,
             ..SampleArgs::default()
         }
@@ -330,7 +326,7 @@ mod tests {
     fn parse_scales_flags_and_rejections() {
         let a = SampleArgs::parse(&s(&["--smoke"])).unwrap();
         assert_eq!(a.mallocs, 4_000);
-        assert_eq!(a.workload_names().len(), 8);
+        assert_eq!(a.workloads.len(), 8);
         let f = SampleArgs::parse(&s(&["--full", "--jobs", "3", "--seed", "7"])).unwrap();
         assert_eq!((f.mallocs, f.jobs, f.seed), (30_000, 3, 7));
         let w = SampleArgs::parse(&s(&[
@@ -342,7 +338,8 @@ mod tests {
             "64:256:4096",
         ]))
         .unwrap();
-        assert_eq!(w.workload_names(), vec!["gauss".to_string()]);
+        let names: Vec<&str> = w.workloads.iter().map(AnyWorkload::name).collect();
+        assert_eq!(names, ["gauss"]);
         assert_eq!(w.mallocs, 500);
         assert_eq!(w.plan.period, 4_096);
         let sub = SampleArgs::parse(&s(&["--substrate", "percpu"])).unwrap();
@@ -399,6 +396,65 @@ mod tests {
     }
 
     #[test]
+    fn failing_rows_render_their_verdicts_and_fail_the_run() {
+        let dir = std::env::temp_dir().join(format!("repro-sample-fail-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let row = |workload: &str, in_band, within_ci, functional_ok| Row {
+            workload: workload.to_string(),
+            mode: "baseline",
+            full_cycles: 1_000,
+            sampled_cycles: 1_100,
+            error_pct: 10.0,
+            ci95_rel_pct: 12.0,
+            windows: 3,
+            ff_fraction: 0.5,
+            functional_ok,
+            in_band,
+            within_ci,
+        };
+        let rows = [
+            row("w-ci", false, true, true),
+            row("w-band", false, false, true),
+            row("w-drift", true, true, false),
+        ];
+        let args = SampleArgs {
+            json: Some(dir.join("sample.json")),
+            ..SampleArgs::default()
+        };
+        let (code, text) = render(&args, &rows);
+        let doc = std::fs::read_to_string(dir.join("sample.json"));
+        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(code, 1, "{text}");
+        assert!(text.contains("\nverdict: FAIL\n"), "{text}");
+        let verdicts = ["ok(ci)", "OUT OF BAND", "FUNCTIONAL DRIFT"];
+        for (r, verdict) in rows.iter().zip(verdicts) {
+            let line = text
+                .lines()
+                .find(|l| l.starts_with(&r.workload))
+                .unwrap_or_else(|| panic!("no row for {}:\n{text}", r.workload));
+            assert!(line.ends_with(verdict), "{line}");
+        }
+
+        let doc = mallacc_stats::json::parse(&doc.expect("the report wrote its JSON")).unwrap();
+        assert_eq!(doc.get("pass"), Some(&Json::Bool(false)));
+        let json_rows = doc.get("rows").and_then(Json::as_arr).unwrap();
+        assert_eq!(json_rows.len(), rows.len());
+        for (j, r) in json_rows.iter().zip(&rows) {
+            assert_eq!(
+                j.get("workload").and_then(Json::as_str),
+                Some(r.workload.as_str())
+            );
+            for (key, value) in [
+                ("in_band", r.in_band),
+                ("within_ci", r.within_ci),
+                ("functional_ok", r.functional_ok),
+            ] {
+                assert_eq!(j.get(key), Some(&Json::Bool(value)), "{key}");
+            }
+        }
+    }
+
+    #[test]
     fn sampling_fidelity_holds_on_every_substrate() {
         // The oracle-bounded error gate and the functional-identity
         // check must pass on every substrate's µop stream — sampling is
@@ -407,7 +463,7 @@ mod tests {
         for kind in SubstrateKind::ALL {
             let a = SampleArgs {
                 substrate: kind,
-                workloads: vec!["471.omnetpp".to_string()],
+                workloads: vec![AnyWorkload::by_name("471.omnetpp").unwrap()],
                 mallocs: 1_200,
                 ..SampleArgs::default()
             };
@@ -421,7 +477,7 @@ mod tests {
     fn degenerate_plan_rows_have_zero_error() {
         let a = SampleArgs {
             plan: SamplingPlan::new(64, 64, 128).unwrap(),
-            workloads: vec!["gauss".to_string()],
+            workloads: vec![AnyWorkload::by_name("gauss").unwrap()],
             mallocs: 400,
             ..SampleArgs::default()
         };

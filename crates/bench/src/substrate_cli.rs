@@ -24,7 +24,9 @@
 use std::path::PathBuf;
 
 use crate::cli::{self, run_indexed, Command, Flag};
-use crate::offload_cli::HeadToHead;
+use crate::offload_cli::{
+    all_workloads, duel_table, mean_improvements, smoke_workloads, HeadToHead, BASE_CYCLES,
+};
 use mallacc::SimMode;
 use mallacc_stats::table::Table;
 use mallacc_stats::Json;
@@ -54,8 +56,8 @@ pub const COMMAND: Command = Command {
 pub struct SubstrateArgs {
     /// Substrates to compare (defaults to all four).
     pub substrates: Vec<SubstrateKind>,
-    /// Workloads of the head-to-head (empty never happens post-parse).
-    pub workloads: Vec<String>,
+    /// Workloads of the head-to-head.
+    pub workloads: Vec<AnyWorkload>,
     /// Measured malloc calls per cell.
     pub calls: usize,
     /// Warm-up malloc calls before measurement.
@@ -72,16 +74,10 @@ pub struct SubstrateArgs {
 
 impl Default for SubstrateArgs {
     fn default() -> Self {
-        // The defaults are the smoke scale: one queue-bound and one
-        // compute-bound workload per family, CI-sized volumes.
+        // The defaults are the smoke scale, with CI-sized volumes.
         Self {
             substrates: SubstrateKind::ALL.to_vec(),
-            workloads: vec![
-                "tp_small".to_string(),
-                "gauss_free".to_string(),
-                "471.omnetpp".to_string(),
-                "xapian.pages".to_string(),
-            ],
+            workloads: smoke_workloads(),
             calls: 600,
             warmup: 120,
             seed: 42,
@@ -96,10 +92,7 @@ impl SubstrateArgs {
     /// The full scale: every workload at paper-sized volumes.
     pub fn full() -> Self {
         Self {
-            workloads: AnyWorkload::all_names()
-                .iter()
-                .map(|n| n.to_string())
-                .collect(),
+            workloads: all_workloads(),
             calls: 12_000,
             warmup: 2_000,
             ..Self::default()
@@ -141,11 +134,10 @@ fn run_cells(args: &SubstrateArgs) -> Vec<Cell> {
     let total = (args.substrates.len() * args.workloads.len()) as u64;
     run_indexed(total, args.jobs, |i| {
         let substrate = args.substrates[i as usize / args.workloads.len()];
-        let name = &args.workloads[i as usize % args.workloads.len()];
-        let workload = AnyWorkload::by_name(name).expect("validated at parse time");
+        let workload = &args.workloads[i as usize % args.workloads.len()];
         let h2h = HeadToHead::single_core(
             substrate,
-            &workload,
+            workload,
             args.warmup,
             args.calls,
             args.seed,
@@ -153,41 +145,23 @@ fn run_cells(args: &SubstrateArgs) -> Vec<Cell> {
         );
         Cell {
             substrate,
-            workload: name.clone(),
+            workload: workload.name().to_string(),
             h2h,
         }
     })
 }
 
 fn head_to_head_section(cells: &[Cell]) -> (String, Json) {
-    let mut t = Table::new(&[
-        "substrate",
-        "workload",
-        "base cyc",
-        "mallacc",
-        "offload",
-        "both",
-        "winner",
-    ]);
-    let mut json_rows = Vec::new();
-    for c in cells {
-        let base = c.h2h.0[0];
-        let row = [
-            c.substrate.name().to_string(),
-            c.workload.clone(),
-            format!("{base:.0}"),
+    let rows = cells.iter().map(|c| {
+        let lead = vec![
+            Json::from(c.substrate.name()),
+            Json::from(c.workload.as_str()),
         ];
-        t.row_owned(row.into_iter().chain(c.h2h.cells()).collect());
-        let fields = [
-            ("substrate", Json::from(c.substrate.name())),
-            ("workload", Json::from(c.workload.as_str())),
-            ("base_cycles", Json::from(base)),
-        ];
-        json_rows.push(Json::obj(fields.into_iter().chain(c.h2h.json_fields())));
-    }
+        (lead, &c.h2h)
+    });
+    let (table, json_rows) = duel_table(&["substrate", "workload"], BASE_CYCLES, rows);
     let text = format!(
-        "== per-substrate head-to-head (improvement vs. that substrate's baseline) ==\n{}",
-        t.render()
+        "== per-substrate head-to-head (improvement vs. that substrate's baseline) ==\n{table}"
     );
     (text, Json::obj([("rows", Json::Arr(json_rows))]))
 }
@@ -215,15 +189,11 @@ fn summary_section(args: &SubstrateArgs, cells: &[Cell]) -> (String, Json, Vec<&
     let mut json_rows = Vec::new();
     let mut regressed = Vec::new();
     for &substrate in &args.substrates {
-        let rows: Vec<&Cell> = cells.iter().filter(|c| c.substrate == substrate).collect();
-        let mean = |i: usize| {
-            if rows.is_empty() {
-                0.0
-            } else {
-                rows.iter().map(|c| c.h2h.improvement_pct(i)).sum::<f64>() / rows.len() as f64
-            }
-        };
-        let (m, o, b) = (mean(1), mean(2), mean(3));
+        let duels: Vec<HeadToHead> = (cells.iter())
+            .filter(|c| c.substrate == substrate)
+            .map(|c| c.h2h)
+            .collect();
+        let [m, o, b] = mean_improvements(&duels);
         if m < MALLACC_REGRESSION_PCT {
             regressed.push(substrate.name());
         }
@@ -234,7 +204,7 @@ fn summary_section(args: &SubstrateArgs, cells: &[Cell]) -> (String, Json, Vec<&
             .unwrap_or("mallacc");
         t.row_owned(vec![
             substrate.name().to_string(),
-            rows.len().to_string(),
+            duels.len().to_string(),
             format!("{m:+.1}%"),
             format!("{o:+.1}%"),
             format!("{b:+.1}%"),
@@ -242,7 +212,7 @@ fn summary_section(args: &SubstrateArgs, cells: &[Cell]) -> (String, Json, Vec<&
         ]);
         json_rows.push(Json::obj([
             ("substrate", Json::from(substrate.name())),
-            ("workloads", Json::from(rows.len())),
+            ("workloads", Json::from(duels.len())),
             ("mean_mallacc_improvement_pct", Json::from(m)),
             ("mean_offload_improvement_pct", Json::from(o)),
             ("mean_both_improvement_pct", Json::from(b)),
@@ -312,7 +282,9 @@ mod tests {
 
     fn tiny() -> SubstrateArgs {
         SubstrateArgs {
-            workloads: vec!["tp_small".to_string(), "471.omnetpp".to_string()],
+            workloads: ["tp_small", "471.omnetpp"]
+                .map(|n| AnyWorkload::by_name(n).unwrap())
+                .to_vec(),
             calls: 200,
             warmup: 40,
             ..SubstrateArgs::default()
@@ -343,7 +315,8 @@ mod tests {
             o.substrates,
             vec![SubstrateKind::Rpmalloc, SubstrateKind::PerCpu]
         );
-        assert_eq!(o.workloads, vec!["gauss"]);
+        let names: Vec<&str> = o.workloads.iter().map(AnyWorkload::name).collect();
+        assert_eq!(names, ["gauss"]);
         assert_eq!(o.seed, 7);
 
         assert!(SubstrateArgs::parse(&s(&["--nope"])).is_err());
@@ -382,7 +355,7 @@ mod tests {
         };
         let args = SubstrateArgs {
             substrates: vec![SubstrateKind::TcMalloc, SubstrateKind::Rpmalloc],
-            workloads: vec!["tp_small".to_string()],
+            workloads: vec![AnyWorkload::by_name("tp_small").unwrap()],
             ..SubstrateArgs::default()
         };
         let cells = [

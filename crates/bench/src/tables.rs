@@ -131,12 +131,8 @@ pub fn table2_json(rows: &[Table2Row]) -> mallacc_stats::Json {
 /// Table 2 — full-program speedup with run-to-run variance and a
 /// one-sided Student's t-test, exactly as the paper filters its rows:
 /// workloads are reported only when the test rejects a hypothesis of
-/// slowdown at 95 %+ probability.
-pub fn table2(scale: Scale) -> String {
-    render_table2(&table2_data(scale), scale)
-}
-
-/// Renders the Table 2 text from its dataset.
+/// slowdown at 95 %+ probability. Rendered from its [`table2_data`]
+/// dataset.
 pub fn render_table2(rows: &[Table2Row], scale: Scale) -> String {
     let mut t = Table::new(&["workload", "speedup", "stddev", "p-value", ""]);
     for r in rows {
@@ -235,12 +231,13 @@ mod tests {
 
     #[test]
     fn table2_has_all_rows() {
-        let s = table2(Scale {
+        let scale = Scale {
             calls: 800,
             warmup: 200,
             trials: 2,
             seed: 0,
-        });
+        };
+        let s = render_table2(&table2_data(scale), scale);
         assert!(s.starts_with("Table 2 — full program speedup over 2 trials\n"));
         for w in MacroWorkload::all() {
             assert!(s.contains(w.name));

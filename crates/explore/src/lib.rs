@@ -52,5 +52,6 @@ mod report;
 pub use engine::{effective_jobs, run_sweep, SweepOptions};
 pub use grid::ParamGrid;
 pub use memo::MemoStore;
-pub use point::{fnv1a64, run_mt_stream, AccelKind, ConfigPoint, PointResult, RunScale, Substrate};
+pub use point::{fnv1a64, run_mt_stream, run_single_core, ConfigPoint, PointResult};
+pub use point::{AccelKind, RunScale, Substrate};
 pub use report::{AxisSensitivity, SweepReport};

@@ -8,7 +8,7 @@ use mallacc::{
 use mallacc_multicore::MulticoreSim;
 use mallacc_stats::Json;
 use mallacc_substrate::{AnySim, ShardedMt};
-use mallacc_workloads::{AnyWorkload, MtOp, MtTrace};
+use mallacc_workloads::{AnyWorkload, MtOp, MtTrace, Trace};
 
 /// Which allocator model the point runs on.
 ///
@@ -228,8 +228,8 @@ impl ConfigPoint {
     /// (multi-core microbenchmarks — they have no multi-threaded trace
     /// generator). The engine validates grids before running.
     ///
-    /// Multi-core points, fleet scenarios included, run through
-    /// [`run_mt_stream`].
+    /// Single-core points run through [`run_single_core`]; multi-core
+    /// points, fleet scenarios included, through [`run_mt_stream`].
     pub fn run(&self) -> PointResult {
         let accel = self.accel_mode();
         if let Some(name) = self.workload.strip_prefix("fleet:") {
@@ -259,13 +259,7 @@ impl ConfigPoint {
         } else {
             let warm = workload.trace(self.scale.warmup, self.seed);
             let measure = workload.trace(self.scale.calls, self.seed.wrapping_add(1));
-            let plan = self.sim.plan();
-            let run = |mode: Mode| {
-                let mut sim = AnySim::new(self.substrate, mode);
-                sim.set_sampling(plan);
-                warm.replay_on(&mut sim);
-                measure.replay_on(&mut sim).allocator_cycles()
-            };
+            let run = |mode| run_single_core(self.substrate, mode, self.sim, &warm, &measure).1;
             (run(Mode::Baseline), run(accel))
         };
         self.result_from(base_cycles, accel_cycles)
@@ -284,6 +278,23 @@ impl ConfigPoint {
             area_um2: self.area_um2(),
         }
     }
+}
+
+/// A fresh `substrate` simulator under `mode` and `sim` that has replayed
+/// `warmup` and then `measure`, with the allocator cycles of `measure`:
+/// one single-core cell of every accelerator duel.
+pub fn run_single_core(
+    substrate: Substrate,
+    mode: Mode,
+    sim: SimMode,
+    warmup: &Trace,
+    measure: &Trace,
+) -> (AnySim, f64) {
+    let mut s = AnySim::new(substrate, mode);
+    s.set_sampling(sim.plan());
+    warmup.replay_on(&mut s);
+    let cycles = measure.replay_on(&mut s).allocator_cycles();
+    (s, cycles)
 }
 
 /// Allocator cycles and calls (malloc + free, summed over cores) of one

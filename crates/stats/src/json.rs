@@ -5,8 +5,9 @@
 //! reports and the explore subsystem's memo store. Both only require a
 //! small, order-preserving value type whose rendering is byte-stable —
 //! object keys keep insertion order, numbers print via Rust's
-//! shortest-round-trip `f64` formatting, and non-finite numbers become
-//! `null` (JSON has no encoding for them).
+//! shortest-round-trip `f64` formatting, integers that no `f64` holds
+//! exactly print all their digits, and non-finite numbers become `null`
+//! (JSON has no encoding for them).
 
 use std::fmt::Write as _;
 
@@ -20,6 +21,11 @@ pub enum Json {
     Bool(bool),
     /// Any number; integers survive exactly up to 2^53.
     Num(f64),
+    /// An unsigned integer no `f64` holds exactly (above 2^53), kept
+    /// whole. Conversions from `u64` and `usize`, and the parser, make
+    /// this variant only for such integers; every other number is a
+    /// [`Json::Num`].
+    Int(u64),
     /// A string.
     Str(String),
     /// An array.
@@ -42,10 +48,12 @@ impl Json {
         }
     }
 
-    /// The numeric value, if this is a number.
+    /// The numeric value, if this is a number. An [`Json::Int`] reads
+    /// as the nearest `f64`.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             Json::Num(x) => Some(*x),
+            Json::Int(n) => Some(*n as f64),
             _ => None,
         }
     }
@@ -98,6 +106,9 @@ impl Json {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Json::Num(x) => write_num(out, *x),
+            Json::Int(n) => {
+                let _ = write!(out, "{n}");
+            }
             Json::Str(s) => write_str(out, s),
             Json::Arr(items) => {
                 if items.is_empty() {
@@ -151,14 +162,23 @@ impl From<f64> for Json {
 }
 
 impl From<u64> for Json {
+    /// A [`Json::Num`] when an `f64` holds `x` exactly, else a
+    /// [`Json::Int`].
     fn from(x: u64) -> Json {
-        Json::Num(x as f64)
+        let f = x as f64;
+        // Through u128: `u64::MAX as f64` rounds up to 2^64, which an
+        // `as u64` cast would saturate back to `u64::MAX`.
+        if f as u128 == u128::from(x) {
+            Json::Num(f)
+        } else {
+            Json::Int(x)
+        }
     }
 }
 
 impl From<usize> for Json {
     fn from(x: usize) -> Json {
-        Json::Num(x as f64)
+        Json::from(x as u64)
     }
 }
 
@@ -393,6 +413,9 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonParseError> {
         *pos += 1;
     }
     let text = std::str::from_utf8(&bytes[start..*pos]).expect("ASCII slice");
+    if let Ok(n) = text.parse::<u64>() {
+        return Ok(Json::from(n));
+    }
     text.parse::<f64>()
         .map(Json::Num)
         .map_err(|_| err(start, "invalid number"))
@@ -432,6 +455,25 @@ mod tests {
         assert_eq!(Json::Num(0.5).render(), "0.5");
         assert_eq!(Json::Num(f64::NAN).render(), "null");
         assert_eq!(Json::Num(-3.0).render(), "-3");
+    }
+
+    #[test]
+    fn integers_above_2_pow_53_round_trip_exactly() {
+        for n in [(1u64 << 53) + 1, 0x629a_f85f_ac46_19d6, u64::MAX] {
+            let doc = Json::obj([("seed", n.into())]);
+            let text = doc.render();
+            assert_eq!(text, format!("{{\"seed\":{n}}}"));
+            let parsed = parse(&text).unwrap();
+            assert_eq!(parsed, doc);
+            assert_eq!(parsed.render(), text);
+            assert_eq!(parsed.get("seed").and_then(Json::as_f64), Some(n as f64));
+        }
+        // Integers an f64 holds exactly stay plain numbers.
+        for n in [0u64, 1 << 53, (1 << 53) + 2, 10_000_000_000_000_000_000] {
+            assert_eq!(Json::from(n), Json::Num(n as f64));
+            assert_eq!(parse(&n.to_string()).unwrap(), Json::Num(n as f64));
+            assert_eq!(Json::from(n).render(), n.to_string());
+        }
     }
 
     #[test]

@@ -1,14 +1,18 @@
 //! Property-based tests over the design-space exploration subsystem:
-//! Pareto-frontier correctness, memo-key stability, and the sweep
-//! engine's determinism and memoisation contracts.
+//! Pareto-frontier correctness, memo-key stability, the sweep engine's
+//! determinism and memoisation contracts, and agreement between an
+//! explore point and the `repro offload`/`substrate` duel cell.
 
 use proptest::prelude::*;
 
+use mallacc::SimMode;
+use mallacc_bench::offload_cli::HeadToHead;
 use mallacc_explore::{
     run_sweep, AccelKind, ConfigPoint, ParamGrid, RunScale, Substrate, SweepOptions,
 };
 use mallacc_stats::{dominates, knee_index, pareto_frontier};
 use mallacc_test_support::{arb_config_point, arb_points};
+use mallacc_workloads::AnyWorkload;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -173,4 +177,42 @@ fn second_sweep_hits_the_memo_for_every_point() {
     );
     assert_eq!(first.results, second.results);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// An explore point and a duel cell run the same experiment: at the
+/// default entries and queue depth, the `mallacc`, `offload` and `both`
+/// points read the same baseline and accelerated cycles as
+/// `HeadToHead::single_core` on the same substrate, workload, scale and
+/// seed, so the point's accelerator configs equal the duel's modes.
+#[test]
+fn explore_points_agree_with_duel_cells() {
+    let scale = RunScale {
+        calls: 200,
+        warmup: 40,
+    };
+    let grid = ParamGrid {
+        accel: vec![AccelKind::Mallacc, AccelKind::Offload, AccelKind::Both],
+        substrates: vec![Substrate::Rpmalloc],
+        workloads: vec!["tp_small".to_string()],
+        seed: 42,
+        scale,
+        ..ParamGrid::default()
+    };
+    let workload = AnyWorkload::by_name("tp_small").unwrap();
+    let duel = HeadToHead::single_core(
+        Substrate::Rpmalloc,
+        &workload,
+        scale.warmup,
+        scale.calls,
+        grid.seed,
+        SimMode::Full,
+    );
+    let points = grid.expand();
+    assert_eq!(points.len(), 3);
+    for (point, accel_cycles) in points.iter().zip(&duel.0[1..]) {
+        let r = point.run();
+        let name = point.canonical_string();
+        assert_eq!(r.base_cycles, duel.0[0], "{name}");
+        assert_eq!(r.accel_cycles, *accel_cycles, "{name}");
+    }
 }

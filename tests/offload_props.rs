@@ -8,9 +8,11 @@ use proptest::prelude::*;
 
 use mallacc::{CallRecord, Driver, Mode, OffloadConfig, Substrate, TcSubstrate};
 use mallacc_bench::offload_cli::{offload_report, OffloadArgs};
+use mallacc_fleet::Scenario;
 use mallacc_jemalloc::JeSubstrate;
 use mallacc_offload::{OffloadQueue, RefOffloadQueue};
 use mallacc_substrate::{PcSubstrate, RpSubstrate, SubstrateKind};
+use mallacc_workloads::AnyWorkload;
 
 /// Bulk conformance at the scale the subsystem claims: ≥10k fuzzed
 /// programs (queue differentials + heap-identity allocation programs)
@@ -207,8 +209,10 @@ proptest! {
         wide in 0usize..2,
     ) {
         let args = |jobs: usize| OffloadArgs {
-            workloads: vec!["tp_small".to_string(), "xapian.pages".to_string()],
-            scenarios: vec!["rpc-fanout".to_string()],
+            workloads: ["tp_small", "xapian.pages"]
+                .map(|n| AnyWorkload::by_name(n).unwrap())
+                .to_vec(),
+            scenarios: vec![Scenario::by_name("rpc-fanout").unwrap()],
             depths: vec![depth],
             cores: vec![1, if wide == 1 { 32 } else { 2 }],
             calls: 120,

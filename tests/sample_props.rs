@@ -214,7 +214,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let args = |jobs| SampleArgs {
-            workloads: vec![MacroWorkload::all()[w].name.to_string()],
+            workloads: vec![AnyWorkload::Macro(MacroWorkload::all()[w].clone())],
             mallocs,
             seed,
             jobs,
