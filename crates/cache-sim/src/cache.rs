@@ -321,6 +321,13 @@ impl SetAssocCache {
         }
     }
 
+    /// Counts a read hit on a line the caller knows is in way 0 of its
+    /// set, without scanning: such a hit moves and marks nothing.
+    #[inline]
+    pub(crate) fn count_hit(&mut self) {
+        self.stats.hits += 1;
+    }
+
     /// Checks residency without perturbing the recency order or statistics.
     pub fn probe(&self, addr: Addr) -> bool {
         let (set_idx, tag) = self.index_and_tag(addr);

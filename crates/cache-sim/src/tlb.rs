@@ -82,7 +82,16 @@ pub struct Tlb {
     l1: SetAssocCache,
     l2: SetAssocCache,
     stats: TlbStats,
+    /// The page of the last translation, or [`NO_PAGE`] after a flush.
+    /// Every translation leaves its page in way 0 of its DTLB set, so until
+    /// the next translation or flush a repeat of this page is a DTLB hit
+    /// that would move nothing.
+    last_page: u64,
 }
+
+/// No page: a page number is an address shifted right by the page bits,
+/// and pages span more than one byte, so it never reaches `u64::MAX`.
+const NO_PAGE: u64 = u64::MAX;
 
 impl Tlb {
     /// Builds an empty TLB.
@@ -116,6 +125,7 @@ impl Tlb {
                 config.l2_latency,
             )?,
             stats: TlbStats::default(),
+            last_page: NO_PAGE,
         })
     }
 
@@ -132,7 +142,20 @@ impl Tlb {
     /// Translates `addr`, returning the extra access latency (0 on an L1
     /// hit) and updating residency. A miss installs the page in every level
     /// it missed, one scan per level.
+    ///
+    /// A repeat of the last translation's page skips the scan. That page
+    /// is still in way 0 of its DTLB set, so the scan would hit at once,
+    /// leave the set as it is and return 0; the shortcut counts the same
+    /// DTLB hit, in [`TlbStats::l1_hits`] and in the level's own count.
+    #[inline]
     pub fn translate(&mut self, addr: Addr) -> u32 {
+        let page = addr >> self.config.page_bytes.trailing_zeros();
+        if page == self.last_page {
+            self.l1.count_hit();
+            self.stats.l1_hits += 1;
+            return 0;
+        }
+        self.last_page = page;
         if self.l1.access(addr, false).is_hit() {
             self.stats.l1_hits += 1;
             return 0;
@@ -149,6 +172,7 @@ impl Tlb {
     pub fn flush(&mut self) {
         self.l1.flush();
         self.l2.flush();
+        self.last_page = NO_PAGE;
     }
 }
 
@@ -242,5 +266,54 @@ mod tests {
         t.translate(0x8000);
         t.flush();
         assert_eq!(t.translate(0x8000), 30);
+    }
+
+    #[test]
+    fn a_repeat_page_hits_without_walking() {
+        let mut t = Tlb::new(TlbConfig::haswell());
+        assert_eq!(t.translate(0x8000), 30);
+        for addr in [0x8008, 0x8FFF, 0x8000] {
+            assert_eq!(t.translate(addr), 0, "{addr:#x} repeats the last page");
+        }
+        let expected = TlbStats {
+            l1_hits: 3,
+            l2_hits: 0,
+            walks: 1,
+        };
+        assert_eq!(t.stats(), expected);
+        assert_eq!(t.l1.stats().hits, 3, "the DTLB level counts every hit");
+        assert_eq!(t.l1.stats().misses, 1);
+    }
+
+    #[test]
+    fn flush_forgets_the_last_page() {
+        let mut t = Tlb::new(TlbConfig::haswell());
+        t.translate(0x8000);
+        assert_eq!(t.translate(0x8010), 0);
+        t.flush();
+        assert_eq!(t.translate(0x8020), 30, "a flushed page walks again");
+        assert_eq!(t.translate(0x8030), 0);
+        assert_eq!(t.stats().walks, 2);
+        assert_eq!(t.stats().l1_hits, 2);
+    }
+
+    #[test]
+    fn other_pages_of_the_set_translate_as_before() {
+        // 64 entries, 4 ways: 16 DTLB sets, so pages 16 apart share one.
+        let page = |i: u64| i * 16 * 4096;
+        let mut t = Tlb::new(TlbConfig::haswell());
+        for i in 0..4 {
+            assert_eq!(t.translate(page(i)), 30);
+        }
+        // The set reads 3 2 1 0, most recent first; repeating page 3
+        // leaves it so, and a hit on page 0 makes it 0 3 2 1.
+        assert_eq!(t.translate(page(3) + 8), 0);
+        assert_eq!(t.translate(page(0)), 0);
+        // A fifth page evicts page 1 from the DTLB, not page 0 or 3.
+        assert_eq!(t.translate(page(4)), 30);
+        assert_eq!(t.translate(page(1)), 8, "page 1 falls to the STLB");
+        assert_eq!(t.translate(page(3)), 0);
+        assert_eq!(t.translate(page(0)), 0);
+        assert_eq!(t.l1.stats().hits, t.stats().l1_hits);
     }
 }

@@ -548,10 +548,7 @@ impl<S: Substrate> Driver<S> {
     pub fn app_touch(&mut self, addrs: &[Addr]) {
         let cpu = &mut self.m.cpu;
         let start = cpu.now();
-        for &a in addrs {
-            let d = cpu.alloc_reg();
-            cpu.push(Uop::load(a, d, &[]));
-        }
+        cpu.push_loads(addrs);
         self.totals.app_cycles += cpu.now().saturating_sub(start);
     }
 

@@ -1,6 +1,6 @@
 //! The out-of-order dataflow scheduling engine.
 
-use mallacc_cache::{AccessKind, AccessResult, Hierarchy};
+use mallacc_cache::{AccessKind, AccessResult, Addr, Hierarchy};
 
 use crate::sample::{FfClock, Phase, Sampler, SamplingPlan, SamplingReport};
 use crate::trace::{Component, OpMeta, StallBreakdown, StallReason, TraceSink, UopEvent};
@@ -573,6 +573,53 @@ impl Engine {
             return self.push_ff(uop);
         }
         self.push_dispatch(uop)
+    }
+
+    /// Pushes one load per address, in program order, each with no sources
+    /// and no destination register: the application's memory traffic
+    /// between allocator calls. Inside a fast-forward stretch the loads the
+    /// stretch still covers run as one loop and the countdown drops by
+    /// their number at once; each load past it is dispatched by phase as
+    /// [`Engine::push`] would, and without a sampler it runs in detail.
+    ///
+    /// # Why this is exactly one `push` per address
+    ///
+    /// It equals pushing `Uop::load(addr, r, &[])` for each address with a
+    /// freshly allocated `r`. Registers are SSA and no µop ever names an
+    /// application load's register as a source, so not allocating it
+    /// changes no ready time; no [`UopEvent`], statistic or report carries
+    /// a register. A load the stretch covers does what [`Engine::push`]
+    /// does with it: a countdown step and the fast-forward path. Without a
+    /// sampler, phase dispatch is the detailed model. Sinks therefore still
+    /// see one retire event per detailed load and one fast-forward
+    /// notification per region.
+    pub fn push_loads(&mut self, addrs: &[Addr]) {
+        let load = |addr| Uop {
+            kind: OpKind::Load { addr },
+            srcs: [None; 3],
+            dst: None,
+        };
+        if self.sampling.is_none() {
+            for &addr in addrs {
+                self.push_detailed(load(addr));
+            }
+            return;
+        }
+        let mut rest = addrs;
+        while let Some((&first, tail)) = rest.split_first() {
+            if self.ff_left == 0 {
+                self.push_dispatch(load(first));
+                rest = tail;
+                continue;
+            }
+            let n = self.ff_left.min(rest.len() as u64);
+            let (covered, tail) = rest.split_at(n as usize);
+            self.ff_left -= n;
+            for &addr in covered {
+                self.push_ff(load(addr));
+            }
+            rest = tail;
+        }
     }
 
     /// Every µop outside a fast-forward stretch: phase dispatch, then the

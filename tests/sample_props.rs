@@ -15,7 +15,9 @@
 //! its ROB in a ring, charges its CPI stack directly, reads absent sources
 //! from a sentinel slot, keeps the fast-forward clock in closed form and
 //! writes no registers while fast-forwarding; the oracle pins all of it as
-//! exact. `FF_ORACLE_CASES` sets its case count.
+//! exact. A second property runs `Engine::push_loads` against one `push`
+//! per load on twin engines, with the same µop generator. `FF_ORACLE_CASES`
+//! sets both case counts.
 //!
 //! Cadences come from the shared
 //! [`mallacc_test_support::arb_sampling_plan`] generator, so this suite
@@ -776,13 +778,83 @@ impl Oracle {
     }
 }
 
+/// Random µops over the registers drawn so far.
+struct UopGen {
+    rng: TestRng,
+    regs: Vec<Reg>,
+}
+
+impl UopGen {
+    /// A source list: up to three registers, mostly recent ones.
+    fn srcs(&mut self) -> Vec<Reg> {
+        let n = self.rng.below(4).min(self.regs.len() as u64);
+        (0..n)
+            .map(|_| {
+                let back = if self.rng.below(4) == 0 {
+                    self.regs.len()
+                } else {
+                    self.regs.len().min(16)
+                };
+                self.regs[self.regs.len() - 1 - self.rng.below(back as u64) as usize]
+            })
+            .collect()
+    }
+
+    fn addr(&mut self) -> u64 {
+        if self.rng.below(16) == 0 {
+            self.rng.below(1 << 32)
+        } else {
+            self.rng.below(4_096) * 64 + self.rng.below(64)
+        }
+    }
+
+    /// A random µop; `alloc` names each destination register it needs.
+    fn uop(&mut self, mut alloc: impl FnMut() -> Reg) -> Uop {
+        let srcs = self.srcs();
+        let mut fresh = |regs: &mut Vec<Reg>| {
+            let r = alloc();
+            regs.push(r);
+            r
+        };
+        match self.rng.below(20) {
+            0..=4 => {
+                let a = self.addr();
+                Uop::load(a, fresh(&mut self.regs), &srcs)
+            }
+            5..=7 => Uop::store(self.addr(), &srcs),
+            8 => Uop::prefetch(self.addr(), &srcs),
+            9 => Uop::branch(self.rng.below(8) == 0, &srcs),
+            10 => {
+                Uop::branch_penalized(self.rng.below(2) == 0, 1 + self.rng.below(20) as u32, &srcs)
+            }
+            11 => Uop::jump(&srcs),
+            12..=13 => Uop::alu(1 + self.rng.below(3) as u32, None, &srcs),
+            _ => {
+                let latency = if self.rng.below(32) == 0 {
+                    20 + self.rng.below(300)
+                } else {
+                    1 + self.rng.below(4)
+                };
+                Uop::alu(latency as u32, Some(fresh(&mut self.regs)), &srcs)
+            }
+        }
+    }
+}
+
+/// Allocates the next register in `cpu` and in `oracle`, which must agree
+/// on its name.
+fn alloc_in_both(cpu: &mut Engine, oracle: &mut Oracle) -> Reg {
+    let r = cpu.alloc_reg();
+    assert_eq!(r.index(), oracle.alloc_reg(), "register names diverged");
+    r
+}
+
 /// A sampled engine driven in lockstep with the [`Oracle`].
 struct Lockstep {
     cpu: Engine,
     log: Log,
     oracle: Oracle,
-    regs: Vec<Reg>,
-    rng: TestRng,
+    gen: UopGen,
     plan: SamplingPlan,
     op_start: u64,
 }
@@ -795,28 +867,25 @@ impl Lockstep {
             cpu: Engine::new(config, Hierarchy::default()),
             log: Log::default(),
             oracle: Oracle::new(config),
-            regs: Vec::new(),
-            rng: TestRng::seed_from_u64(seed),
+            gen: UopGen {
+                rng: TestRng::seed_from_u64(seed),
+                regs: Vec::new(),
+            },
             plan,
             op_start: 0,
         };
         let start = sampled.then_some(plan);
         h.cpu.set_sampling(start);
         h.oracle.set_sampling(start);
-        if h.rng.below(2) == 0 {
+        if h.gen.rng.below(2) == 0 {
             h.set_sink(true);
         }
         h
     }
 
     fn alloc(&mut self) -> Reg {
-        let r = self.cpu.alloc_reg();
-        assert_eq!(
-            r.index(),
-            self.oracle.alloc_reg(),
-            "register names diverged"
-        );
-        self.regs.push(r);
+        let r = alloc_in_both(&mut self.cpu, &mut self.oracle);
+        self.gen.regs.push(r);
         r
     }
 
@@ -849,63 +918,18 @@ impl Lockstep {
         Ok(())
     }
 
-    /// A source list: up to three registers, mostly recent ones.
-    fn srcs(&mut self) -> Vec<Reg> {
-        let n = self.rng.below(4).min(self.regs.len() as u64);
-        (0..n)
-            .map(|_| {
-                let back = if self.rng.below(4) == 0 {
-                    self.regs.len()
-                } else {
-                    self.regs.len().min(16)
-                };
-                self.regs[self.regs.len() - 1 - self.rng.below(back as u64) as usize]
-            })
-            .collect()
-    }
-
-    fn addr(&mut self) -> u64 {
-        if self.rng.below(16) == 0 {
-            self.rng.below(1 << 32)
-        } else {
-            self.rng.below(4_096) * 64 + self.rng.below(64)
-        }
-    }
-
     fn random_uop(&mut self) -> Uop {
-        let srcs = self.srcs();
-        match self.rng.below(20) {
-            0..=4 => {
-                let (a, d) = (self.addr(), self.alloc());
-                Uop::load(a, d, &srcs)
-            }
-            5..=7 => Uop::store(self.addr(), &srcs),
-            8 => Uop::prefetch(self.addr(), &srcs),
-            9 => Uop::branch(self.rng.below(8) == 0, &srcs),
-            10 => {
-                Uop::branch_penalized(self.rng.below(2) == 0, 1 + self.rng.below(20) as u32, &srcs)
-            }
-            11 => Uop::jump(&srcs),
-            12..=13 => Uop::alu(1 + self.rng.below(3) as u32, None, &srcs),
-            _ => {
-                let latency = if self.rng.below(32) == 0 {
-                    20 + self.rng.below(300)
-                } else {
-                    1 + self.rng.below(4)
-                };
-                let d = self.alloc();
-                Uop::alu(latency as u32, Some(d), &srcs)
-            }
-        }
+        let (cpu, oracle) = (&mut self.cpu, &mut self.oracle);
+        self.gen.uop(|| alloc_in_both(cpu, oracle))
     }
 
     /// One interleaved engine call other than `push`. Plan changes are
     /// rare, because each one restarts the startup interval.
     fn control(&mut self) -> Result<(), TestCaseError> {
-        match self.rng.below(1_000) {
+        match self.gen.rng.below(1_000) {
             0..=399 => {
                 let now = self.cpu.now();
-                let cycle = (now + self.rng.below(200)).saturating_sub(20);
+                let cycle = (now + self.gen.rng.below(200)).saturating_sub(20);
                 self.cpu.skip_to_cycle(cycle);
                 self.oracle.skip_to_cycle(cycle);
             }
@@ -929,16 +953,16 @@ impl Lockstep {
             }
             800..=929 => {
                 // Attach, replace or detach.
-                let on = !self.oracle.sink_on || self.rng.below(2) == 0;
+                let on = !self.oracle.sink_on || self.gen.rng.below(2) == 0;
                 self.set_sink(on);
             }
             930..=995 => {
-                let c = Component::ALL[self.rng.below(Component::ALL.len() as u64) as usize];
+                let c = Component::ALL[self.gen.rng.below(Component::ALL.len() as u64) as usize];
                 self.cpu.set_component(c);
                 self.oracle.set_component(c);
             }
             _ => {
-                let plan = match self.rng.below(3) {
+                let plan = match self.gen.rng.below(3) {
                     0 => None,
                     1 => Some(self.plan),
                     _ => Some(SamplingPlan::new(1, 1, 8).unwrap().with_startup(0)),
@@ -952,7 +976,7 @@ impl Lockstep {
 
     fn run(&mut self, steps: u64) -> Result<(), TestCaseError> {
         for _ in 0..steps {
-            if self.rng.below(64) == 0 {
+            if self.gen.rng.below(64) == 0 {
                 self.control()?;
             } else {
                 let uop = self.random_uop();
@@ -1056,4 +1080,193 @@ fn a_huge_window_rate_over_a_long_region_matches_the_oracle() -> Result<(), Test
     }
     prop_assert!(h.cpu.now() > 5_000 * u64::from(u32::MAX));
     h.finish()
+}
+
+/// Twin engines on one core and one plan: `bulk` pushes each run of
+/// application loads with one `push_loads` call, `each` pushes them one
+/// `push(Uop::load(a, fresh_reg, &[]))` at a time. Every other µop goes to
+/// both, with `each`'s registers standing in for `bulk`'s.
+struct Twins {
+    bulk: Engine,
+    each: Engine,
+    bulk_log: Log,
+    each_log: Log,
+    sink_on: bool,
+    gen: UopGen,
+    /// `each`'s register for each of `bulk`'s, by `bulk`'s index.
+    each_reg: Vec<Reg>,
+    op_start: u64,
+}
+
+impl Twins {
+    fn new(config: CoreConfig, plan: Option<SamplingPlan>, seed: u64) -> Self {
+        let mut t = Self {
+            bulk: Engine::new(config, Hierarchy::default()),
+            each: Engine::new(config, Hierarchy::default()),
+            bulk_log: Log::default(),
+            each_log: Log::default(),
+            sink_on: false,
+            gen: UopGen {
+                rng: TestRng::seed_from_u64(seed),
+                regs: Vec::new(),
+            },
+            each_reg: Vec::new(),
+            op_start: 0,
+        };
+        t.bulk.set_sampling(plan);
+        t.each.set_sampling(plan);
+        t
+    }
+
+    fn set_sink(&mut self, on: bool) {
+        if on {
+            self.bulk
+                .set_sink(Box::new(Recorder(self.bulk_log.clone())));
+            self.each
+                .set_sink(Box::new(Recorder(self.each_log.clone())));
+        } else {
+            self.bulk.take_sink().expect("sink installed");
+            self.each.take_sink().expect("sink installed");
+        }
+        self.sink_on = on;
+    }
+
+    /// A run of 0–80 application loads: consecutive lines from one base,
+    /// so most repeat the last page, or scattered addresses.
+    fn loads(&mut self) {
+        let n = self.gen.rng.below(81);
+        let addrs: Vec<u64> = if self.gen.rng.below(2) == 0 {
+            let base = self.gen.addr();
+            (0..n).map(|i| base + i * 64).collect()
+        } else {
+            (0..n).map(|_| self.gen.addr()).collect()
+        };
+        self.bulk.push_loads(&addrs);
+        for &a in &addrs {
+            let r = self.each.alloc_reg();
+            self.each.push(Uop::load(a, r, &[]));
+        }
+    }
+
+    fn uop(&mut self) -> Result<(), TestCaseError> {
+        let (bulk, each, each_reg) = (&mut self.bulk, &mut self.each, &mut self.each_reg);
+        let uop = self.gen.uop(|| {
+            each_reg.push(each.alloc_reg());
+            bulk.alloc_reg()
+        });
+        let map = |r: Option<Reg>| r.map(|r| self.each_reg[r.index() as usize]);
+        let twin = Uop {
+            kind: uop.kind,
+            srcs: uop.srcs.map(map),
+            dst: map(uop.dst),
+        };
+        prop_assert_eq!(
+            self.bulk.push(uop.clone()),
+            self.each.push(twin),
+            "{:?}",
+            uop
+        );
+        Ok(())
+    }
+
+    fn control(&mut self) {
+        match self.gen.rng.below(4) {
+            0 => {
+                let now = self.bulk.now();
+                let cycle = (now + self.gen.rng.below(200)).saturating_sub(20);
+                self.bulk.skip_to_cycle(cycle);
+                self.each.skip_to_cycle(cycle);
+            }
+            1 => {
+                self.op_start = self.bulk.now();
+                self.bulk.trace_op_begin();
+                self.each.trace_op_begin();
+            }
+            2 => {
+                let meta = OpMeta {
+                    name: "op",
+                    is_malloc: false,
+                    size: 0,
+                    cls: None,
+                    start: self.op_start,
+                    end: self.bulk.now(),
+                };
+                self.bulk.trace_op_end(&meta);
+                self.each.trace_op_end(&meta);
+            }
+            _ => {
+                let on = !self.sink_on || self.gen.rng.below(2) == 0;
+                self.set_sink(on);
+            }
+        }
+    }
+
+    fn check(&mut self) -> Result<(), TestCaseError> {
+        let (b, e) = (&self.bulk, &self.each);
+        prop_assert_eq!(b.now(), e.now());
+        prop_assert_eq!(b.stats(), e.stats());
+        prop_assert_eq!(b.cpi_stack(), e.cpi_stack());
+        prop_assert_eq!(b.skipped_cycles(), e.skipped_cycles());
+        prop_assert_eq!(b.sampling_report(), e.sampling_report());
+        let got: Vec<Ev> = self.bulk_log.lock().unwrap().drain(..).collect();
+        let want: Vec<Ev> = self.each_log.lock().unwrap().drain(..).collect();
+        prop_assert_eq!(got, want);
+        Ok(())
+    }
+
+    /// Runs until `bulk` has pushed `uops` µops, then closes any open
+    /// region through a sink and compares the caches.
+    fn run(&mut self, uops: u64) -> Result<(), TestCaseError> {
+        while self.bulk.stats().uops < uops {
+            match self.gen.rng.below(16) {
+                0 => self.control(),
+                1..=5 => self.loads(),
+                _ => self.uop()?,
+            }
+            self.check()?;
+        }
+        if !self.sink_on {
+            self.set_sink(true);
+        }
+        self.set_sink(false);
+        self.check()?;
+        prop_assert!(
+            *self.bulk.mem() == *self.each.mem(),
+            "cache hierarchy diverged"
+        );
+        Ok(())
+    }
+}
+
+/// Plans for `push_loads`: full detail, the shared generator, or short
+/// periods with no startup, so that stretches end inside a run of loads.
+fn arb_push_loads_plan() -> impl Strategy<Value = Option<SamplingPlan>> {
+    let plan = |w, d, p| SamplingPlan::new(w, d, p).expect("non-empty window and period");
+    prop_oneof![
+        1 => Just(None),
+        2 => arb_sampling_plan().prop_map(Some),
+        2 => (0u64..=16, 1u64..=16, 1u64..=64)
+            .prop_map(move |(w, d, ff)| Some(plan(w, d, w + d + ff).with_startup(0))),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(ff_oracle_cases()))]
+
+    /// `Engine::push_loads` is exactly one `push` of a load with a fresh
+    /// register per address, on any core, in full detail or sampled:
+    /// after every run of loads, random µop and interleaved call (time
+    /// skips, operation windows, sink changes), `now`, `stats`,
+    /// `cpi_stack`, `skipped_cycles`, `sampling_report` and every sink
+    /// event agree, and so do the cache hierarchies at the end.
+    #[test]
+    fn push_loads_match_the_per_load_oracle(
+        plan in arb_push_loads_plan(),
+        seed in any::<u64>(),
+        config in arb_core_config(),
+    ) {
+        // Past the startup interval and across three periods.
+        let uops = plan.map_or(4_000, |p| (p.startup_uops + 3 * p.period + 256).min(40_000));
+        Twins::new(config, plan, seed).run(uops)?;
+    }
 }
