@@ -6,6 +6,8 @@
 //! `log2` of the cycle count with a fixed number of sub-bins per octave,
 //! and each sample carries a weight (the cycles it contributes).
 
+use std::sync::OnceLock;
+
 /// One histogram bin: `[lo, hi)` with an accumulated weight and count.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Bin {
@@ -25,6 +27,10 @@ impl Bin {
         (self.lo * self.hi).sqrt()
     }
 }
+
+/// Values below this bin by table lookup; their bins (at most 95) fit a
+/// byte.
+const SMALL_VALUES: usize = 4_096;
 
 /// A logarithmically-binned, weighted histogram of `u64` samples.
 ///
@@ -59,7 +65,22 @@ impl LogHistogram {
         Self::default()
     }
 
+    /// The bin of `value`. Below [`SMALL_VALUES`] it is read from a table
+    /// filled once, on first use, from [`LogHistogram::bin_by_log2`]
+    /// itself, so both paths agree exactly; per-call cycle counts almost
+    /// always land there.
     fn bin_index(value: u64) -> usize {
+        static SMALL: OnceLock<[u8; SMALL_VALUES]> = OnceLock::new();
+        if value >= SMALL_VALUES as u64 {
+            return Self::bin_by_log2(value);
+        }
+        let table =
+            SMALL.get_or_init(|| std::array::from_fn(|v| Self::bin_by_log2(v as u64) as u8));
+        usize::from(table[value as usize])
+    }
+
+    /// `floor(log2(value) * DEFAULT_BINS_PER_OCTAVE)`, with 0 binned as 1.
+    fn bin_by_log2(value: u64) -> usize {
         let v = value.max(1) as f64;
         (v.log2() * Self::DEFAULT_BINS_PER_OCTAVE as f64).floor() as usize
     }
@@ -239,6 +260,32 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.total_count(), 3);
         assert!((a.total_weight() - 5.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn table_bins_equal_the_log2_expression() {
+        for v in 0..SMALL_VALUES as u64 {
+            assert_eq!(
+                LogHistogram::bin_index(v),
+                LogHistogram::bin_by_log2(v),
+                "{v}"
+            );
+        }
+        for k in 0..64 {
+            let p = 1u64 << k;
+            for v in [p - 1, p, p + 1] {
+                assert_eq!(
+                    LogHistogram::bin_index(v),
+                    LogHistogram::bin_by_log2(v),
+                    "{v}"
+                );
+            }
+        }
+        assert_eq!(
+            LogHistogram::bin_index(u64::MAX),
+            LogHistogram::bin_by_log2(u64::MAX)
+        );
+        assert_eq!(LogHistogram::bin_index(SMALL_VALUES as u64 - 1), 95);
     }
 
     #[test]
