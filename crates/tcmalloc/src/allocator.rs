@@ -9,12 +9,11 @@
 //! so the cycle distributions of the paper's Figure 1 emerge from the same
 //! pool hierarchy that produced them in the original system.
 
-use std::collections::HashMap;
-
 use mallacc_cache::Addr;
 
 use crate::central::{CentralFreeList, Populate};
 use crate::free_list::FreeList;
+use crate::hash::IntMap;
 use crate::layout;
 use crate::page_heap::{PageHeap, SpanId};
 use crate::sampler::Sampler;
@@ -249,8 +248,8 @@ pub struct TcMalloc {
     transfer: Vec<TransferCache>,
     central: Vec<CentralFreeList>,
     heap: PageHeap,
-    span_class: HashMap<SpanId, ClassId>,
-    live: HashMap<Addr, LiveAlloc>,
+    span_class: IntMap<SpanId, ClassId>,
+    live: IntMap<Addr, LiveAlloc>,
     /// Objects carved out of spans so far, per class (slot 0 unused).
     /// Small-class blocks never return to the page heap, so at any point
     /// `carved[c] == live(c) + thread lists + transfer cache + central`.
@@ -296,8 +295,8 @@ impl TcMalloc {
             transfer,
             central,
             heap: PageHeap::new(),
-            span_class: HashMap::new(),
-            live: HashMap::new(),
+            span_class: IntMap::default(),
+            live: IntMap::default(),
             carved: vec![0; n],
             config,
             stats: AllocStats::default(),

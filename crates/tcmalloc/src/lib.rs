@@ -45,6 +45,7 @@
 mod allocator;
 mod central;
 mod free_list;
+mod hash;
 pub mod layout;
 mod page_heap;
 mod sampler;

@@ -7,7 +7,7 @@
 //! page to its owning span (this is the structure `free()` consults when no
 //! sized delete is available).
 
-use std::collections::HashMap;
+use crate::hash::IntMap;
 
 /// Slab index of a span.
 pub type SpanId = usize;
@@ -94,7 +94,7 @@ pub struct PageHeap {
     free_small: Vec<Vec<SpanId>>,
     free_large: Vec<SpanId>,
     /// page → owning span, maintained for every page of live spans.
-    pagemap: HashMap<u64, SpanId>,
+    pagemap: IntMap<u64, SpanId>,
     next_page: u64,
     stats: PageHeapStats,
 }
@@ -106,7 +106,7 @@ impl PageHeap {
             spans: Vec::new(),
             free_small: vec![Vec::new(); (MAX_SMALL_SPAN_PAGES + 1) as usize],
             free_large: Vec::new(),
-            pagemap: HashMap::new(),
+            pagemap: IntMap::default(),
             next_page: 0,
             stats: PageHeapStats::default(),
         }
