@@ -25,7 +25,11 @@
 //! traces have few windows and wide (honest) intervals; as traces grow
 //! the interval shrinks roughly with 1/√windows and the fixed band takes
 //! over. Any row failing both bounds, or any functional mismatch, fails
-//! the run (exit 1).
+//! the run (exit 1). So does a row that closed fewer than the two windows
+//! an interval needs under a plan that fast-forwards: such a trace is too
+//! short to sample, and its sampled run checks nothing. A degenerate plan
+//! runs everything in detail and closes no window by construction, so its
+//! rows keep the error verdicts.
 //! Rows are computed as pure functions of their index, so the report is
 //! byte-identical for every `--jobs` value. A run computes every row
 //! first, then renders the text, the JSON document and the verdict from
@@ -124,6 +128,9 @@ const MODES: [ModeRow; 2] = [
     ("baseline", || Mode::Baseline),
     ("mallacc", Mode::mallacc_default),
 ];
+
+/// Windows a sampled row must close: a 95 % interval needs two.
+const MIN_WINDOWS: usize = 2;
 
 /// One workload × mode comparison row.
 #[derive(Debug, Clone)]
@@ -232,13 +239,17 @@ fn render(args: &SampleArgs, rows: &[Row]) -> (i32, String) {
     let mut mean_abs = 0.0;
     let mut max_abs = 0.0f64;
     let mut json_rows = Vec::new();
+    let mut pass = true;
     for r in rows {
+        let too_few_windows = !args.plan.is_degenerate() && r.windows < MIN_WINDOWS;
         let verdict = match (r.in_band, r.within_ci, r.functional_ok) {
             (_, _, false) => "FUNCTIONAL DRIFT",
+            _ if too_few_windows => "TOO FEW WINDOWS",
             (true, _, true) => "ok",
             (false, true, true) => "ok(ci)",
             (false, false, true) => "OUT OF BAND",
         };
+        pass &= (r.in_band || r.within_ci) && r.functional_ok && !too_few_windows;
         t.row_owned(vec![
             r.workload.clone(),
             r.mode.to_string(),
@@ -270,9 +281,6 @@ fn render(args: &SampleArgs, rows: &[Row]) -> (i32, String) {
     out.push_str(&format!(
         "mean abs error: {mean_abs:.2}%, max abs error: {max_abs:.2}%\n"
     ));
-    let pass = rows
-        .iter()
-        .all(|r| (r.in_band || r.within_ci) && r.functional_ok);
     out.push_str(&format!(
         "\nverdict: {}\n",
         if pass { "PASS" } else { "FAIL" }
@@ -399,23 +407,26 @@ mod tests {
     fn failing_rows_render_their_verdicts_and_fail_the_run() {
         let dir = std::env::temp_dir().join(format!("repro-sample-fail-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let row = |workload: &str, in_band, within_ci, functional_ok| Row {
+        let row = |workload: &str, in_band, within_ci, functional_ok, windows| Row {
             workload: workload.to_string(),
             mode: "baseline",
             full_cycles: 1_000,
             sampled_cycles: 1_100,
             error_pct: 10.0,
             ci95_rel_pct: 12.0,
-            windows: 3,
+            windows,
             ff_fraction: 0.5,
             functional_ok,
             in_band,
             within_ci,
         };
         let rows = [
-            row("w-ci", false, true, true),
-            row("w-band", false, false, true),
-            row("w-drift", true, true, false),
+            row("w-ci", false, true, true, 3),
+            row("w-band", false, false, true, 3),
+            row("w-drift", true, true, false, 3),
+            row("w-none", true, true, true, 0),
+            row("w-one", true, true, true, 1),
+            row("w-two", true, true, true, 2),
         ];
         let args = SampleArgs {
             json: Some(dir.join("sample.json")),
@@ -426,7 +437,14 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
         assert_eq!(code, 1, "{text}");
         assert!(text.contains("\nverdict: FAIL\n"), "{text}");
-        let verdicts = ["ok(ci)", "OUT OF BAND", "FUNCTIONAL DRIFT"];
+        let verdicts = [
+            "ok(ci)",
+            "OUT OF BAND",
+            "FUNCTIONAL DRIFT",
+            "TOO FEW WINDOWS",
+            "TOO FEW WINDOWS",
+            "ok",
+        ];
         for (r, verdict) in rows.iter().zip(verdicts) {
             let line = text
                 .lines()
@@ -452,6 +470,19 @@ mod tests {
                 assert_eq!(j.get(key), Some(&Json::Bool(value)), "{key}");
             }
         }
+    }
+
+    #[test]
+    fn a_trace_too_short_to_sample_fails() {
+        let a = SampleArgs {
+            workloads: vec![AnyWorkload::by_name("tp_small").unwrap()],
+            mallocs: 50,
+            ..SampleArgs::default()
+        };
+        let (code, text) = sample_report(&a);
+        assert_eq!(code, 1, "{text}");
+        assert!(text.contains("TOO FEW WINDOWS"), "{text}");
+        assert!(text.contains("\nverdict: FAIL\n"), "{text}");
     }
 
     #[test]
